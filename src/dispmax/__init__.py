@@ -1,6 +1,6 @@
 """Numerical lab for directional maximal estimates of dispersive propagators."""
 
-from .config import ExperimentConfig, ResultTable, parse_config, read_csv, write_csv
+from .config import ExperimentConfig, ResultTable, __version__, parse_config, read_csv, write_csv
 from .directions import (
     CoverResult,
     DirectionSet,
@@ -48,5 +48,3 @@ from .spectral import (
     make_sobolev_data,
     sobolev_norm,
 )
-
-__version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Command-line surface: experiment drivers plus small utility commands.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(quadrature budget, resolution rule, nonconforming profile).
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (every
+other package error: quadrature budget, resolution rule, aliasing,
+nonconforming profile, failed lemma hypothesis).
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ from .config import (
     write_csv,
 )
 from .directions import cover_set, parse_direction_spec
-from .errors import (
-    ConfigError,
-    HypothesisError,
-    NonconformingProfileError,
-    QuadratureError,
-    ResolutionError,
-)
+from .errors import ConfigError, DispmaxError
 from .experiments import (
     run_convergence_experiment,
     run_dimension_report,
@@ -50,10 +45,7 @@ from .spectral import (
     sobolev_norm,
 )
 
-_CONFIG_FLAGS = {
-    "a": "a", "q": "q", "sigma": "sigma", "theta": "theta", "seed": "seed",
-    "out": "out", "k_min": "k_min", "k_max": "k_max", "s": "s",
-}
+_CONFIG_KEYS = ("a", "q", "sigma", "theta", "seed", "out", "k_min", "k_max", "s")
 
 
 def _build_config(args) -> ExperimentConfig:
@@ -61,11 +53,7 @@ def _build_config(args) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             cfg = parse_config(fh.read(), base=cfg)
-    overrides = {}
-    for attr, key in _CONFIG_FLAGS.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            overrides[key] = val
+    overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
     if "out" not in overrides and not args.config:
         env_out = os.environ.get("DISPMAX_OUT")
         if env_out:
@@ -78,7 +66,15 @@ def _out_path(cfg: ExperimentConfig, name: str) -> str:
     return os.path.join(cfg.out, name)
 
 
-def _cmd_check(cfg: ExperimentConfig) -> int:
+def _load_signal(cfg: ExperimentConfig, args):
+    """The --input signal CSV, or seeded H^s data on the configured grid."""
+    if args.input:
+        with open(args.input) as fh:
+            return signal_from_csv(fh.read())
+    return make_sobolev_data(cfg.s, cfg.seed, half_width=cfg.half_width, n=cfg.n_grid)
+
+
+def _cmd_check(cfg: ExperimentConfig, args) -> int:
     profile = DispersionProfile.power(cfg.a)
     c1, c2 = check_dispersion_conditions(profile)
     print(f"dispersion conditions: C1est={c1:.6g} C2est={c2:.6g}")
@@ -100,11 +96,7 @@ def _cmd_check(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_evolve(cfg: ExperimentConfig, args) -> int:
-    if args.input:
-        with open(args.input) as fh:
-            f = signal_from_csv(fh.read())
-    else:
-        f = make_sobolev_data(cfg.s, cfg.seed, half_width=cfg.half_width, n=cfg.n_grid)
+    f = _load_signal(cfg, args)
     profile = DispersionProfile.power(cfg.a)
     g = evolve(f, args.t, profile)
     path = _out_path(cfg, "evolved.csv")
@@ -115,7 +107,7 @@ def _cmd_evolve(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _cmd_dim(cfg: ExperimentConfig) -> int:
+def _cmd_dim(cfg: ExperimentConfig, args) -> int:
     table = run_dimension_report(cfg)
     path = _out_path(cfg, "dimension.csv")
     write_csv(table, path)
@@ -146,11 +138,7 @@ def _cmd_cover(cfg: ExperimentConfig, args) -> int:
 def _cmd_maximal(cfg: ExperimentConfig, args) -> int:
     theta = parse_direction_spec(cfg.theta)
     profile = DispersionProfile.power(cfg.a)
-    if args.input:
-        with open(args.input) as fh:
-            f = signal_from_csv(fh.read())
-    else:
-        f = make_sobolev_data(cfg.s, cfg.seed, half_width=cfg.half_width, n=cfg.n_grid)
+    f = _load_signal(cfg, args)
     if args.band is not None:
         bank = build_filter_bank(max(args.band, 1))
         f = project(f, args.band, bank)
@@ -167,7 +155,7 @@ def _cmd_maximal(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _cmd_norm_scaling(cfg: ExperimentConfig) -> int:
+def _cmd_norm_scaling(cfg: ExperimentConfig, args) -> int:
     table, fit = run_scaling_experiment(cfg)
     path = _out_path(cfg, "scaling.csv")
     write_csv(table, path)
@@ -177,7 +165,7 @@ def _cmd_norm_scaling(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_kernel_scan(cfg: ExperimentConfig) -> int:
+def _cmd_kernel_scan(cfg: ExperimentConfig, args) -> int:
     table, report = run_kernel_scan(cfg)
     path = _out_path(cfg, "kernel_scan.csv")
     write_csv(table, path)
@@ -200,7 +188,7 @@ def _cmd_kernel_scan(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_converge(cfg: ExperimentConfig) -> int:
+def _cmd_converge(cfg: ExperimentConfig, args) -> int:
     table = run_convergence_experiment(cfg)
     path = _out_path(cfg, "converge.csv")
     write_csv(table, path)
@@ -210,6 +198,18 @@ def _cmd_converge(cfg: ExperimentConfig) -> int:
           f"{med[-1]:.6g} at r={table.columns['r'][-1]:g}")
     print(f"wrote {path}")
     return 0
+
+
+_COMMANDS = {
+    "check": _cmd_check,
+    "evolve": _cmd_evolve,
+    "dim": _cmd_dim,
+    "cover": _cmd_cover,
+    "maximal": _cmd_maximal,
+    "norm-scaling": _cmd_norm_scaling,
+    "kernel-scan": _cmd_kernel_scan,
+    "converge": _cmd_converge,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,27 +252,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _build_config(args)
-        if args.command == "check":
-            return _cmd_check(cfg)
-        if args.command == "evolve":
-            return _cmd_evolve(cfg, args)
-        if args.command == "dim":
-            return _cmd_dim(cfg)
-        if args.command == "cover":
-            return _cmd_cover(cfg, args)
-        if args.command == "maximal":
-            return _cmd_maximal(cfg, args)
-        if args.command == "norm-scaling":
-            return _cmd_norm_scaling(cfg)
-        if args.command == "kernel-scan":
-            return _cmd_kernel_scan(cfg)
-        if args.command == "converge":
-            return _cmd_converge(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, ResolutionError, NonconformingProfileError, HypothesisError) as exc:
+    except DispmaxError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

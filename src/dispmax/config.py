@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields, replace
 
+from .directions import parse_direction_spec
 from .errors import ConfigError
 
 __version__ = "0.1.0"
@@ -47,6 +48,10 @@ class ExperimentConfig:
             raise ConfigError(f"sigma above 1 (sigma={sig})")
         if not self.a > 1.0:
             raise ConfigError(f"a={self.a} must exceed 1")
+        try:
+            parse_direction_spec(self.theta)
+        except ValueError as exc:
+            raise ConfigError(f"theta: {exc}") from exc
         return self
 
     def canonical(self) -> str:
@@ -110,13 +115,6 @@ class ResultTable:
     @property
     def n_rows(self) -> int:
         return len(next(iter(self.columns.values()))) if self.columns else 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ResultTable)
-            and self.columns == other.columns
-            and self.provenance == other.provenance
-        )
 
 
 def _fmt(v) -> str:

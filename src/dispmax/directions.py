@@ -10,7 +10,7 @@ the line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,7 +20,6 @@ class DirectionSet:
     variant: str  # "points", "intervals", "cantor"
     components: tuple  # sorted (a, b) closed intervals; points have a == b
     spec: str = ""  # CLI spec string this set was parsed from, if any
-    cantor_params: tuple | None = None  # (m, r, depth, anchor)
 
     def sample(self, per_component: int = 1) -> np.ndarray:
         """Equispaced samples, per_component per interval (midpoint if 1)."""
@@ -31,14 +30,6 @@ class DirectionSet:
             else:
                 out.append(np.linspace(a, b, per_component))
         return np.unique(np.concatenate(out))
-
-    @property
-    def lo(self) -> float:
-        return self.components[0][0]
-
-    @property
-    def hi(self) -> float:
-        return self.components[-1][1]
 
 
 def _validate_components(comps) -> tuple:
@@ -96,7 +87,7 @@ def make_cantor(m: int, r: float, depth: int, anchor=(0.0, 1.0)) -> DirectionSet
         else:
             merged.append((a, b))
     comps = _validate_components(merged)
-    return DirectionSet("cantor", comps, cantor_params=(m, r, depth, (a0, b0)))
+    return DirectionSet("cantor", comps)
 
 
 def parse_direction_spec(spec: str) -> DirectionSet:
@@ -115,11 +106,9 @@ def parse_direction_spec(spec: str) -> DirectionSet:
             ds = make_cantor(int(m), float(r), int(depth))
         else:
             raise ValueError(f"unknown direction-set kind {kind!r}")
-    except ValueError:
-        raise
     except Exception as exc:  # malformed numbers, wrong arity
         raise ValueError(f"cannot parse direction spec {spec!r}: {exc}") from exc
-    return DirectionSet(ds.variant, ds.components, spec=spec, cantor_params=ds.cantor_params)
+    return replace(ds, spec=spec)
 
 
 @dataclass(frozen=True)
@@ -178,8 +167,7 @@ def estimate_minkowski_dim(
         raise ValueError("need 0 < delta_min < delta_max <= 1")
     if n_scales < 4:
         raise ValueError("need at least 4 scales")
-    deltas = np.exp(np.linspace(np.log(delta_max), np.log(delta_min), n_scales))
-    counts = np.array([box_count(theta, d) for d in deltas], dtype=float)
+    deltas, counts = np.array(dimension_table(theta, delta_min, delta_max, n_scales)).T
     x = np.log(1.0 / deltas)
     y = np.log(counts)
     slope, intercept = np.polyfit(x, y, 1)

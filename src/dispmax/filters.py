@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import AliasingError
 from .spectral import SampledSignal, forward_transform, inverse_transform, SpectralCoefficients
@@ -45,7 +44,6 @@ class DyadicFilterBank:
     """Immutable bank psi0, psi, psi_k, psi_tilde up to band K."""
 
     max_band: int
-    psi_sq_mass: float  # int psi^2 over the real line, used by the TT* kernel
 
     def psi0(self, xi):
         return _theta(2.0 * np.asarray(xi, dtype=float))
@@ -68,17 +66,11 @@ class DyadicFilterBank:
             raise ValueError(f"band index {k} outside [1, {self.max_band}]")
         return self.psi_wide(np.asarray(xi, dtype=float) / 2.0 ** (k - 1))
 
-    def band_multiplier(self, k, xi):
-        """psi0 for k = 0, psi_k for k >= 1."""
-        return self.psi0(xi) if k == 0 else self.psi_k(k, xi)
-
 
 def build_filter_bank(max_band: int) -> DyadicFilterBank:
     if not 1 <= max_band <= 30:
         raise ValueError(f"max_band must lie in [1, 30], got {max_band}")
-    psi = lambda xi: _theta(xi) - _theta(2.0 * xi)
-    mass, _ = quad(lambda u: psi(u) ** 2, 0.5, 2.0, epsabs=1e-13, epsrel=1e-13)
-    return DyadicFilterBank(max_band=max_band, psi_sq_mass=2.0 * mass)
+    return DyadicFilterBank(max_band=max_band)
 
 
 def _shell_top(k: int, wide: bool) -> float:
@@ -115,12 +107,3 @@ def project_wide(f: SampledSignal, k: int, bank: DyadicFilterBank) -> SampledSig
     if k == 0:
         raise ValueError("wide projection is defined for k >= 1")
     return _apply_band(f, k, bank, wide=True)
-
-
-def filters_to_csv(bank: DyadicFilterBank, xi: np.ndarray) -> str:
-    cols = [bank.psi0(xi)] + [bank.psi_k(k, xi) for k in range(1, bank.max_band + 1)]
-    header = "xi," + ",".join(f"psi{k}" for k in range(bank.max_band + 1))
-    lines = [header]
-    for i, x in enumerate(xi):
-        lines.append(f"{x:.17g}," + ",".join(f"{col[i]:.17g}" for col in cols))
-    return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import HypothesisError, QuadratureError
-from .filters import DyadicFilterBank, _smooth_step, _theta
+from .filters import _smooth_step, _theta
 from .spectral import DispersionProfile
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
@@ -92,9 +92,7 @@ class KernelQuery:
     w: SpaceTimePoint
     w_prime: SpaceTimePoint
     lam: float
-    sigma: float
     profile: DispersionProfile
-    bank: DyadicFilterBank
 
     def __post_init__(self):
         if not self.lam >= 2.0:
@@ -159,8 +157,7 @@ def _refine_panels(intervals, dphase: Callable, threshold: float, limit: int,
 
 def kernel_value(query: KernelQuery, density: int = 1) -> complex:
     """Adaptive Gauss quadrature of the TT* kernel; density=10 is the oracle."""
-    w, wp, lam = query.w, query.w_prime, query.lam
-    profile, bank = query.profile, query.bank
+    w, wp, lam, profile = query.w, query.w_prime, query.lam, query.profile
     shift = (w.x - wp.x) + w.t * w.theta - wp.t * wp.theta
     dt = w.t - wp.t
 
@@ -243,13 +240,8 @@ class DecayScanReport:
     rows: tuple  # (lambda, region, x_dist, t_dist, abs_K, decay_product)
     v2_ratio_range: tuple  # (min, max) of |x-x'+t*theta-t'*theta'| / |x-x'| on V2
 
-    def max_decay_product(self, region: str | None = None, lam: float | None = None) -> float:
-        sel = [
-            r[5]
-            for r in self.rows
-            if (region is None or r[1] == region) and (lam is None or r[0] == lam)
-            and r[1] in ("V1", "V2")
-        ]
+    def max_decay_product(self, lam: float | None = None) -> float:
+        sel = [r[5] for r in self.rows if r[1] in ("V1", "V2") and (lam is None or r[0] == lam)]
         return max(sel) if sel else 0.0
 
 
@@ -319,7 +311,6 @@ def decay_bound_scan(
     lam_list,
     samples_per_region: int = 200,
     seed: int = 0,
-    bank: DyadicFilterBank | None = None,
 ) -> DecayScanReport:
     """Empirical check of the (lambda |x - x'|)^(-1/2) kernel decay.
 
@@ -328,10 +319,6 @@ def decay_bound_scan(
     trivial bound.  Also records the V2 comparability ratio
     |x - x' + t*theta - t'*theta'| / |x - x'|.
     """
-    if bank is None:
-        from .filters import build_filter_bank
-
-        bank = build_filter_bank(1)
     lam_list = list(lam_list)
     if any(b <= a for a, b in zip(lam_list, lam_list[1:])):
         raise ValueError("lambda list must be ascending")
@@ -342,8 +329,7 @@ def decay_bound_scan(
         quota = _sample_regions(rng, lam, sigma, samples_per_region, profile=profile)
         for name in ("V1", "V2", "V3"):
             for w, wp in quota[name]:
-                q = KernelQuery(w, wp, lam, sigma, profile, bank)
-                absk = abs(kernel_value(q))
+                absk = abs(kernel_value(KernelQuery(w, wp, lam, profile)))
                 dx = abs(w.x - wp.x)
                 dt = abs(w.t - wp.t)
                 if name in ("V1", "V2"):

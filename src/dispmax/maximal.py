@@ -29,6 +29,7 @@ from .spectral import (
     DispersionProfile,
     SampledSignal,
     SpectralCoefficients,
+    _alternating_sign,
     forward_transform,
     inverse_transform,
 )
@@ -101,12 +102,6 @@ def _check_resolution(grid: MaximalGridSpec, band: float, profile, theta: Direct
             )
 
 
-def _theta_samples(theta: DirectionSet, per_component: int) -> np.ndarray:
-    if theta.variant == "points":
-        return np.array([a for a, _ in theta.components])
-    return theta.sample(per_component)
-
-
 def _scan(
     f: SampledSignal,
     theta_values: np.ndarray,
@@ -133,10 +128,8 @@ def _scan(
     h = 2.0 * half_width / n_eval
 
     n = f.n
-    j = np.arange(-n // 2, n // 2)
-    sign = np.where(j % 2 == 0, 1.0, -1.0)
-    adj = sign * c.coeffs
-    pos_in_eval = j % n_eval
+    adj = _alternating_sign(n) * c.coeffs
+    pos_in_eval = np.arange(-n // 2, n // 2) % n_eval
     phi = np.asarray(profile.phi(c.frequencies), dtype=float)
 
     ideal = -1.0 + (np.arange(x_count) + 0.5) * (2.0 / x_count)
@@ -208,7 +201,7 @@ def maximal_function(
     band = forward_transform(f).band_limit()
     _check_resolution(grid, band, profile, theta)
     t_grid = np.linspace(-grid.t_range, grid.t_range, grid.t_count)
-    theta_values = _theta_samples(theta, grid.theta_count)
+    theta_values = theta.sample(grid.theta_count)
     return _scan(f, theta_values, t_grid, profile, grid.x_count)
 
 
@@ -232,7 +225,7 @@ def convergence_scan(
     grid = grid_for_band(band, profile, theta, x_count=x_count, t_range=float(r_levels[0]))
     _check_resolution(grid, band, profile, theta)
     t_grid = np.linspace(-grid.t_range, grid.t_range, grid.t_count)
-    theta_values = _theta_samples(theta, grid.theta_count)
+    theta_values = theta.sample(grid.theta_count)
     _, level_max = _scan(
         f, theta_values, t_grid, profile, x_count, subtract=True, r_levels=r_levels
     )
@@ -305,7 +298,7 @@ def estimate_operator_norm(
         n *= 2
     grid = grid_for_band(band, profile, theta, x_count=x_count)
     t_grid = np.linspace(-1.0, 1.0, grid.t_count)
-    theta_values = _theta_samples(theta, grid.theta_count)
+    theta_values = theta.sample(grid.theta_count)
 
     template = SpectralCoefficients(half_width, np.zeros(n, dtype=complex))
     xi = template.frequencies

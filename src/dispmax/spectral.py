@@ -136,23 +136,25 @@ class SpectralCoefficients:
         return float(live.max()) if live.size else 0.0
 
 
+def _alternating_sign(n: int) -> np.ndarray:
+    """(-1)^j for j in [-n/2, n/2), the sign shared by every transform on the grid.
+
+    exp(-i x_n xi_j) = (-1)^j exp(-2*pi*i*n*j/N) for x_n = -L + n*h.
+    """
+    j = np.arange(-n // 2, n // 2)
+    return np.where(j % 2 == 0, 1.0, -1.0)
+
+
 def forward_transform(f: SampledSignal) -> SpectralCoefficients:
     """Trapezoidal discretization of f_hat(xi) = int exp(-i*x*xi) f(x) dx."""
-    n = f.n
-    j = np.arange(-n // 2, n // 2)
-    # exp(-i x_n xi_j) = (-1)^j exp(-2*pi*i*n*j/N) for x_n = -L + n*h
-    sign = np.where(j % 2 == 0, 1.0, -1.0)
-    c = f.grid_step * sign * np.fft.fftshift(np.fft.fft(f.values))
+    c = f.grid_step * _alternating_sign(f.n) * np.fft.fftshift(np.fft.fft(f.values))
     return SpectralCoefficients(f.half_width, c)
 
 
 def inverse_transform(c: SpectralCoefficients) -> SampledSignal:
     """Two-sided inverse of forward_transform (carries the 1/(2*pi) factor)."""
-    n = c.n
-    j = np.arange(-n // 2, n // 2)
-    sign = np.where(j % 2 == 0, 1.0, -1.0)
-    h = 2.0 * c.half_width / n
-    vals = np.fft.ifft(np.fft.ifftshift(sign * c.coeffs)) / h
+    h = 2.0 * c.half_width / c.n
+    vals = np.fft.ifft(np.fft.ifftshift(_alternating_sign(c.n) * c.coeffs)) / h
     return SampledSignal(c.half_width, vals)
 
 
@@ -167,13 +169,6 @@ def evolve(f: SampledSignal, t: float, profile: DispersionProfile) -> SampledSig
     c = forward_transform(f)
     mult = np.exp(1j * t * profile.phi(c.frequencies))
     return inverse_transform(SpectralCoefficients(c.half_width, mult * c.coeffs))
-
-
-def evolve_spectrum(c: SpectralCoefficients, t: float, profile: DispersionProfile) -> SpectralCoefficients:
-    if not np.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t}")
-    mult = np.exp(1j * t * profile.phi(c.frequencies))
-    return SpectralCoefficients(c.half_width, mult * c.coeffs)
 
 
 def sobolev_norm(f: SampledSignal, s: float) -> float:
@@ -255,11 +250,3 @@ def signal_from_csv(text: str) -> SampledSignal:
     x = rows[:, 0]
     half_width = (x[1] - x[0]) * len(x) / 2.0
     return SampledSignal(half_width, rows[:, 1] + 1j * rows[:, 2])
-
-
-def spectrum_to_csv(c: SpectralCoefficients) -> str:
-    buf = io.StringIO()
-    buf.write("xi,re,im\n")
-    for xi, v in zip(c.frequencies, c.coeffs):
-        buf.write(f"{xi:.17g},{v.real:.17g},{v.imag:.17g}\n")
-    return buf.getvalue()

@@ -11,9 +11,13 @@ over j bounds |S_t P_k f(y)| by sqrt(sum_j psi_k(xi_j)^2 dxi / (2 pi)) ||f||_2
 for every (y, t) and every direction, and the Riemann L^q norm over I = (-1, 1)
 is at most |I|^(1/q) times the supremum.  The resulting ceiling B_k ignores
 dispersion entirely, so it grows like 2^(k/2).
+
+psi_sq_mass gives the reference value of int psi^2 over the real line, the
+diagonal of the TT* kernel, by adaptive quadrature of the bank's own psi.
 """
 
 import numpy as np
+from scipy.integrate import quad
 
 INTERVAL_LENGTH = 2.0  # |I| for I = (-1, 1), the window of lq_norm
 
@@ -25,3 +29,9 @@ def shell_ceiling(k, q, half_width, bank):
     xi = dxi * np.arange(-top, top + 1)
     mass = float(np.sum(bank.psi_k(k, xi) ** 2)) * dxi / (2.0 * np.pi)
     return float(INTERVAL_LENGTH ** (1.0 / q) * np.sqrt(mass))
+
+
+def psi_sq_mass(bank):
+    """int psi^2 over the real line: twice the integral over (1/2, 2)."""
+    mass, _ = quad(lambda u: bank.psi(u) ** 2, 0.5, 2.0, epsabs=1e-13, epsrel=1e-13)
+    return 2.0 * mass

@@ -129,9 +129,23 @@ class TestCli:
         assert rc == 0
         assert (out1 / "evolved.csv").exists()
 
-    def test_config_error_exit_code(self, capsys):
-        assert main(["cover", "--q", "9"]) == 2
-        assert "config error" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["cover", "--q", "9"],
+        ["dim", "--theta", "bogus:1"],
+        ["dim", "--theta", "interval:0,2"],
+    ], ids=["q-out-of-range", "unknown-theta-kind", "theta-outside-range"])
+    def test_config_error_exit_code(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert err.count("\n") == 1
+
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # the default grid's Nyquist frequency is about 25, below the k=9 shell
+        assert main(["maximal", "--band", "9", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert err.count("\n") == 1
 
     def test_unknown_config_key_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

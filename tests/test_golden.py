@@ -1,0 +1,75 @@
+"""Golden output digests: every subcommand's files, byte for byte.
+
+Each subcommand that writes files runs in-process on one small config, and
+the sha256 of every .csv and .gp it writes is compared with the digest
+recorded from an earlier build of the package.  A refactor that claims to
+leave outputs unchanged must keep every digest here.  A change that moves
+bytes on purpose re-records them and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from dispmax.cli import main
+
+CONFIG = """\
+n_grid = 128
+half_width = 8
+k_min = 1
+k_max = 3
+samples_per_region = 4
+lambda_min_exp = 4
+lambda_max_exp = 5
+scale_max_exp = 2
+scale_min_exp = 4
+"""
+
+CANTOR = "2,0.3333333333333333"
+
+COMMANDS = {
+    "evolve": ["evolve"],
+    "dim": ["dim", "--theta", f"cantor:{CANTOR},6"],
+    "cover": ["cover"],
+    "maximal": ["maximal", "--theta", "interval:0,0.25", "--band", "2"],
+    "norm-scaling": ["norm-scaling"],
+    "kernel-scan": ["kernel-scan"],
+    "converge": ["converge", "--theta", f"cantor:{CANTOR},4"],
+}
+
+GOLDEN = {
+    "evolve": {"evolved.csv": "07d8984d1a4d1c128ae2468dcb4dc0b2ad76de8f340347541ec24c40a51feda1"},
+    "dim": {"dimension.csv": "afe98394932f25dab503d487c2ac36684c7b5f46d89d33f4dd2f6a6cdb9862c0"},
+    "cover": {"cover.csv": "ae32bb1ca3963e5198d166da095acde24bb754f0ef2857f477a7b57a590f9bb6"},
+    "maximal": {"maximal.csv": "01784bafdbe96b59b659cc19f6978ad1c7a3f7b709f5de09633e4b6bfb9895e1"},
+    "norm-scaling": {
+        "scaling.csv": "46487143f2b0333efc4bf2542e461da9eb22311e11031b87a47a59c5ebdc71b9",
+        "scaling.gp": "ba9827330662a2674965fd0a7e22d1359287c0a7f1ff209687d42594d9604f45",
+    },
+    "kernel-scan": {
+        "kernel_scan.csv": "12a22a264abc0d515457d6098dfc98b894a7150e107db3e29aaf3d3eae126164",
+        "kernel_scan.gp": "8248b1b74f195a5bfab9b5fd987d4b98b172285663699cd83236c5dada10da93",
+        "van_der_corput.csv": "4dd6a53919c597f1c5b60a5aeb42948dc15fe08741aca2dfe4327892a65184d5",
+    },
+    "converge": {
+        "converge.csv": "984d05fa1b0220dea48eac98e43f98cd398c42cb983eb39987fa159f0464889c",
+        "converge.gp": "f220ae8d27e889190ff28602a2d38c96b0617383c6eaebb12403eec1d6f27d1e",
+    },
+}
+
+
+def output_digests(out_dir) -> dict:
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out_dir.iterdir())
+        if p.suffix in (".csv", ".gp")
+    }
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_outputs_match_golden_digests(command, tmp_path, capsys):
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text(CONFIG)
+    out = tmp_path / "out"
+    assert main(COMMANDS[command] + ["--config", str(cfg), "--out", str(out)]) == 0
+    assert output_digests(out) == GOLDEN[command]

@@ -21,13 +21,15 @@ from dispmax.kernel import (
     van_der_corput_check,
 )
 from dispmax.spectral import DispersionProfile
+from shell_ceiling import psi_sq_mass
 
 PROFILE = DispersionProfile.power(2.0)
 BANK = build_filter_bank(1)
+PSI_SQ_MASS = psi_sq_mass(BANK)
 
 
-def query(w, wp, lam=4.0, sigma=0.5, profile=PROFILE):
-    return KernelQuery(w, wp, lam, sigma, profile, BANK)
+def query(w, wp, lam=4.0, profile=PROFILE):
+    return KernelQuery(w, wp, lam, profile)
 
 
 class TestPhase:
@@ -81,7 +83,7 @@ class TestKernelValue:
         w = SpaceTimePoint(0.3, 0.2, 0.1)
         k = kernel_value(query(w, w))
         assert abs(k.imag) < 1e-12
-        assert abs(k.real - BANK.psi_sq_mass) < 1e-10
+        assert abs(k.real - PSI_SQ_MASS) < 1e-10
 
     def test_hermitian_symmetry(self):
         w = SpaceTimePoint(0.4, 0.6, 0.05)
@@ -96,7 +98,7 @@ class TestKernelValue:
             x, xp, t, tp = rng.uniform(-1, 1, 4)
             w, wp = SpaceTimePoint(x, t, 0.0), SpaceTimePoint(xp, tp, 0.0)
             k = kernel_value(query(w, wp, lam=16.0))
-            assert abs(k) <= BANK.psi_sq_mass * (1 + 1e-9)
+            assert abs(k) <= PSI_SQ_MASS * (1 + 1e-9)
 
     def test_oracle_density_agrees(self):
         w = SpaceTimePoint(0.8, 0.7, 0.1)
@@ -118,7 +120,7 @@ class TestKernelValue:
     def test_rejects_small_lambda(self):
         w = SpaceTimePoint(0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            KernelQuery(w, w, 1.0, 0.5, PROFILE, BANK)
+            KernelQuery(w, w, 1.0, PROFILE)
 
 
 class TestU1U2Split:
