@@ -51,8 +51,12 @@ _CONFIG_KEYS = ("a", "q", "sigma", "theta", "seed", "out", "k_min", "k_max", "s"
 def _build_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config:
-        with open(args.config) as fh:
-            cfg = parse_config(fh.read(), base=cfg)
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from exc
+        cfg = parse_config(text)
     overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
     if "out" not in overrides and not args.config:
         env_out = os.environ.get("DISPMAX_OUT")
@@ -96,6 +100,8 @@ def _cmd_check(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_evolve(cfg: ExperimentConfig, args) -> int:
+    if not np.isfinite(args.t):
+        raise ConfigError(f"--t must be finite, got {args.t}")
     f = _load_signal(cfg, args)
     profile = DispersionProfile.power(cfg.a)
     g = evolve(f, args.t, profile)
@@ -117,6 +123,8 @@ def _cmd_dim(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_cover(cfg: ExperimentConfig, args) -> int:
+    if not 2.0 <= args.lam < np.inf:
+        raise ConfigError(f"--lam must be finite and at least 2, got {args.lam}")
     theta = parse_direction_spec(cfg.theta)
     result = cover_set(theta, args.lam, cfg.resolved_sigma())
     cols = {
@@ -136,6 +144,8 @@ def _cmd_cover(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_maximal(cfg: ExperimentConfig, args) -> int:
+    if args.band is not None and not 0 <= args.band <= 30:
+        raise ConfigError(f"--band must lie in [0, 30], got {args.band}")
     theta = parse_direction_spec(cfg.theta)
     profile = DispersionProfile.power(cfg.a)
     f = _load_signal(cfg, args)

@@ -48,6 +48,10 @@ class ExperimentConfig:
             raise ConfigError(f"sigma above 1 (sigma={sig})")
         if not self.a > 1.0:
             raise ConfigError(f"a={self.a} must exceed 1")
+        if not self.s > 0.0:
+            raise ConfigError(f"s={self.s} must be positive")
+        if self.trials < 1 or self.x_count < 1:
+            raise ConfigError(f"trials={self.trials} and x_count={self.x_count} must be at least 1")
         try:
             parse_direction_spec(self.theta)
         except ValueError as exc:
@@ -80,9 +84,8 @@ def _parse_value(key: str, raw: str):
     return raw
 
 
-def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
+def parse_config(text: str) -> ExperimentConfig:
     """key=value lines, '#' comments; unknown keys are rejected by line number."""
-    cfg = base or ExperimentConfig()
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -99,7 +102,7 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
             updates[key] = _parse_value(key, raw)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    return replace(cfg, **updates).validate()
+    return replace(ExperimentConfig(), **updates).validate()
 
 
 @dataclass

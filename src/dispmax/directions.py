@@ -17,7 +17,6 @@ import numpy as np
 
 @dataclass(frozen=True)
 class DirectionSet:
-    variant: str  # "points", "intervals", "cantor"
     components: tuple  # sorted (a, b) closed intervals; points have a == b
     spec: str = ""  # CLI spec string this set was parsed from, if any
 
@@ -50,26 +49,23 @@ def _validate_components(comps) -> tuple:
 def make_points(points) -> DirectionSet:
     pts = sorted(set(float(p) for p in points))
     comps = _validate_components((p, p) for p in pts)
-    return DirectionSet("points", comps)
+    return DirectionSet(comps)
 
 
 def make_intervals(intervals) -> DirectionSet:
     comps = _validate_components(sorted(tuple(iv) for iv in intervals))
-    return DirectionSet("intervals", comps)
+    return DirectionSet(comps)
 
 
-def make_cantor(m: int, r: float, depth: int, anchor=(0.0, 1.0)) -> DirectionSet:
-    """IFS Cantor set: m equally spaced affine copies at ratio r, depth d."""
+def make_cantor(m: int, r: float, depth: int) -> DirectionSet:
+    """IFS Cantor set in [0, 1]: m equally spaced affine copies at ratio r, depth d."""
     if m < 2:
         raise ValueError("need at least 2 pieces")
     if not 0.0 < r <= 1.0 / m:
         raise ValueError(f"ratio must satisfy 0 < r <= 1/m, got r={r}, m={m}")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    a0, b0 = float(anchor[0]), float(anchor[1])
-    if b0 <= a0:
-        raise ValueError("anchor interval is degenerate or reversed")
-    comps = [(a0, b0)]
+    comps = [(0.0, 1.0)]
     gap = (1.0 - r) / (m - 1)  # relative offset between consecutive piece starts
     for _ in range(depth):
         nxt = []
@@ -86,8 +82,7 @@ def make_cantor(m: int, r: float, depth: int, anchor=(0.0, 1.0)) -> DirectionSet
             merged[-1] = (merged[-1][0], max(merged[-1][1], b))
         else:
             merged.append((a, b))
-    comps = _validate_components(merged)
-    return DirectionSet("cantor", comps)
+    return DirectionSet(_validate_components(merged))
 
 
 def parse_direction_spec(spec: str) -> DirectionSet:

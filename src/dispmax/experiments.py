@@ -27,6 +27,8 @@ def run_scaling_experiment(cfg: ExperimentConfig):
     intercept, residual)).
     """
     cfg.validate()
+    if not 2.0 <= cfg.q <= 4.0:
+        raise ConfigError(f"q={cfg.q} outside [2, 4], the range of the norm estimator")
     ks = list(range(cfg.k_min, cfg.k_max + 1))
     if not ks:
         raise ConfigError("empty experiment: k range is empty")
@@ -72,27 +74,22 @@ def run_scaling_experiment(cfg: ExperimentConfig):
     return table, fit
 
 
-def run_convergence_experiment(cfg: ExperimentConfig, s_list=None, scale_list=None):
+def run_convergence_experiment(cfg: ExperimentConfig):
     """Median/max sup-error of S_t f(x + t*theta) - f(x) over shrinking scales."""
     cfg.validate()
-    if s_list is None:
-        s_list = [cfg.s]
-    if scale_list is None:
-        scale_list = [2.0**-e for e in range(cfg.scale_max_exp, cfg.scale_min_exp + 1)]
-    scales = sorted(set(float(r) for r in scale_list), reverse=True)
+    scales = [2.0**-e for e in range(cfg.scale_max_exp, cfg.scale_min_exp + 1)]
     if not scales or scales[0] > 1.0 or scales[-1] <= 0.0:
         raise ConfigError("scales must lie in (0, 1] and be nonempty")
     theta = parse_direction_spec(cfg.theta)
     profile = DispersionProfile.power(cfg.a)
     cols = {"s": [], "r": [], "median_err": [], "max_err": []}
-    for s in s_list:
-        f = make_sobolev_data(s, cfg.seed, half_width=cfg.half_width, n=cfg.n_grid)
-        levels, sup = convergence_scan(f, theta, profile, scales, x_count=cfg.x_count)
-        for r, row in zip(levels, sup):
-            cols["s"].append(float(s))
-            cols["r"].append(float(r))
-            cols["median_err"].append(float(np.median(row)))
-            cols["max_err"].append(float(np.max(row)))
+    f = make_sobolev_data(cfg.s, cfg.seed, half_width=cfg.half_width, n=cfg.n_grid)
+    levels, sup = convergence_scan(f, theta, profile, scales, x_count=cfg.x_count)
+    for r, row in zip(levels, sup):
+        cols["s"].append(float(cfg.s))
+        cols["r"].append(float(r))
+        cols["median_err"].append(float(np.median(row)))
+        cols["max_err"].append(float(np.max(row)))
     return ResultTable(columns=cols, provenance=provenance_block(cfg, experiment="converge"))
 
 

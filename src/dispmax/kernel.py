@@ -3,7 +3,7 @@
 The kernel is K_lambda(w, w') = int exp(i*phase(lambda*xi)) psi(xi)^2 dxi
 over the support of psi, with phase(xi) = (x - x' + t*theta - t'*theta')*xi
 + (t - t')*Phi(xi).  Quadrature bisects panels until the phase variation per
-panel drops below a fixed budget, then applies a 15-point Gauss rule per
+panel drops below a fixed budget, then applies a 128-point Gauss rule per
 panel; the oracle is the same scheme at 10x panel density.
 """
 
@@ -27,6 +27,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
 # staying far inside the panel budget at the largest lambda scanned.
 PANEL_PHASE_BUDGET = 128.0 * np.pi
 PANEL_LIMIT = 10**6
+# Uniform panels per support interval before refinement: the smooth cutoff
+# needs resolution even at zero phase.
+_BASE_SPLIT = 64
 
 _SUPPORT = ((-2.0, -0.5), (0.5, 2.0))
 
@@ -99,33 +102,35 @@ class KernelQuery:
             raise ValueError("lambda must be >= 2")
 
 
+def _shift(w: SpaceTimePoint, wp: SpaceTimePoint) -> float:
+    """x - x' + t*theta - t'*theta', the coefficient of xi in the phase."""
+    return (w.x - wp.x) + w.t * w.theta - wp.t * wp.theta
+
+
 def phase_value(xi, w: SpaceTimePoint, wp: SpaceTimePoint, profile: DispersionProfile):
     """(x - x' + t*theta - t'*theta')*xi + (t - t')*Phi(xi)."""
-    shift = (w.x - wp.x) + w.t * w.theta - wp.t * wp.theta
-    return shift * np.asarray(xi, dtype=float) + (w.t - wp.t) * profile.phi(xi)
+    return _shift(w, wp) * np.asarray(xi, dtype=float) + (w.t - wp.t) * profile.phi(xi)
+
+
+def _region_labels(dx, dt, width):
+    """V1 where |x - x'| < 4|t - t'|, else V2 where |x - x'| >= 4*width, else V3."""
+    return np.where(dx < 4.0 * dt, "V1", np.where(dx >= 4.0 * width, "V2", "V3"))
 
 
 def classify_region(w: SpaceTimePoint, wp: SpaceTimePoint, lam: float, sigma: float) -> RegionLabel:
-    dx = abs(w.x - wp.x)
-    dt = abs(w.t - wp.t)
-    if dx < 4.0 * dt:
-        return RegionLabel.V1
-    if dx >= 4.0 * lam ** (-sigma):
-        return RegionLabel.V2
-    return RegionLabel.V3
+    return RegionLabel(_region_labels(abs(w.x - wp.x), abs(w.t - wp.t), lam ** (-sigma)).item())
 
 
-def _refine_panels(intervals, dphase: Callable, threshold: float, limit: int,
-                   base_split: int = 64):
-    """Subdivide until phase variation per panel is below the budget.
+def _refine_panels(intervals, dphase: Callable):
+    """Subdivide until phase variation per panel is below PANEL_PHASE_BUDGET.
 
-    Each starting interval is first cut into base_split uniform panels (the
-    smooth cutoff needs resolution even at zero phase); panels whose
-    estimated variation exceeds the budget are then split proportionally.
+    Each starting interval is first cut into _BASE_SPLIT uniform panels;
+    panels whose estimated variation exceeds the budget are then split
+    proportionally, up to PANEL_LIMIT panels in all.
     """
     a_parts, b_parts = [], []
     for lo, hi in intervals:
-        edges = np.linspace(lo, hi, base_split + 1)
+        edges = np.linspace(lo, hi, _BASE_SPLIT + 1)
         a_parts.append(edges[:-1])
         b_parts.append(edges[1:])
     a = np.concatenate(a_parts)
@@ -139,13 +144,13 @@ def _refine_panels(intervals, dphase: Callable, threshold: float, limit: int,
         var = (b - a) * np.maximum(
             (da + 4.0 * dm + db) / 6.0, 0.5 * np.maximum(da, np.maximum(dm, db))
         )
-        if (var <= threshold).all():
+        if (var <= PANEL_PHASE_BUDGET).all():
             return a, b
-        n_sub = np.maximum(1, np.ceil(var / threshold).astype(np.int64))
+        n_sub = np.maximum(1, np.ceil(var / PANEL_PHASE_BUDGET).astype(np.int64))
         total = int(n_sub.sum())
-        if total > limit:
+        if total > PANEL_LIMIT:
             raise QuadratureError(
-                f"panel budget {limit} exceeded while resolving the oscillatory phase"
+                f"panel budget {PANEL_LIMIT} exceeded while resolving the oscillatory phase"
             )
         width = (b - a) / n_sub
         rep_w = np.repeat(width, n_sub)
@@ -158,13 +163,13 @@ def _refine_panels(intervals, dphase: Callable, threshold: float, limit: int,
 def kernel_value(query: KernelQuery, density: int = 1) -> complex:
     """Adaptive Gauss quadrature of the TT* kernel; density=10 is the oracle."""
     w, wp, lam, profile = query.w, query.w_prime, query.lam, query.profile
-    shift = (w.x - wp.x) + w.t * w.theta - wp.t * wp.theta
+    shift = _shift(w, wp)
     dt = w.t - wp.t
 
     def dphase(xi):
         return shift * lam + dt * lam * _dphi_at(profile, lam, xi)
 
-    a, b = _refine_panels(_SUPPORT, dphase, PANEL_PHASE_BUDGET, PANEL_LIMIT)
+    a, b = _refine_panels(_SUPPORT, dphase)
     if density > 1:
         offs = np.arange(density) / density
         width = (b - a) / density
@@ -197,7 +202,6 @@ def split_u1_u2(
     wp: SpaceTimePoint,
     lam: float,
     profile: DispersionProfile,
-    n_samples: int = 512,
 ):
     """Partition of supp psi into the small-|Phi'| set U1 and its complement U2.
 
@@ -205,14 +209,14 @@ def split_u1_u2(
     intersected with each half-line of the support; with Phi' monotone this
     is a single subinterval per half-line.  Returns [((a, b), "U1"|"U2"), ...].
     """
-    shift = abs((w.x - wp.x) + w.t * w.theta - wp.t * wp.theta)
+    shift = abs(_shift(w, wp))
     dt = abs(w.t - wp.t)
     pieces = []
     for lo, hi in _SUPPORT:
         if dt == 0.0:
             pieces.append(((lo, hi), "U1"))
             continue
-        xi = np.linspace(lo, hi, n_samples)
+        xi = np.linspace(lo, hi, 512)
         g = 2.0 * dt * np.abs(np.asarray(profile.phi_prime(lam * xi), dtype=float))
         diffs = np.diff(g)
         if (diffs > 1e-12).any() and (diffs < -1e-12).any():
@@ -268,7 +272,7 @@ def _stationary_pairs(rng, lam, width, profile):
     return pairs
 
 
-def _sample_regions(rng, lam, sigma, per_region, profile=None):
+def _sample_regions(rng, lam, sigma, per_region, profile):
     """Seeded (w, w') pairs from W x W with per-region quotas.
 
     Near-stationary pairs are inserted first (they dominate the sup of the
@@ -276,11 +280,10 @@ def _sample_regions(rng, lam, sigma, per_region, profile=None):
     """
     width = lam ** (-sigma)
     quota = {lab: [] for lab in ("V1", "V2", "V3")}
-    if profile is not None:
-        for w, wp in _stationary_pairs(rng, lam, width, profile):
-            lab = classify_region(w, wp, lam, sigma).value
-            if len(quota[lab]) < per_region:
-                quota[lab].append((w, wp))
+    for w, wp in _stationary_pairs(rng, lam, width, profile):
+        lab = classify_region(w, wp, lam, sigma).value
+        if len(quota[lab]) < per_region:
+            quota[lab].append((w, wp))
     attempts = 0
     while any(len(v) < per_region for v in quota.values()):
         attempts += 1
@@ -290,9 +293,7 @@ def _sample_regions(rng, lam, sigma, per_region, profile=None):
         x, xp = rng.uniform(-1, 1, m), rng.uniform(-1, 1, m)
         t, tp = rng.uniform(-1, 1, m), rng.uniform(-1, 1, m)
         th, thp = rng.uniform(0, width, m), rng.uniform(0, width, m)
-        dx = np.abs(x - xp)
-        dt = np.abs(t - tp)
-        lab = np.where(dx < 4 * dt, "V1", np.where(dx >= 4 * width, "V2", "V3"))
+        lab = _region_labels(np.abs(x - xp), np.abs(t - tp), width)
         for name in quota:
             need = per_region - len(quota[name])
             if need <= 0:
@@ -326,7 +327,7 @@ def decay_bound_scan(
     ratio_lo, ratio_hi = np.inf, -np.inf
     rng = np.random.default_rng(seed)
     for lam in lam_list:
-        quota = _sample_regions(rng, lam, sigma, samples_per_region, profile=profile)
+        quota = _sample_regions(rng, lam, sigma, samples_per_region, profile)
         for name in ("V1", "V2", "V3"):
             for w, wp in quota[name]:
                 absk = abs(kernel_value(KernelQuery(w, wp, lam, profile)))
@@ -337,8 +338,7 @@ def decay_bound_scan(
                 else:
                     product = 0.0
                 if name == "V2":
-                    shift = abs((w.x - wp.x) + w.t * w.theta - wp.t * wp.theta)
-                    ratio = shift / dx
+                    ratio = abs(_shift(w, wp)) / dx
                     ratio_lo = min(ratio_lo, ratio)
                     ratio_hi = max(ratio_hi, ratio)
                 rows.append((float(lam), name, dx, dt, absk, float(product)))
@@ -432,7 +432,7 @@ def van_der_corput_check(phase: PhaseSpec, lam_list, k: int):
     rows = []
     for lam in lam_list:
         dphase = lambda x: lam * np.asarray(phase.derivs[1](x), dtype=float)
-        a, b = _refine_panels([(phase.a, phase.b)], dphase, PANEL_PHASE_BUDGET, PANEL_LIMIT)
+        a, b = _refine_panels([(phase.a, phase.b)], dphase)
         half = 0.5 * (b - a)
         nodes = 0.5 * (a + b)[:, None] + half[:, None] * _GL_NODES[None, :]
         vals = np.exp(1j * lam * phase.phi(nodes)) * phase.psi(nodes)

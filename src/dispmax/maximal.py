@@ -35,6 +35,7 @@ from .spectral import (
 )
 
 _PHASE_BUDGET = 0.25  # max phase change (radians) per grid step in t, theta, x
+_SCAN_CHUNK = 64  # time slices synthesized per batched inverse FFT
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,8 @@ class MaximalResult:
     t_arg: np.ndarray = field(repr=False)
     theta_arg: np.ndarray = field(repr=False)
     lattice_step: float
+    # (n_levels, x_count) maxima over |t| <= r, for a scan given r_levels
+    level_max: np.ndarray | None = field(default=None, repr=False)
 
 
 def _phi_max(profile: DispersionProfile, band: float) -> float:
@@ -87,19 +90,13 @@ def grid_for_band(
 
 
 def _check_resolution(grid: MaximalGridSpec, band: float, profile, theta: DirectionSet):
-    pm = _phi_max(profile, band)
-    t_step = 2.0 * grid.t_range / (grid.t_count - 1) if grid.t_count > 1 else 0.0
-    if pm > 0 and t_step > _PHASE_BUDGET / pm * (1 + 1e-9):
+    """Reject a grid coarser in t or theta than grid_for_band's for this band."""
+    needed = grid_for_band(band, profile, theta, grid.x_count, grid.t_range)
+    if grid.t_count < needed.t_count or grid.theta_count < needed.theta_count:
         raise ResolutionError(
-            f"t-step {t_step:g} exceeds {_PHASE_BUDGET / pm:g} required for band {band:g}"
+            f"grid with t_count {grid.t_count} and theta_count {grid.theta_count} is below "
+            f"the {needed.t_count} and {needed.theta_count} required for band {band:g}"
         )
-    widest = max(b - a for a, b in theta.components)
-    if band > 0 and widest > 0:
-        needed = int(np.ceil(widest / (_PHASE_BUDGET / band))) + 1
-        if grid.theta_count < needed:
-            raise ResolutionError(
-                f"theta_count {grid.theta_count} below {needed} required for band {band:g}"
-            )
 
 
 def _scan(
@@ -108,16 +105,15 @@ def _scan(
     t_grid: np.ndarray,
     profile: DispersionProfile,
     x_count: int,
-    subtract: bool = False,
     r_levels: np.ndarray | None = None,
-    chunk: int = 64,
-):
+) -> MaximalResult:
     """Shared sweep over (t, theta); returns per-x maxima with argmax data.
 
-    With subtract=True the scanned quantity is |u(x+t*theta, t) - f(x)|,
-    and r_levels (descending) additionally yields per-x maxima restricted
-    to |t| <= r for each level.
+    Given r_levels (descending), the scanned quantity is
+    |u(x+t*theta, t) - f(x)| and level_max holds the per-x maxima
+    restricted to |t| <= r for each level.
     """
+    subtract = r_levels is not None
     c = forward_transform(f)
     band = c.band_limit()
     half_width = f.half_width
@@ -144,16 +140,14 @@ def _scan(
     best = np.full(x_count, -1.0)
     best_t = np.zeros(x_count, dtype=np.int64)
     best_th = np.zeros(x_count, dtype=np.int64)
-    level_max = None
-    if r_levels is not None:
-        level_max = np.zeros((len(r_levels), x_count))
+    level_max = np.zeros((len(r_levels), x_count)) if subtract else None
 
     cur = np.exp(1j * t_grid[0] * phi)
     dt = t_grid[1] - t_grid[0] if len(t_grid) > 1 else 0.0
     step_mult = np.exp(1j * dt * phi)
 
-    for start in range(0, len(t_grid), chunk):
-        t_chunk = t_grid[start : start + chunk]
+    for start in range(0, len(t_grid), _SCAN_CHUNK):
+        t_chunk = t_grid[start : start + _SCAN_CHUNK]
         m = len(t_chunk)
         coeff = np.empty((m, n), dtype=complex)
         coeff[0] = cur
@@ -180,15 +174,15 @@ def _scan(
         best_t = np.where(upd, start + arg // n_theta, best_t)
         best_th = np.where(upd, arg % n_theta, best_th)
 
-        if level_max is not None:
+        if subtract:
             abs_t = np.abs(t_chunk)
             for li, r in enumerate(r_levels):
                 sel = abs_t <= r * (1 + 1e-12)
                 if sel.any():
                     level_max[li] = np.maximum(level_max[li], vals[sel].max(axis=(0, 2)))
 
-    result = MaximalResult(x=x_snap, values=best, t_arg=best_t, theta_arg=best_th, lattice_step=h)
-    return (result, level_max) if r_levels is not None else result
+    return MaximalResult(x=x_snap, values=best, t_arg=best_t, theta_arg=best_th,
+                         lattice_step=h, level_max=level_max)
 
 
 def maximal_function(
@@ -223,13 +217,9 @@ def convergence_scan(
         raise ValueError("scales must lie in (0, 1]")
     band = forward_transform(f).band_limit()
     grid = grid_for_band(band, profile, theta, x_count=x_count, t_range=float(r_levels[0]))
-    _check_resolution(grid, band, profile, theta)
     t_grid = np.linspace(-grid.t_range, grid.t_range, grid.t_count)
     theta_values = theta.sample(grid.theta_count)
-    _, level_max = _scan(
-        f, theta_values, t_grid, profile, x_count, subtract=True, r_levels=r_levels
-    )
-    return r_levels, level_max
+    return r_levels, _scan(f, theta_values, t_grid, profile, x_count, r_levels=r_levels).level_max
 
 
 def lq_norm(values: np.ndarray, q: float) -> float:
@@ -251,15 +241,6 @@ class NormEstimate:
     method: str  # "randomFamily" or "alternatingMax"
     trials: int
     seed: int
-
-
-def _shell_noise(rng, c_template: SpectralCoefficients, bank, k: int) -> SampledSignal:
-    xi = c_template.frequencies
-    mask = bank.psi_k(k, xi) > 0
-    coeffs = np.zeros(len(xi), dtype=complex)
-    m = int(mask.sum())
-    coeffs[mask] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    return inverse_transform(SpectralCoefficients(c_template.half_width, coeffs))
 
 
 def estimate_operator_norm(
@@ -308,6 +289,12 @@ def estimate_operator_norm(
     phi_live = np.asarray(profile.phi(xi[live]), dtype=float)
     xi_live = xi[live]
     shell_live = shell[live]
+    n_live = int(live.sum())
+
+    def shell_signal(c_live: np.ndarray) -> SampledSignal:
+        full = np.zeros(n, dtype=complex)
+        full[live] = c_live
+        return inverse_transform(SpectralCoefficients(half_width, full))
 
     def witness_ratio(f: SampledSignal):
         g = project(f, k, bank)
@@ -318,7 +305,8 @@ def estimate_operator_norm(
     trial_seeds = root.integers(0, 2**63 - 1, size=trials)
     best_val, best_f, best_res, best_method = -1.0, None, None, "randomFamily"
     for ts in trial_seeds:
-        f = _shell_noise(np.random.default_rng(ts), template, bank, k)
+        rng = np.random.default_rng(ts)
+        f = shell_signal(rng.standard_normal(n_live) + 1j * rng.standard_normal(n_live))
         val, res = witness_ratio(f)
         if val > best_val:
             best_val, best_f, best_res, best_method = val, f, res, "randomFamily"
@@ -345,9 +333,7 @@ def estimate_operator_norm(
         if nrm == 0.0:
             break
         coeffs = coeffs / nrm
-        full = np.zeros(n, dtype=complex)
-        full[live] = coeffs
-        f = inverse_transform(SpectralCoefficients(half_width, full))
+        f = shell_signal(coeffs)
         val, res = witness_ratio(f)
         if val > best_val:
             best_val, best_method = val, "alternatingMax"
@@ -385,12 +371,11 @@ def low_frequency_check(
     grid: MaximalGridSpec,
     profile: DispersionProfile,
     bank: DyadicFilterBank,
-    q: float = 2.0,
 ) -> float:
-    """Ratio lq(M_Theta P_0 f) / int psi0 |f_hat|; bounded uniformly in f."""
+    """Ratio l2(M_Theta P_0 f) / int psi0 |f_hat|; bounded uniformly in f."""
     g = project(f, 0, bank)
     res = maximal_function(g, theta, grid, profile)
-    num = lq_norm(res.values, q)
+    num = lq_norm(res.values, 2.0)
     c = forward_transform(f)
     denom = float(np.sum(bank.psi0(c.frequencies) * np.abs(c.coeffs)) * c.freq_step)
     return num / denom

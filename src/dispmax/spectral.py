@@ -126,13 +126,13 @@ class SpectralCoefficients:
     def nyquist(self) -> float:
         return self.freq_step * (self.n // 2)
 
-    def band_limit(self, rel_tol: float = 1e-13) -> float:
-        """Largest |xi_j| carrying a coefficient above rel_tol * max|c|."""
+    def band_limit(self) -> float:
+        """Largest |xi_j| carrying a coefficient above 1e-13 * max|c|."""
         mags = np.abs(self.coeffs)
         peak = mags.max()
         if peak == 0.0:
             return 0.0
-        live = np.abs(self.frequencies)[mags > rel_tol * peak]
+        live = np.abs(self.frequencies)[mags > 1e-13 * peak]
         return float(live.max()) if live.size else 0.0
 
 
@@ -196,19 +196,15 @@ def make_sobolev_data(s: float, seed: int, half_width: float = 32.0, n: int = 10
     return inverse_transform(c)
 
 
-def check_dispersion_conditions(
-    profile: DispersionProfile, xi_max: float = 64.0, n_samples: int = 512
-) -> tuple[float, float]:
-    """Sampled curvature constants of the profile on +-[1, xi_max].
+def check_dispersion_conditions(profile: DispersionProfile) -> tuple[float, float]:
+    """Sampled curvature constants of the profile on +-[1, 64].
 
     Returns (C1est, C2est) with C1est = min |xi| |Phi''(xi)| and C2est the
-    minimum of |xi| |Phi''(xi)| / |Phi'(xi)| over log-spaced samples on both
-    half-lines.  Raises NonconformingProfileError when either constant falls
-    below 1e-9 or Phi'' changes sign on a half-line.
+    minimum of |xi| |Phi''(xi)| / |Phi'(xi)| over 512 log-spaced samples on
+    both half-lines.  Raises NonconformingProfileError when either constant
+    falls below 1e-9 or Phi'' changes sign on a half-line.
     """
-    if not xi_max >= 2:
-        raise ValueError("xi_max must be at least 2")
-    grid = np.exp(np.linspace(0.0, np.log(xi_max), n_samples))
+    grid = np.exp(np.linspace(0.0, np.log(64.0), 512))
     c1 = np.inf
     c2 = np.inf
     for xi in (grid, -grid):

@@ -29,6 +29,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from dispmax.config import ExperimentConfig
 from dispmax.directions import (
@@ -57,6 +58,8 @@ from dispmax.spectral import (
     inverse_transform,
 )
 from shell_ceiling import shell_ceiling
+
+pytestmark = pytest.mark.acceptance
 
 LAM_SCAN = [2.0**e for e in range(4, 11)]
 

@@ -58,6 +58,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("q = 9\n")
 
+    @pytest.mark.parametrize("line", ["s = 0", "trials = 0", "x_count = 0"])
+    def test_rejects_nonpositive_values(self, line):
+        with pytest.raises(ConfigError):
+            parse_config(line + "\n")
+
     def test_digest_ignores_output_directory(self):
         a = ExperimentConfig(out="here")
         b = ExperimentConfig(out="there")
@@ -133,7 +138,16 @@ class TestCli:
         ["cover", "--q", "9"],
         ["dim", "--theta", "bogus:1"],
         ["dim", "--theta", "interval:0,2"],
-    ], ids=["q-out-of-range", "unknown-theta-kind", "theta-outside-range"])
+        ["maximal", "--band", "31"],
+        ["maximal", "--band", "-1"],
+        ["cover", "--lam", "1"],
+        ["evolve", "--t", "nan"],
+        ["check", "--config", "/nonexistent/dispmax.cfg"],
+        ["converge", "--s", "-1"],
+        ["norm-scaling", "--q", "1.5"],
+    ], ids=["q-out-of-range", "unknown-theta-kind", "theta-outside-range",
+            "band-above-bank", "band-negative", "lam-below-2", "t-nan",
+            "missing-config-file", "s-negative", "q-below-estimator-range"])
     def test_config_error_exit_code(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err

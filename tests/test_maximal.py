@@ -1,5 +1,7 @@
 """Tests for the directional maximal scan and the operator-norm probes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,10 +130,19 @@ class TestMaximalFunction:
 
     def test_resolution_guard(self):
         f = band_limited(4)
-        theta = make_points([0.0])
-        grid = MaximalGridSpec(x_count=65, t_count=3, theta_count=1)
-        with pytest.raises(ResolutionError):
-            maximal_function(f, theta, grid, PROFILE)
+        band = forward_transform(f).band_limit()
+        point, interval = make_points([0.0]), make_intervals([(0.0, 0.5)])
+        too_coarse = [(point, MaximalGridSpec(x_count=65, t_count=3, theta_count=1)),
+                      (point, MaximalGridSpec(x_count=65, t_count=1, theta_count=1))]
+        for theta in (point, interval):
+            grid = grid_for_band(band, PROFILE, theta)
+            maximal_function(f, theta, grid, PROFILE)  # the rule's own grid passes
+            too_coarse.append((theta, replace(grid, t_count=grid.t_count - 2)))
+        grid = grid_for_band(band, PROFILE, interval)
+        too_coarse.append((interval, replace(grid, theta_count=grid.theta_count - 1)))
+        for theta, grid in too_coarse:
+            with pytest.raises(ResolutionError):
+                maximal_function(f, theta, grid, PROFILE)
 
 
 class TestConvergenceScan:
