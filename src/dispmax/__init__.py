@@ -15,7 +15,6 @@ from .directions import (
 from .filters import DyadicFilterBank, build_filter_bank, project, project_wide
 from .kernel import (
     KernelQuery,
-    RegionLabel,
     SpaceTimePoint,
     classify_region,
     decay_bound_scan,
@@ -27,7 +26,6 @@ from .kernel import (
     van_der_corput_check,
 )
 from .maximal import (
-    MaximalGridSpec,
     NormEstimate,
     convergence_scan,
     estimate_operator_norm,

@@ -1,8 +1,8 @@
 """Command-line surface: experiment drivers plus small utility commands.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (every
-other package error: quadrature budget, resolution rule, aliasing,
-nonconforming profile, failed lemma hypothesis).
+other package error: quadrature budget, aliasing, nonconforming profile,
+failed lemma hypothesis, region sampling).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .experiments import (
 )
 from .filters import build_filter_bank, project
 from .kernel import standard_phases, van_der_corput_check
-from .maximal import grid_for_band, maximal_function
+from .maximal import maximal_function
 from .spectral import (
     DispersionProfile,
     check_dispersion_conditions,
@@ -153,8 +153,7 @@ def _cmd_maximal(cfg: ExperimentConfig, args) -> int:
         bank = build_filter_bank(max(args.band, 1))
         f = project(f, args.band, bank)
     band = forward_transform(f).band_limit()
-    grid = grid_for_band(band, profile, theta, x_count=cfg.x_count)
-    res = maximal_function(f, theta, grid, profile)
+    res = maximal_function(f, theta, profile, x_count=cfg.x_count)
     table = ResultTable(
         columns={"x": list(res.x), "maximal_value": list(res.values)},
         provenance=provenance_block(cfg, experiment="maximal", band=band),

@@ -52,6 +52,16 @@ class ExperimentConfig:
             raise ConfigError(f"s={self.s} must be positive")
         if self.trials < 1 or self.x_count < 1:
             raise ConfigError(f"trials={self.trials} and x_count={self.x_count} must be at least 1")
+        if self.n_grid < 2 or self.n_grid & (self.n_grid - 1):
+            raise ConfigError(f"n_grid={self.n_grid} must be a power of two, at least 2")
+        if not 0.0 < self.half_width < float("inf"):
+            raise ConfigError(f"half_width={self.half_width} must be positive and finite")
+        if not 0.0 < self.delta_min < self.delta_max <= 1.0:
+            raise ConfigError(
+                f"need 0 < delta_min < delta_max <= 1, got {self.delta_min} and {self.delta_max}"
+            )
+        if self.n_scales < 4:
+            raise ConfigError(f"n_scales={self.n_scales} must be at least 4")
         try:
             parse_direction_spec(self.theta)
         except ValueError as exc:

@@ -22,10 +22,6 @@ class AliasingError(DispmaxError):
     """Requested frequency shell exceeds the grid Nyquist frequency."""
 
 
-class ResolutionError(DispmaxError):
-    """Scan grid too coarse for the band limit of the input signal."""
-
-
 class QuadratureError(DispmaxError):
     """Oscillatory quadrature exceeded its panel budget."""
 

@@ -98,6 +98,16 @@ def run_kernel_scan(cfg: ExperimentConfig):
     cfg.validate()
     profile = DispersionProfile.power(cfg.a)
     sigma = cfg.resolved_sigma()
+    if cfg.lambda_min_exp > cfg.lambda_max_exp:
+        raise ConfigError(
+            f"lambda_min_exp={cfg.lambda_min_exp} exceeds lambda_max_exp={cfg.lambda_max_exp}"
+        )
+    # V2 needs |x - x'| >= 4*lambda^(-sigma) with |x - x'| < 2, so lambda^sigma > 2.
+    if 2.0 ** (cfg.lambda_min_exp * sigma) <= 2.0:
+        raise ConfigError(
+            f"lambda_min_exp={cfg.lambda_min_exp} leaves region V2 empty at sigma={sigma:g}: "
+            "2^(lambda_min_exp*sigma) must exceed 2"
+        )
     lam_list = [2.0**e for e in range(cfg.lambda_min_exp, cfg.lambda_max_exp + 1)]
     report = decay_bound_scan(
         profile, sigma, lam_list, samples_per_region=cfg.samples_per_region, seed=cfg.seed

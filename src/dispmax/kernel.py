@@ -9,14 +9,13 @@ panel; the oracle is the same scheme at 10x panel density.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import HypothesisError, QuadratureError
+from .errors import DispmaxError, HypothesisError, QuadratureError
 from .filters import _smooth_step, _theta
 from .spectral import DispersionProfile
 
@@ -77,12 +76,6 @@ def _dphi_at(profile: DispersionProfile, lam: float, nodes) -> np.ndarray:
     return np.asarray(profile.phi_prime(lam * nodes), dtype=float)
 
 
-class RegionLabel(enum.Enum):
-    V1 = "V1"
-    V2 = "V2"
-    V3 = "V3"
-
-
 @dataclass(frozen=True)
 class SpaceTimePoint:
     x: float
@@ -117,8 +110,9 @@ def _region_labels(dx, dt, width):
     return np.where(dx < 4.0 * dt, "V1", np.where(dx >= 4.0 * width, "V2", "V3"))
 
 
-def classify_region(w: SpaceTimePoint, wp: SpaceTimePoint, lam: float, sigma: float) -> RegionLabel:
-    return RegionLabel(_region_labels(abs(w.x - wp.x), abs(w.t - wp.t), lam ** (-sigma)).item())
+def classify_region(w: SpaceTimePoint, wp: SpaceTimePoint, lam: float, sigma: float) -> str:
+    """Region label "V1", "V2" or "V3" of the pair (w, w') at scale lambda."""
+    return _region_labels(abs(w.x - wp.x), abs(w.t - wp.t), lam ** (-sigma)).item()
 
 
 def _refine_panels(intervals, dphase: Callable):
@@ -281,14 +275,16 @@ def _sample_regions(rng, lam, sigma, per_region, profile):
     width = lam ** (-sigma)
     quota = {lab: [] for lab in ("V1", "V2", "V3")}
     for w, wp in _stationary_pairs(rng, lam, width, profile):
-        lab = classify_region(w, wp, lam, sigma).value
+        lab = classify_region(w, wp, lam, sigma)
         if len(quota[lab]) < per_region:
             quota[lab].append((w, wp))
     attempts = 0
     while any(len(v) < per_region for v in quota.values()):
         attempts += 1
         if attempts > 2000:
-            raise RuntimeError("region sampling failed to fill quotas")
+            raise DispmaxError(
+                f"region sampling failed to fill the {per_region}-pair quotas at lambda {lam:g}"
+            )
         m = 4096
         x, xp = rng.uniform(-1, 1, m), rng.uniform(-1, 1, m)
         t, tp = rng.uniform(-1, 1, m), rng.uniform(-1, 1, m)

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .directions import DirectionSet, make_intervals, make_points
-from .errors import ResolutionError
 from .filters import DyadicFilterBank, build_filter_bank, project
 from .spectral import (
     DispersionProfile,
@@ -36,20 +35,6 @@ from .spectral import (
 
 _PHASE_BUDGET = 0.25  # max phase change (radians) per grid step in t, theta, x
 _SCAN_CHUNK = 64  # time slices synthesized per batched inverse FFT
-
-
-@dataclass(frozen=True)
-class MaximalGridSpec:
-    x_count: int
-    t_count: int  # odd so that t = 0 is on the grid
-    theta_count: int  # samples per component interval of the direction set
-    t_range: float = 1.0
-
-    def __post_init__(self):
-        if self.t_count % 2 == 0 or self.t_count < 1:
-            raise ValueError("t_count must be odd and positive")
-        if self.x_count < 1 or self.theta_count < 1:
-            raise ValueError("x_count and theta_count must be positive")
 
 
 @dataclass(frozen=True)
@@ -74,29 +59,21 @@ def grid_for_band(
     band: float,
     profile: DispersionProfile,
     theta: DirectionSet,
-    x_count: int = 65,
     t_range: float = 1.0,
-) -> MaximalGridSpec:
-    """Smallest grid satisfying the resolution rule for the given band limit."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(t_grid, theta_values): the coarsest scan grid meeting the resolution rule.
+
+    This is the only place a scan grid is built, so every scan meets the rule.
+    """
     pm = _phi_max(profile, band)
     t_step = _PHASE_BUDGET / pm if pm > 0 else 2.0 * t_range
     nt = int(np.ceil(2.0 * t_range / t_step)) + 1
-    if nt % 2 == 0:
+    if nt % 2 == 0:  # odd so that t = 0 is on the grid
         nt += 1
     widest = max(b - a for a, b in theta.components)
     th_step = _PHASE_BUDGET / band if band > 0 else np.inf
     ntheta = max(1, int(np.ceil(widest / th_step)) + 1) if widest > 0 else 1
-    return MaximalGridSpec(x_count=x_count, t_count=max(nt, 3), theta_count=ntheta, t_range=t_range)
-
-
-def _check_resolution(grid: MaximalGridSpec, band: float, profile, theta: DirectionSet):
-    """Reject a grid coarser in t or theta than grid_for_band's for this band."""
-    needed = grid_for_band(band, profile, theta, grid.x_count, grid.t_range)
-    if grid.t_count < needed.t_count or grid.theta_count < needed.theta_count:
-        raise ResolutionError(
-            f"grid with t_count {grid.t_count} and theta_count {grid.theta_count} is below "
-            f"the {needed.t_count} and {needed.theta_count} required for band {band:g}"
-        )
+    return np.linspace(-t_range, t_range, max(nt, 3)), theta.sample(ntheta)
 
 
 def _scan(
@@ -188,15 +165,12 @@ def _scan(
 def maximal_function(
     f: SampledSignal,
     theta: DirectionSet,
-    grid: MaximalGridSpec,
     profile: DispersionProfile,
+    x_count: int = 65,
 ) -> MaximalResult:
-    """Per-x supremum of |S_t f(x + t*theta)| over the (t, theta) grid."""
-    band = forward_transform(f).band_limit()
-    _check_resolution(grid, band, profile, theta)
-    t_grid = np.linspace(-grid.t_range, grid.t_range, grid.t_count)
-    theta_values = theta.sample(grid.theta_count)
-    return _scan(f, theta_values, t_grid, profile, grid.x_count)
+    """Per-x supremum of |S_t f(x + t*theta)| over the grid for f's band limit."""
+    t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), profile, theta)
+    return _scan(f, theta_values, t_grid, profile, x_count)
 
 
 def convergence_scan(
@@ -216,9 +190,7 @@ def convergence_scan(
     if r_levels[0] > 1.0 or r_levels[-1] <= 0.0:
         raise ValueError("scales must lie in (0, 1]")
     band = forward_transform(f).band_limit()
-    grid = grid_for_band(band, profile, theta, x_count=x_count, t_range=float(r_levels[0]))
-    t_grid = np.linspace(-grid.t_range, grid.t_range, grid.t_count)
-    theta_values = theta.sample(grid.theta_count)
+    t_grid, theta_values = grid_for_band(band, profile, theta, t_range=float(r_levels[0]))
     return r_levels, _scan(f, theta_values, t_grid, profile, x_count, r_levels=r_levels).level_max
 
 
@@ -233,14 +205,8 @@ def lq_norm(values: np.ndarray, q: float) -> float:
 
 @dataclass(frozen=True)
 class NormEstimate:
-    k: int
-    q: float
-    sigma: float
-    omega: tuple
     value: float
     method: str  # "randomFamily" or "alternatingMax"
-    trials: int
-    seed: int
 
 
 def estimate_operator_norm(
@@ -277,9 +243,7 @@ def estimate_operator_norm(
     n = 2
     while np.pi * n / (2.0 * half_width) < band:
         n *= 2
-    grid = grid_for_band(band, profile, theta, x_count=x_count)
-    t_grid = np.linspace(-1.0, 1.0, grid.t_count)
-    theta_values = theta.sample(grid.theta_count)
+    t_grid, theta_values = grid_for_band(band, profile, theta)
 
     template = SpectralCoefficients(half_width, np.zeros(n, dtype=complex))
     xi = template.frequencies
@@ -344,10 +308,7 @@ def estimate_operator_norm(
         else:
             stall = 0
         prev = val
-    return NormEstimate(
-        k=k, q=q, sigma=sigma, omega=(lo, hi), value=float(best_val),
-        method=best_method, trials=trials, seed=seed,
-    )
+    return NormEstimate(value=float(best_val), method=best_method)
 
 
 def fit_scaling_exponent(pairs) -> tuple[float, float, float]:
@@ -368,13 +329,12 @@ def fit_scaling_exponent(pairs) -> tuple[float, float, float]:
 def low_frequency_check(
     f: SampledSignal,
     theta: DirectionSet,
-    grid: MaximalGridSpec,
     profile: DispersionProfile,
     bank: DyadicFilterBank,
 ) -> float:
     """Ratio l2(M_Theta P_0 f) / int psi0 |f_hat|; bounded uniformly in f."""
     g = project(f, 0, bank)
-    res = maximal_function(g, theta, grid, profile)
+    res = maximal_function(g, theta, profile)
     num = lq_norm(res.values, 2.0)
     c = forward_transform(f)
     denom = float(np.sum(bank.psi0(c.frequencies) * np.abs(c.coeffs)) * c.freq_step)

@@ -58,7 +58,8 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("q = 9\n")
 
-    @pytest.mark.parametrize("line", ["s = 0", "trials = 0", "x_count = 0"])
+    @pytest.mark.parametrize("line", ["s = 0", "trials = 0", "x_count = 0", "n_grid = 0",
+                                      "half_width = -1", "delta_min = 0"])
     def test_rejects_nonpositive_values(self, line):
         with pytest.raises(ConfigError):
             parse_config(line + "\n")
@@ -134,21 +135,36 @@ class TestCli:
         assert rc == 0
         assert (out1 / "evolved.csv").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["cover", "--q", "9"],
-        ["dim", "--theta", "bogus:1"],
-        ["dim", "--theta", "interval:0,2"],
-        ["maximal", "--band", "31"],
-        ["maximal", "--band", "-1"],
-        ["cover", "--lam", "1"],
-        ["evolve", "--t", "nan"],
-        ["check", "--config", "/nonexistent/dispmax.cfg"],
-        ["converge", "--s", "-1"],
-        ["norm-scaling", "--q", "1.5"],
+    @pytest.mark.parametrize("argv, config", [
+        (["cover", "--q", "9"], None),
+        (["dim", "--theta", "bogus:1"], None),
+        (["dim", "--theta", "interval:0,2"], None),
+        (["maximal", "--band", "31"], None),
+        (["maximal", "--band", "-1"], None),
+        (["cover", "--lam", "1"], None),
+        (["evolve", "--t", "nan"], None),
+        (["check", "--config", "/nonexistent/dispmax.cfg"], None),
+        (["converge", "--s", "-1"], None),
+        (["norm-scaling", "--q", "1.5"], None),
+        (["converge"], "n_grid = 3"),
+        (["converge"], "half_width = -1"),
+        (["dim"], "delta_min = 0"),
+        (["dim"], "delta_min = 0.5\ndelta_max = 0.1"),
+        (["dim"], "n_scales = 2"),
+        (["kernel-scan"], "lambda_min_exp = 0"),
+        (["kernel-scan"], "lambda_min_exp = 2"),
+        (["kernel-scan"], "lambda_min_exp = 7\nlambda_max_exp = 6"),
     ], ids=["q-out-of-range", "unknown-theta-kind", "theta-outside-range",
             "band-above-bank", "band-negative", "lam-below-2", "t-nan",
-            "missing-config-file", "s-negative", "q-below-estimator-range"])
-    def test_config_error_exit_code(self, argv, tmp_path, capsys):
+            "missing-config-file", "s-negative", "q-below-estimator-range",
+            "n-grid-not-power-of-two", "half-width-negative", "delta-min-zero",
+            "delta-range-reversed", "n-scales-below-4", "lambda-one",
+            "lambda-leaves-v2-empty", "lambda-range-reversed"])
+    def test_config_error_exit_code(self, argv, config, tmp_path, capsys):
+        if config is not None:
+            path = tmp_path / "case.cfg"
+            path.write_text(config + "\n")
+            argv = argv + ["--config", str(path)]
         assert main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error")
@@ -157,6 +173,16 @@ class TestCli:
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # the default grid's Nyquist frequency is about 25, below the k=9 shell
         assert main(["maximal", "--band", "9", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert err.count("\n") == 1
+
+    def test_region_sampling_failure_exit_code(self, tmp_path, capsys):
+        # at lambda = 2^10 and sigma = 1 region V3 is too thin to fill its quota
+        cfg = tmp_path / "thin.cfg"
+        cfg.write_text("lambda_min_exp = 10\nlambda_max_exp = 10\n")
+        argv = ["kernel-scan", "--sigma", "1", "--config", str(cfg), "--out", str(tmp_path)]
+        assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:")
         assert err.count("\n") == 1

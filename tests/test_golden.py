@@ -32,6 +32,7 @@ COMMANDS = {
     "dim": ["dim", "--theta", f"cantor:{CANTOR},6"],
     "cover": ["cover"],
     "maximal": ["maximal", "--theta", "interval:0,0.25", "--band", "2"],
+    "maximal-points": ["maximal", "--theta", "points:-0.25,0.5"],
     "norm-scaling": ["norm-scaling"],
     "kernel-scan": ["kernel-scan"],
     "converge": ["converge", "--theta", f"cantor:{CANTOR},4"],
@@ -42,6 +43,7 @@ GOLDEN = {
     "dim": {"dimension.csv": "afe98394932f25dab503d487c2ac36684c7b5f46d89d33f4dd2f6a6cdb9862c0"},
     "cover": {"cover.csv": "ae32bb1ca3963e5198d166da095acde24bb754f0ef2857f477a7b57a590f9bb6"},
     "maximal": {"maximal.csv": "01784bafdbe96b59b659cc19f6978ad1c7a3f7b709f5de09633e4b6bfb9895e1"},
+    "maximal-points": {"maximal.csv": "b44590b46e28d38a4d0da88efc0c0427ecad77c42b8a3931dfaadcf13d9f80b7"},
     "norm-scaling": {
         "scaling.csv": "46487143f2b0333efc4bf2542e461da9eb22311e11031b87a47a59c5ebdc71b9",
         "scaling.gp": "ba9827330662a2674965fd0a7e22d1359287c0a7f1ff209687d42594d9604f45",

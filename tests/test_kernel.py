@@ -10,7 +10,6 @@ from dispmax.filters import build_filter_bank
 from dispmax.kernel import (
     KernelQuery,
     PhaseSpec,
-    RegionLabel,
     SpaceTimePoint,
     classify_region,
     hls_bilinear_check,
@@ -55,9 +54,9 @@ class TestRegions:
         v1 = (SpaceTimePoint(0.1, 0.9, 0.0), SpaceTimePoint(0.0, 0.0, 0.0))
         v2 = (SpaceTimePoint(1.0, 0.1, 0.0), SpaceTimePoint(-0.5, 0.0, 0.0))
         v3 = (SpaceTimePoint(0.5, 0.05, 0.0), SpaceTimePoint(0.0, 0.0, 0.0))
-        assert classify_region(*v1, lam, sigma) is RegionLabel.V1
-        assert classify_region(*v2, lam, sigma) is RegionLabel.V2
-        assert classify_region(*v3, lam, sigma) is RegionLabel.V3
+        assert classify_region(*v1, lam, sigma) == "V1"
+        assert classify_region(*v2, lam, sigma) == "V2"
+        assert classify_region(*v3, lam, sigma) == "V3"
 
     @given(
         x=st.floats(-1, 1), xp=st.floats(-1, 1),
@@ -71,11 +70,11 @@ class TestRegions:
         label = classify_region(w, wp, lam, sigma)
         dx, dt = abs(x - xp), abs(t - tp)
         if dx < 4.0 * dt:
-            assert label is RegionLabel.V1
+            assert label == "V1"
         elif dx >= 4.0 * lam**-sigma:
-            assert label is RegionLabel.V2
+            assert label == "V2"
         else:
-            assert label is RegionLabel.V3
+            assert label == "V3"
 
 
 class TestKernelValue:

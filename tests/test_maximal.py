@@ -1,17 +1,14 @@
 """Tests for the directional maximal scan and the operator-norm probes."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispmax.directions import make_intervals, make_points
-from dispmax.errors import ResolutionError
 from dispmax.filters import build_filter_bank
 from dispmax.maximal import (
-    MaximalGridSpec,
+    _scan,
     convergence_scan,
     estimate_operator_norm,
     fit_scaling_exponent,
@@ -55,17 +52,12 @@ class TestMaximalFunction:
         xi0 = np.pi * 20 / half_width
         x = -half_width + np.arange(n) * (2.0 * half_width / n)
         f = SampledSignal(half_width, np.exp(1j * xi0 * x))
-        theta = make_intervals([(-0.5, 0.5)])
-        grid = grid_for_band(xi0, PROFILE, theta)
-        res = maximal_function(f, theta, grid, PROFILE)
+        res = maximal_function(f, make_intervals([(-0.5, 0.5)]), PROFILE)
         assert np.max(np.abs(res.values - 1.0)) < 1e-13
 
     def test_dominates_time_zero_slice(self):
         f = band_limited(0)
-        theta = make_points([0.3])
-        band = forward_transform(f).band_limit()
-        grid = grid_for_band(band, PROFILE, theta)
-        res = maximal_function(f, theta, grid, PROFILE)
+        res = maximal_function(f, make_points([0.3]), PROFILE)
         # t = 0 is on the grid, so M f (x) >= |f| at the snapped points
         at_x = np.abs(interpolate(f, res.x))
         assert np.all(res.values >= at_x - 1e-10)
@@ -74,14 +66,11 @@ class TestMaximalFunction:
         f = band_limited(1)
         theta = make_intervals([(0.0, 0.5)])
         band = forward_transform(f).band_limit()
-        coarse = grid_for_band(band, PROFILE, theta)
-        fine = MaximalGridSpec(
-            x_count=coarse.x_count,
-            t_count=2 * coarse.t_count - 1,
-            theta_count=2 * coarse.theta_count - 1,
-        )
-        mc = maximal_function(f, theta, coarse, PROFILE).values
-        mf = maximal_function(f, theta, fine, PROFILE).values
+        t_grid, theta_values = grid_for_band(band, PROFILE, theta)
+        fine_t = np.linspace(t_grid[0], t_grid[-1], 2 * len(t_grid) - 1)
+        fine_theta = np.linspace(theta_values[0], theta_values[-1], 2 * len(theta_values) - 1)
+        mc = _scan(f, theta_values, t_grid, PROFILE, 65).values
+        mf = _scan(f, fine_theta, fine_t, PROFILE, 65).values
         # nested grids: the refined sup dominates, but not by much
         assert np.all(mf >= mc - 1e-12)
         assert np.max(mf / mc) < 1.05
@@ -89,15 +78,13 @@ class TestMaximalFunction:
     def test_matches_direct_evaluation(self):
         f = band_limited(2, half_width=8.0, n=128, top=4.0)
         theta = make_points([-0.4, 0.7])
-        band = forward_transform(f).band_limit()
-        grid = grid_for_band(band, PROFILE, theta, x_count=17)
-        res = maximal_function(f, theta, grid, PROFILE)
+        res = maximal_function(f, theta, PROFILE, x_count=17)
         c = forward_transform(f)
         xi = c.frequencies
-        t_grid = np.linspace(-1.0, 1.0, grid.t_count)
+        t_grid, _ = grid_for_band(c.band_limit(), PROFILE, theta)
         # direct mode sum at the same snapped evaluation points
         h = res.lattice_step
-        direct = np.zeros(grid.x_count)
+        direct = np.zeros(17)
         for t in t_grid:
             coeff = np.exp(1j * t * PROFILE.phi(xi)) * c.coeffs
             for th in (-0.4, 0.7):
@@ -114,35 +101,30 @@ class TestMaximalFunction:
         fg = SampledSignal(f.half_width, f.values + g.values)
         theta = make_points([0.25])
         band = max(forward_transform(s).band_limit() for s in (f, g, fg))
-        grid = grid_for_band(band, PROFILE, theta)
-        m = lambda s: maximal_function(s, theta, grid, PROFILE).values
+        t_grid, theta_values = grid_for_band(band, PROFILE, theta)
+        m = lambda s: _scan(s, theta_values, t_grid, PROFILE, 65).values
         assert np.all(m(fg) <= m(f) + m(g) + 1e-10)
 
     def test_monotone_in_direction_set(self):
         f = band_limited(3)
         small = make_points([0.0, 0.5])
         big = make_points([-0.5, 0.0, 0.25, 0.5])
-        band = forward_transform(f).band_limit()
-        grid = grid_for_band(band, PROFILE, big)
-        ms = maximal_function(f, small, grid, PROFILE).values
-        mb = maximal_function(f, big, grid, PROFILE).values
+        ms = maximal_function(f, small, PROFILE).values
+        mb = maximal_function(f, big, PROFILE).values
         assert np.all(mb >= ms - 1e-12)
 
-    def test_resolution_guard(self):
-        f = band_limited(4)
-        band = forward_transform(f).band_limit()
-        point, interval = make_points([0.0]), make_intervals([(0.0, 0.5)])
-        too_coarse = [(point, MaximalGridSpec(x_count=65, t_count=3, theta_count=1)),
-                      (point, MaximalGridSpec(x_count=65, t_count=1, theta_count=1))]
-        for theta in (point, interval):
-            grid = grid_for_band(band, PROFILE, theta)
-            maximal_function(f, theta, grid, PROFILE)  # the rule's own grid passes
-            too_coarse.append((theta, replace(grid, t_count=grid.t_count - 2)))
-        grid = grid_for_band(band, PROFILE, interval)
-        too_coarse.append((interval, replace(grid, theta_count=grid.theta_count - 1)))
-        for theta, grid in too_coarse:
-            with pytest.raises(ResolutionError):
-                maximal_function(f, theta, grid, PROFILE)
+    @pytest.mark.parametrize("theta", [make_points([0.0]), make_intervals([(0.0, 0.5)])],
+                             ids=["point", "interval"])
+    def test_grid_meets_resolution_rule(self, theta):
+        band = forward_transform(band_limited(4)).band_limit()
+        t_grid, theta_values = grid_for_band(band, PROFILE, theta)
+        assert t_grid[0] == -1.0 and t_grid[-1] == 1.0
+        assert np.min(np.abs(t_grid)) < 1e-12  # t = 0 is on the grid
+        # max |Phi| over the band is band^2 for Phi = xi^2
+        assert np.max(np.diff(t_grid)) * band**2 <= 0.25 * (1 + 1e-12)
+        lo, hi = theta.components[0]
+        assert theta_values[0] == lo and theta_values[-1] == hi
+        assert np.max(np.diff(theta_values), initial=0.0) * band <= 0.25 * (1 + 1e-12)
 
 
 class TestConvergenceScan:
@@ -245,8 +227,7 @@ class TestLowFrequency:
         ratios = []
         for seed in range(20):
             f = band_limited(seed, top=4.0)
-            grid = grid_for_band(forward_transform(f).band_limit(), PROFILE, theta)
-            ratios.append(low_frequency_check(f, theta, grid, PROFILE, bank))
+            ratios.append(low_frequency_check(f, theta, PROFILE, bank))
         ratios = np.array(ratios)
         # lq(M P0 f) <= 2^(1/q) sup|P0 f| <= 2^(1/q)/(2 pi) * int psi0 |fhat|
         assert ratios.max() <= 2.0**0.5 / (2.0 * np.pi) + 1e-12
