@@ -12,7 +12,7 @@ from .directions import (
     make_points,
     parse_direction_spec,
 )
-from .filters import DyadicFilterBank, build_filter_bank, project, project_wide
+from .filters import project, project_wide, psi, psi0, psi_k
 from .kernel import (
     KernelQuery,
     SpaceTimePoint,

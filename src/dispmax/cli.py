@@ -30,7 +30,7 @@ from .experiments import (
     run_kernel_scan,
     run_scaling_experiment,
 )
-from .filters import build_filter_bank, project
+from .filters import MAX_BAND, project, psi0, psi_k
 from .kernel import standard_phases, van_der_corput_check
 from .maximal import maximal_function
 from .spectral import (
@@ -89,9 +89,8 @@ def _cmd_check(cfg: ExperimentConfig, args) -> int:
     g = evolve(f, 0.5, profile)
     unit_err = abs(g.l2_norm() - f.l2_norm()) / f.l2_norm()
     print(f"propagator unitarity: rel err {unit_err:.3g}")
-    bank = build_filter_bank(5)
     xi = np.linspace(-16.0, 16.0, 4001)
-    total = bank.psi0(xi) + sum(bank.psi_k(k, xi) for k in range(1, 6))
+    total = psi0(xi) + sum(psi_k(k, xi) for k in range(1, 6))
     pu_err = float(np.max(np.abs(total - 1.0)))
     print(f"partition of unity: max deviation {pu_err:.3g}")
     ok = rt_err < 1e-12 and unit_err < 1e-10 and pu_err < 1e-12
@@ -144,14 +143,13 @@ def _cmd_cover(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_maximal(cfg: ExperimentConfig, args) -> int:
-    if args.band is not None and not 0 <= args.band <= 30:
-        raise ConfigError(f"--band must lie in [0, 30], got {args.band}")
+    if args.band is not None and not 0 <= args.band <= MAX_BAND:
+        raise ConfigError(f"--band must lie in [0, {MAX_BAND}], got {args.band}")
     theta = parse_direction_spec(cfg.theta)
     profile = DispersionProfile.power(cfg.a)
     f = _load_signal(cfg, args)
     if args.band is not None:
-        bank = build_filter_bank(max(args.band, 1))
-        f = project(f, args.band, bank)
+        f = project(f, args.band)
     band = forward_transform(f).band_limit()
     res = maximal_function(f, theta, profile, x_count=cfg.x_count)
     table = ResultTable(

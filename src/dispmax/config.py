@@ -52,6 +52,8 @@ class ExperimentConfig:
             raise ConfigError(f"s={self.s} must be positive")
         if self.trials < 1 or self.x_count < 1:
             raise ConfigError(f"trials={self.trials} and x_count={self.x_count} must be at least 1")
+        if self.samples_per_region < 1:
+            raise ConfigError(f"samples_per_region={self.samples_per_region} must be at least 1")
         if self.n_grid < 2 or self.n_grid & (self.n_grid - 1):
             raise ConfigError(f"n_grid={self.n_grid} must be a power of two, at least 2")
         if not 0.0 < self.half_width < float("inf"):

@@ -10,7 +10,7 @@ the line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +18,6 @@ import numpy as np
 @dataclass(frozen=True)
 class DirectionSet:
     components: tuple  # sorted (a, b) closed intervals; points have a == b
-    spec: str = ""  # CLI spec string this set was parsed from, if any
 
     def sample(self, per_component: int = 1) -> np.ndarray:
         """Equispaced samples, per_component per interval (midpoint if 1)."""
@@ -103,7 +102,7 @@ def parse_direction_spec(spec: str) -> DirectionSet:
             raise ValueError(f"unknown direction-set kind {kind!r}")
     except Exception as exc:  # malformed numbers, wrong arity
         raise ValueError(f"cannot parse direction spec {spec!r}: {exc}") from exc
-    return replace(ds, spec=spec)
+    return ds
 
 
 @dataclass(frozen=True)

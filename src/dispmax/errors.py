@@ -12,11 +12,6 @@ class ConfigError(DispmaxError):
 class NonconformingProfileError(DispmaxError):
     """Dispersion profile fails the curvature conditions on the sampled range."""
 
-    def __init__(self, message, c1_est=None, c2_est=None):
-        super().__init__(message)
-        self.c1_est = c1_est
-        self.c2_est = c2_est
-
 
 class AliasingError(DispmaxError):
     """Requested frequency shell exceeds the grid Nyquist frequency."""

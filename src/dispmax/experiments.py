@@ -12,7 +12,7 @@ from .directions import (
     parse_direction_spec,
 )
 from .errors import ConfigError
-from .filters import build_filter_bank
+from .filters import MAX_BAND
 from .kernel import decay_bound_scan
 from .maximal import convergence_scan, estimate_operator_norm, fit_scaling_exponent
 from .spectral import DispersionProfile, make_sobolev_data
@@ -29,13 +29,16 @@ def run_scaling_experiment(cfg: ExperimentConfig):
     cfg.validate()
     if not 2.0 <= cfg.q <= 4.0:
         raise ConfigError(f"q={cfg.q} outside [2, 4], the range of the norm estimator")
+    if cfg.k_min < 1 or cfg.k_max > MAX_BAND:
+        raise ConfigError(
+            f"need 1 <= k_min and k_max <= {MAX_BAND}, got k_min={cfg.k_min}, k_max={cfg.k_max}"
+        )
     ks = list(range(cfg.k_min, cfg.k_max + 1))
     if not ks:
         raise ConfigError("empty experiment: k range is empty")
     theta = parse_direction_spec(cfg.theta)
     profile = DispersionProfile.power(cfg.a)
     sigma = cfg.resolved_sigma()
-    bank = build_filter_bank(max(ks))
     cols = {name: [] for name in
             ("k", "lambda", "q", "sigma", "omega_width", "norm_estimate", "trials", "seed")}
     per_k = []
@@ -47,7 +50,7 @@ def run_scaling_experiment(cfg: ExperimentConfig):
         for j, omega in enumerate(cover.intervals):
             est = estimate_operator_norm(
                 k, omega, cfg.q, sigma, profile,
-                trials=cfg.trials, seed=cfg.seed + 1000 * k + j, bank=bank,
+                trials=cfg.trials, seed=cfg.seed + 1000 * k + j,
                 half_width=cfg.half_width, x_count=cfg.x_count,
             )
             if est.value > best:

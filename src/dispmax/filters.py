@@ -1,27 +1,29 @@
 """Smooth dyadic partition of unity and the associated frequency projections.
 
-The bank is built from a single C-infinity step so the partition identity
-holds exactly by construction: with G(u) = exp(-1/u) for u > 0 and the step
-T(u) = G(u) / (G(u) + G(1-u)), let theta(xi) = 1 for |xi| <= 1, 0 for
-|xi| >= 2, and 1 - T(|xi|-1) in between.  Then
+The multipliers are module functions built from a single C-infinity step,
+so the partition identity holds exactly by construction: with
+G(u) = exp(-1/u) for u > 0 and the step T(u) = G(u) / (G(u) + G(1-u)), let
+theta(xi) = 1 for |xi| <= 1, 0 for |xi| >= 2, and 1 - T(|xi|-1) in between.
+Then
 
     psi0(xi)   = theta(2 xi)                  (support (-1, 1))
     psi(xi)    = theta(xi) - theta(2 xi)      (support (-2,-1/2) u (1/2,2))
     psi_k(xi)  = psi(xi / 2^(k-1))
     psi0 + sum_{k=1..K} psi_k = theta(xi / 2^(K-1)) = 1 on |xi| <= 2^(K-1).
 
-The wide cutoff psi_tilde(xi) = theta(xi/2) * (1 - theta(4 xi)) is 1 on the
-support of psi and supported in (-4,-1/4) u (1/4,4).
+The wide cutoff psi_wide(xi) = theta(xi/2) * (1 - theta(4 xi)) is 1 on the
+support of psi and supported in (-4,-1/4) u (1/4,4).  psi_k and psi_wide_k
+take 1 <= k <= MAX_BAND, the projections 0 <= k <= MAX_BAND.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AliasingError
 from .spectral import SampledSignal, forward_transform, inverse_transform, SpectralCoefficients
+
+MAX_BAND = 30  # highest band index; a grid resolving the shell |xi| ~ 2^k has ~2^k points
 
 
 def _smooth_step(u):
@@ -39,38 +41,33 @@ def _theta(xi):
     return 1.0 - _smooth_step(axi - 1.0)
 
 
-@dataclass(frozen=True)
-class DyadicFilterBank:
-    """Immutable bank psi0, psi, psi_k, psi_tilde up to band K."""
-
-    max_band: int
-
-    def psi0(self, xi):
-        return _theta(2.0 * np.asarray(xi, dtype=float))
-
-    def psi(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return _theta(xi) - _theta(2.0 * xi)
-
-    def psi_k(self, k, xi):
-        if not 1 <= k <= self.max_band:
-            raise ValueError(f"band index {k} outside [1, {self.max_band}]")
-        return self.psi(np.asarray(xi, dtype=float) / 2.0 ** (k - 1))
-
-    def psi_wide(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return _theta(xi / 2.0) * (1.0 - _theta(4.0 * xi))
-
-    def psi_wide_k(self, k, xi):
-        if not 1 <= k <= self.max_band:
-            raise ValueError(f"band index {k} outside [1, {self.max_band}]")
-        return self.psi_wide(np.asarray(xi, dtype=float) / 2.0 ** (k - 1))
+def _check_band(k: int, lowest: int) -> None:
+    if not lowest <= k <= MAX_BAND:
+        raise ValueError(f"band index {k} outside [{lowest}, {MAX_BAND}]")
 
 
-def build_filter_bank(max_band: int) -> DyadicFilterBank:
-    if not 1 <= max_band <= 30:
-        raise ValueError(f"max_band must lie in [1, 30], got {max_band}")
-    return DyadicFilterBank(max_band=max_band)
+def psi0(xi):
+    return _theta(2.0 * np.asarray(xi, dtype=float))
+
+
+def psi(xi):
+    xi = np.asarray(xi, dtype=float)
+    return _theta(xi) - _theta(2.0 * xi)
+
+
+def psi_k(k: int, xi):
+    _check_band(k, 1)
+    return psi(np.asarray(xi, dtype=float) / 2.0 ** (k - 1))
+
+
+def psi_wide(xi):
+    xi = np.asarray(xi, dtype=float)
+    return _theta(xi / 2.0) * (1.0 - _theta(4.0 * xi))
+
+
+def psi_wide_k(k: int, xi):
+    _check_band(k, 1)
+    return psi_wide(np.asarray(xi, dtype=float) / 2.0 ** (k - 1))
 
 
 def _shell_top(k: int, wide: bool) -> float:
@@ -79,9 +76,8 @@ def _shell_top(k: int, wide: bool) -> float:
     return 2.0 ** (k + 1) if wide else 2.0 ** k
 
 
-def _apply_band(f: SampledSignal, k: int, bank: DyadicFilterBank, wide: bool) -> SampledSignal:
-    if not 0 <= k <= bank.max_band:
-        raise ValueError(f"band index {k} outside [0, {bank.max_band}]")
+def _apply_band(f: SampledSignal, k: int, wide: bool) -> SampledSignal:
+    _check_band(k, 0)
     c = forward_transform(f)
     top = _shell_top(k, wide)
     if top > c.nyquist * (1 + 1e-12):
@@ -89,21 +85,21 @@ def _apply_band(f: SampledSignal, k: int, bank: DyadicFilterBank, wide: bool) ->
             f"shell for k={k} reaches |xi|={top:g} beyond the grid Nyquist {c.nyquist:g}"
         )
     if k == 0:
-        mult = bank.psi0(c.frequencies)
+        mult = psi0(c.frequencies)
     elif wide:
-        mult = bank.psi_wide_k(k, c.frequencies)
+        mult = psi_wide_k(k, c.frequencies)
     else:
-        mult = bank.psi_k(k, c.frequencies)
+        mult = psi_k(k, c.frequencies)
     return inverse_transform(SpectralCoefficients(c.half_width, mult * c.coeffs))
 
 
-def project(f: SampledSignal, k: int, bank: DyadicFilterBank) -> SampledSignal:
+def project(f: SampledSignal, k: int) -> SampledSignal:
     """Littlewood-Paley projection P_k (P_0 uses psi0)."""
-    return _apply_band(f, k, bank, wide=False)
+    return _apply_band(f, k, wide=False)
 
 
-def project_wide(f: SampledSignal, k: int, bank: DyadicFilterBank) -> SampledSignal:
+def project_wide(f: SampledSignal, k: int) -> SampledSignal:
     """Wide projection with multiplier identically 1 on the k-th shell."""
     if k == 0:
         raise ValueError("wide projection is defined for k >= 1")
-    return _apply_band(f, k, bank, wide=True)
+    return _apply_band(f, k, wide=True)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DispmaxError, HypothesisError, QuadratureError
-from .filters import _smooth_step, _theta
+from .filters import _smooth_step, psi, psi0
 from .spectral import DispersionProfile
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
@@ -45,7 +45,7 @@ def _psi_sq(xi):
     """psi(xi)^2 for |xi| in [0.5, 2] by uniform-grid linear interpolation."""
     global _PSI_SQ_TABLE, _PSI_SQ_DIFF
     if _PSI_SQ_TABLE is None:
-        _PSI_SQ_TABLE = (_theta(_PSI_SQ_GRID) - _theta(2.0 * _PSI_SQ_GRID)) ** 2
+        _PSI_SQ_TABLE = psi(_PSI_SQ_GRID) ** 2
         _PSI_SQ_TABLE[0] = _PSI_SQ_TABLE[-1] = 0.0
         _PSI_SQ_DIFF = np.diff(_PSI_SQ_TABLE)
     scale = (len(_PSI_SQ_GRID) - 1) / 1.5
@@ -62,18 +62,13 @@ def _psi_sq(xi):
 
 
 def _phi_at(profile: DispersionProfile, lam: float, nodes: np.ndarray) -> np.ndarray:
-    if profile.kind == "power":  # avoids the generic branchy evaluation
+    # The power branch avoids the generic branchy evaluation.  Its rounding is
+    # part of the output: routing it through profile.phi moves kernel_scan.csv.
+    if profile.kind == "power":
         if profile.a == 2.0:
             return (lam * lam) * (nodes * nodes)
         return lam**profile.a * np.abs(nodes) ** profile.a
     return np.asarray(profile.phi(lam * nodes), dtype=float)
-
-
-def _dphi_at(profile: DispersionProfile, lam: float, nodes) -> np.ndarray:
-    nodes = np.asarray(nodes, dtype=float)
-    if profile.kind == "power":
-        return profile.a * lam ** (profile.a - 1.0) * np.abs(nodes) ** (profile.a - 1.0) * np.sign(nodes)
-    return np.asarray(profile.phi_prime(lam * nodes), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -161,7 +156,7 @@ def kernel_value(query: KernelQuery, density: int = 1) -> complex:
     dt = w.t - wp.t
 
     def dphase(xi):
-        return shift * lam + dt * lam * _dphi_at(profile, lam, xi)
+        return shift * lam + dt * lam * profile.phi_prime(lam * xi)
 
     a, b = _refine_panels(_SUPPORT, dphase)
     if density > 1:
@@ -374,8 +369,7 @@ def standard_phases() -> list[tuple[PhaseSpec, int]]:
     """The three reference phases: linear (k=1), curved without and with a
     stationary point (k=2)."""
     psi_half, dpsi_half = _half_step_down(1.0, 2.0)
-    bump = lambda x: _theta(2.0 * np.asarray(x, dtype=float))
-    dbump = lambda x: (bump(np.asarray(x) + 1e-6) - bump(np.asarray(x) - 1e-6)) / 2e-6
+    dbump = lambda x: (psi0(np.asarray(x) + 1e-6) - psi0(np.asarray(x) - 1e-6)) / 2e-6
     lin = PhaseSpec(
         "linear", 1.0, 2.0,
         phi=lambda x: np.asarray(x, dtype=float),
@@ -395,7 +389,7 @@ def standard_phases() -> list[tuple[PhaseSpec, int]]:
         phi=lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
         derivs={1: lambda x: np.asarray(x, dtype=float),
                 2: lambda x: np.ones_like(np.asarray(x, dtype=float))},
-        psi=bump, dpsi=dbump,
+        psi=psi0, dpsi=dbump,
     )
     return [(lin, 1), (quad, 2), (quad0, 2)]
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .directions import DirectionSet, make_intervals, make_points
-from .filters import DyadicFilterBank, build_filter_bank, project
+from .filters import project, psi0, psi_k
 from .spectral import (
     DispersionProfile,
     SampledSignal,
@@ -217,7 +217,6 @@ def estimate_operator_norm(
     profile: DispersionProfile,
     trials: int = 6,
     seed: int = 0,
-    bank: DyadicFilterBank | None = None,
     half_width: float = 32.0,
     x_count: int = 65,
     max_rounds: int = 20,
@@ -235,8 +234,6 @@ def estimate_operator_norm(
         raise ValueError(
             f"interval width {width:g} violates the hypothesis |Omega| <= 2^(-sigma*k) = {2.0 ** (-sigma * k):g}"
         )
-    if bank is None:
-        bank = build_filter_bank(max(k, 1))
     theta = make_points([lo]) if width == 0.0 else make_intervals([(lo, hi)])
 
     band = 2.0**k
@@ -247,7 +244,7 @@ def estimate_operator_norm(
 
     template = SpectralCoefficients(half_width, np.zeros(n, dtype=complex))
     xi = template.frequencies
-    shell = bank.psi_k(k, xi)
+    shell = psi_k(k, xi)
     live = shell > 0
     dxi = template.freq_step
     phi_live = np.asarray(profile.phi(xi[live]), dtype=float)
@@ -261,7 +258,7 @@ def estimate_operator_norm(
         return inverse_transform(SpectralCoefficients(half_width, full))
 
     def witness_ratio(f: SampledSignal):
-        g = project(f, k, bank)
+        g = project(f, k)
         res = _scan(g, theta_values, t_grid, profile, x_count)
         return lq_norm(res.values, q) / f.l2_norm(), res
 
@@ -330,12 +327,11 @@ def low_frequency_check(
     f: SampledSignal,
     theta: DirectionSet,
     profile: DispersionProfile,
-    bank: DyadicFilterBank,
 ) -> float:
     """Ratio l2(M_Theta P_0 f) / int psi0 |f_hat|; bounded uniformly in f."""
-    g = project(f, 0, bank)
+    g = project(f, 0)
     res = maximal_function(g, theta, profile)
     num = lq_norm(res.values, 2.0)
     c = forward_transform(f)
-    denom = float(np.sum(bank.psi0(c.frequencies) * np.abs(c.coeffs)) * c.freq_step)
+    denom = float(np.sum(psi0(c.frequencies) * np.abs(c.coeffs)) * c.freq_step)
     return num / denom

@@ -223,9 +223,7 @@ def check_dispersion_conditions(profile: DispersionProfile) -> tuple[float, floa
             c2 = min(c2, float(finite.min()))
     if c1 <= 1e-9 or c2 <= 1e-9:
         raise NonconformingProfileError(
-            f"profile violates the curvature conditions: C1est={c1:g}, C2est={c2:g}",
-            c1_est=c1,
-            c2_est=c2,
+            f"profile violates the curvature conditions: C1est={c1:g}, C2est={c2:g}"
         )
     return c1, c2
 

@@ -43,7 +43,7 @@ from dispmax.experiments import (
     run_convergence_experiment,
     run_scaling_experiment,
 )
-from dispmax.filters import build_filter_bank
+from dispmax.filters import psi0, psi_k
 from dispmax.kernel import (
     decay_bound_scan,
     hls_bilinear_check,
@@ -96,10 +96,9 @@ def test_criterion_2_propagator_invariants():
         rhs = evolve(f, t1 + t2, profile)
         scale = float(np.max(np.abs(rhs.values)))
         worst_group = max(worst_group, float(np.max(np.abs(lhs.values - rhs.values))) / scale)
-    bank = build_filter_bank(6)
     # the K-band identity covers |xi| <= 2^(K-1)
     xi = np.linspace(-32.0, 32.0, 10**4)
-    total = bank.psi0(xi) + sum(bank.psi_k(k, xi) for k in range(1, 7))
+    total = psi0(xi) + sum(psi_k(k, xi) for k in range(1, 7))
     pu = float(np.max(np.abs(total - 1.0)))
     ok = worst_unit < 1e-10 and worst_group < 1e-10 and pu < 1e-12
     report(2, ok, f"unitarity {worst_unit:.2g}, group law {worst_group:.2g}, partition {pu:.2g}")
@@ -128,8 +127,7 @@ def test_criterion_4_norm_scaling_window():
     table, fit = run_scaling_experiment(cfg)
     slope = fit[0]
     values = table.columns["norm_estimate"]
-    bank = build_filter_bank(cfg.k_max)
-    ceilings = [shell_ceiling(k, cfg.q, cfg.half_width, bank) for k in table.columns["k"]]
+    ceilings = [shell_ceiling(k, cfg.q, cfg.half_width) for k in table.columns["k"]]
     ratios = [v / b for v, b in zip(values, ceilings)]
     under = all(r <= 1.0 + 1e-9 for r in ratios)
     dispersive = ratios[-1] < 0.99 * ratios[0]

@@ -146,6 +146,9 @@ class TestCli:
         (["check", "--config", "/nonexistent/dispmax.cfg"], None),
         (["converge", "--s", "-1"], None),
         (["norm-scaling", "--q", "1.5"], None),
+        (["norm-scaling", "--k-min", "0"], None),
+        (["norm-scaling", "--k-max", "31"], None),
+        (["kernel-scan"], "samples_per_region = 0"),
         (["converge"], "n_grid = 3"),
         (["converge"], "half_width = -1"),
         (["dim"], "delta_min = 0"),
@@ -157,6 +160,7 @@ class TestCli:
     ], ids=["q-out-of-range", "unknown-theta-kind", "theta-outside-range",
             "band-above-bank", "band-negative", "lam-below-2", "t-nan",
             "missing-config-file", "s-negative", "q-below-estimator-range",
+            "k-min-zero", "k-max-above-max-band", "samples-per-region-zero",
             "n-grid-not-power-of-two", "half-width-negative", "delta-min-zero",
             "delta-range-reversed", "n-scales-below-4", "lambda-one",
             "lambda-leaves-v2-empty", "lambda-range-reversed"])

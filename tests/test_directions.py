@@ -42,9 +42,10 @@ class TestConstructors:
         assert np.allclose(lengths, 3.0**-8)
 
     def test_parse_round_trip(self):
-        for spec in ("point:0", "points:0,0.5,1", "interval:0,1", "cantor:2,0.333333,4"):
-            ds = parse_direction_spec(spec)
-            assert ds.spec == spec
+        assert parse_direction_spec("point:0") == make_points([0.0])
+        assert parse_direction_spec("points:0,0.5,1") == make_points([0.0, 0.5, 1.0])
+        assert parse_direction_spec("interval:0,1") == make_intervals([(0.0, 1.0)])
+        assert parse_direction_spec("cantor:2,0.333333,4") == make_cantor(2, 0.333333, 4)
         with pytest.raises(ValueError):
             parse_direction_spec("blob:1")
 

@@ -1,4 +1,4 @@
-"""Tests for the dyadic filter bank and the frequency projections."""
+"""Tests for the dyadic multipliers and the frequency projections."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispmax.errors import AliasingError
-from dispmax.filters import build_filter_bank, project, project_wide
+from dispmax.filters import MAX_BAND, project, project_wide, psi, psi0, psi_k, psi_wide
 from dispmax.spectral import (
     DispersionProfile,
     SampledSignal,
@@ -16,11 +16,6 @@ from dispmax.spectral import (
     SpectralCoefficients,
 )
 from shell_ceiling import psi_sq_mass
-
-
-@pytest.fixture(scope="module")
-def bank():
-    return build_filter_bank(5)
 
 
 def band_limited_signal(seed, half_width=16.0, n=512, top=12.0):
@@ -33,125 +28,125 @@ def band_limited_signal(seed, half_width=16.0, n=512, top=12.0):
 
 
 class TestBankValues:
-    def test_origin_belongs_to_low_pass_only(self, bank):
-        assert bank.psi0(0.0) == 1.0
+    def test_origin_belongs_to_low_pass_only(self):
+        assert psi0(0.0) == 1.0
         for k in range(1, 6):
-            assert bank.psi_k(k, 0.0) == 0.0
+            assert psi_k(k, 0.0) == 0.0
 
-    def test_partition_at_unit_frequency(self, bank):
-        assert bank.psi0(1.0) == 0.0
-        assert bank.psi_k(2, 1.0) == 0.0
-        total = bank.psi0(1.0) + sum(bank.psi_k(k, 1.0) for k in range(1, 6))
+    def test_partition_at_unit_frequency(self):
+        assert psi0(1.0) == 0.0
+        assert psi_k(2, 1.0) == 0.0
+        total = psi0(1.0) + sum(psi_k(k, 1.0) for k in range(1, 6))
         assert abs(total - 1.0) < 1e-12
-        assert abs(bank.psi_k(1, 1.0) - 1.0) < 1e-12
+        assert abs(psi_k(1, 1.0) - 1.0) < 1e-12
 
-    def test_two_shells_cover_an_interior_point(self, bank):
-        assert bank.psi0(3.3) == 0.0
-        assert bank.psi_k(1, 3.3) == 0.0
-        two = bank.psi_k(2, 3.3) + bank.psi_k(3, 3.3)
+    def test_two_shells_cover_an_interior_point(self):
+        assert psi0(3.3) == 0.0
+        assert psi_k(1, 3.3) == 0.0
+        two = psi_k(2, 3.3) + psi_k(3, 3.3)
         assert abs(two - 1.0) < 1e-12
 
-    def test_partition_of_unity_on_log_grid(self, bank):
+    def test_partition_of_unity_on_log_grid(self):
         xi = np.concatenate([-np.geomspace(1e-3, 16.0, 5000), np.geomspace(1e-3, 16.0, 5000)])
-        total = bank.psi0(xi) + sum(bank.psi_k(k, xi) for k in range(1, 6))
+        total = psi0(xi) + sum(psi_k(k, xi) for k in range(1, 6))
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
-    def test_supports(self, bank):
+    def test_supports(self):
         xi = np.linspace(-64, 64, 20001)
-        assert np.all(bank.psi0(xi)[np.abs(xi) >= 1.0] < 1e-15)
-        p = bank.psi(xi)
+        assert np.all(psi0(xi)[np.abs(xi) >= 1.0] < 1e-15)
+        p = psi(xi)
         outside = (np.abs(xi) <= 0.5) | (np.abs(xi) >= 2.0)
         assert np.all(p[outside] < 1e-15)
-        w = bank.psi_wide(xi)
+        w = psi_wide(xi)
         outside_w = (np.abs(xi) <= 0.25) | (np.abs(xi) >= 4.0)
         assert np.all(w[outside_w] < 1e-15)
 
-    def test_wide_cutoff_is_flat_on_the_shell(self, bank):
+    def test_wide_cutoff_is_flat_on_the_shell(self):
         xi = np.concatenate([np.linspace(0.5, 2.0, 2001), -np.linspace(0.5, 2.0, 2001)])
-        assert np.max(np.abs(bank.psi_wide(xi) * bank.psi(xi) - bank.psi(xi))) < 1e-15
+        assert np.max(np.abs(psi_wide(xi) * psi(xi) - psi(xi))) < 1e-15
 
-    def test_ranges(self, bank):
+    def test_ranges(self):
         xi = np.linspace(-40, 40, 8001)
-        for vals in (bank.psi0(xi), bank.psi(xi), bank.psi_wide(xi)):
+        for vals in (psi0(xi), psi(xi), psi_wide(xi)):
             assert vals.min() >= 0.0 and vals.max() <= 1.0
 
-    def test_mass_constant(self, bank):
+    def test_mass_constant(self):
         xi = np.linspace(-2.0, 2.0, 2**20 + 1)
-        riemann = np.trapezoid(bank.psi(xi) ** 2, xi)
-        assert abs(psi_sq_mass(bank) - riemann) < 1e-9
+        riemann = np.trapezoid(psi(xi) ** 2, xi)
+        assert abs(psi_sq_mass() - riemann) < 1e-9
 
     def test_band_bounds(self):
         with pytest.raises(ValueError):
-            build_filter_bank(0)
+            psi_k(0, 1.0)
         with pytest.raises(ValueError):
-            build_filter_bank(31)
+            psi_k(MAX_BAND + 1, 1.0)
 
 
 class TestProjections:
-    def test_single_mode_multiplier(self, bank):
+    def test_single_mode_multiplier(self):
         half_width, n, k = 16.0, 512, 3
         xi0 = 2.0 ** (k - 1) * 1.2
         j = round(xi0 * half_width / np.pi)
         xi0 = np.pi * j / half_width
         x = -half_width + np.arange(n) * (2.0 * half_width / n)
         f = SampledSignal(half_width, np.exp(1j * xi0 * x))
-        g = project(f, k, bank)
-        expected = bank.psi_k(k, xi0) * f.values
+        g = project(f, k)
+        expected = psi_k(k, xi0) * f.values
         assert np.max(np.abs(g.values - expected)) < 1e-12
 
-    def test_projections_sum_back(self, bank):
+    def test_projections_sum_back(self):
         f = band_limited_signal(4)
-        total = project(f, 0, bank).values.copy()
+        total = project(f, 0).values.copy()
         for k in range(1, 6):
-            total += project(f, k, bank).values
+            total += project(f, k).values
         assert np.max(np.abs(total - f.values)) / np.max(np.abs(f.values)) < 1e-10
 
-    def test_distant_shells_annihilate(self, bank):
+    def test_distant_shells_annihilate(self):
         f = band_limited_signal(5)
-        g = project(project(f, 1, bank), 3, bank)
+        g = project(project(f, 1), 3)
         assert np.max(np.abs(g.values)) < 1e-12 * np.max(np.abs(f.values))
 
-    def test_wide_projection_fixes_narrow_one(self, bank):
+    def test_wide_projection_fixes_narrow_one(self):
         f = band_limited_signal(6)
-        pk = project(f, 3, bank)
-        again = project_wide(pk, 3, bank)
+        pk = project(f, 3)
+        again = project_wide(pk, 3)
         assert np.max(np.abs(again.values - pk.values)) < 1e-12 * np.max(np.abs(pk.values))
 
-    def test_wide_multiplier_is_one_on_shell_center(self, bank):
+    def test_wide_multiplier_is_one_on_shell_center(self):
         half_width, n, k = 16.0, 512, 3
         # any on-grid frequency inside the flat part [2, 8] of the wide cutoff
         xi0 = np.pi * 16 / half_width
         x = -half_width + np.arange(n) * (2.0 * half_width / n)
         f = SampledSignal(half_width, np.exp(1j * xi0 * x))
-        g = project_wide(f, k, bank)
+        g = project_wide(f, k)
         assert np.max(np.abs(g.values - f.values)) < 1e-12
 
-    def test_wide_multiplier_vanishes_off_support(self, bank):
+    def test_wide_multiplier_vanishes_off_support(self):
         half_width, n, k = 16.0, 2048, 3
         j = round(2.0 ** (k - 1) * 5.0 * half_width / np.pi)
         xi0 = np.pi * j / half_width  # on-grid, just past 5x the shell scale
         x = -half_width + np.arange(n) * (2.0 * half_width / n)
         f = SampledSignal(half_width, np.exp(1j * xi0 * x))
-        g = project_wide(f, k, bank)
+        g = project_wide(f, k)
         assert np.max(np.abs(g.values)) < 1e-15 * n
 
-    def test_aliasing_guard(self, bank):
+    def test_aliasing_guard(self):
         f = band_limited_signal(7, half_width=16.0, n=128)  # Nyquist = 4*pi
         with pytest.raises(AliasingError):
-            project(f, 5, bank)
+            project(f, 5)
 
     @given(seed=st.integers(0, 2**31), k=st.integers(0, 5), t=st.floats(-1.0, 1.0))
     @settings(max_examples=20, deadline=None)
-    def test_commutes_with_evolution(self, bank, seed, k, t):
+    def test_commutes_with_evolution(self, seed, k, t):
         f = band_limited_signal(seed)
         prof = DispersionProfile.power(2.0)
-        lhs = project(evolve(f, t, prof), k, bank)
-        rhs = evolve(project(f, k, bank), t, prof)
+        lhs = project(evolve(f, t, prof), k)
+        rhs = evolve(project(f, k), t, prof)
         scale = np.max(np.abs(f.values))
         assert np.max(np.abs(lhs.values - rhs.values)) / scale < 1e-12
 
     @given(seed=st.integers(0, 2**31), k=st.integers(0, 5))
     @settings(max_examples=20, deadline=None)
-    def test_projection_contracts_l2(self, bank, seed, k):
+    def test_projection_contracts_l2(self, seed, k):
         f = band_limited_signal(seed)
-        assert project(f, k, bank).l2_norm() <= f.l2_norm() * (1 + 1e-12)
+        assert project(f, k).l2_norm() <= f.l2_norm() * (1 + 1e-12)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispmax.errors import HypothesisError
-from dispmax.filters import build_filter_bank
+from dispmax.filters import psi
 from dispmax.kernel import (
     KernelQuery,
     PhaseSpec,
@@ -23,8 +23,7 @@ from dispmax.spectral import DispersionProfile
 from shell_ceiling import psi_sq_mass
 
 PROFILE = DispersionProfile.power(2.0)
-BANK = build_filter_bank(1)
-PSI_SQ_MASS = psi_sq_mass(BANK)
+PSI_SQ_MASS = psi_sq_mass()
 
 
 def query(w, wp, lam=4.0, profile=PROFILE):
@@ -112,7 +111,7 @@ class TestKernelValue:
         lam = 32.0
         shift = w.x - wp.x
         xi = np.linspace(-2.0, 2.0, 2**18 + 1)
-        exact = np.trapezoid(BANK.psi(xi) ** 2 * np.exp(1j * shift * lam * xi), xi)
+        exact = np.trapezoid(psi(xi) ** 2 * np.exp(1j * shift * lam * xi), xi)
         k = kernel_value(query(w, wp, lam=lam))
         assert abs(k - exact) < 1e-7
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispmax.directions import make_intervals, make_points
-from dispmax.filters import build_filter_bank
 from dispmax.maximal import (
     _scan,
     convergence_scan,
@@ -188,7 +187,7 @@ class TestOperatorNorm:
         est = estimate_operator_norm(
             k, (0.0, 2.0 ** (-k / 2.0)), 2.0, 0.5, PROFILE, half_width=half_width
         )
-        ceiling = shell_ceiling(k, 2.0, half_width, build_filter_bank(k))
+        ceiling = shell_ceiling(k, 2.0, half_width)
         assert 0.0 < est.value <= ceiling * (1 + 1e-9)
 
     def test_rejects_wide_interval(self):
@@ -222,12 +221,11 @@ class TestScalingFit:
 
 class TestLowFrequency:
     def test_ratio_is_uniformly_bounded(self):
-        bank = build_filter_bank(3)
         theta = make_intervals([(-0.5, 0.5)])
         ratios = []
         for seed in range(20):
             f = band_limited(seed, top=4.0)
-            ratios.append(low_frequency_check(f, theta, PROFILE, bank))
+            ratios.append(low_frequency_check(f, theta, PROFILE))
         ratios = np.array(ratios)
         # lq(M P0 f) <= 2^(1/q) sup|P0 f| <= 2^(1/q)/(2 pi) * int psi0 |fhat|
         assert ratios.max() <= 2.0**0.5 / (2.0 * np.pi) + 1e-12
