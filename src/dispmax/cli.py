@@ -70,11 +70,24 @@ def _out_path(cfg: ExperimentConfig, name: str) -> str:
     return os.path.join(cfg.out, name)
 
 
+def _write_table(cfg: ExperimentConfig, table: ResultTable, stem: str, plot: bool = False) -> str:
+    """Write <stem>.csv to the output directory, and its gnuplot script
+    <stem>.gp when plot is set; returns the CSV path."""
+    path = _out_path(cfg, f"{stem}.csv")
+    write_csv(table, path)
+    if plot:
+        emit_plot_script(table, _out_path(cfg, f"{stem}.gp"), f"{stem}.csv")
+    return path
+
+
 def _load_signal(cfg: ExperimentConfig, args):
     """The --input signal CSV, or seeded H^s data on the configured grid."""
     if args.input:
-        with open(args.input) as fh:
-            return signal_from_csv(fh.read())
+        try:
+            with open(args.input) as fh:
+                return signal_from_csv(fh.read())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read --input signal: {exc}") from exc
     return make_sobolev_data(cfg.s, cfg.seed, half_width=cfg.half_width, n=cfg.n_grid)
 
 
@@ -114,8 +127,7 @@ def _cmd_evolve(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_dim(cfg: ExperimentConfig, args) -> int:
     table = run_dimension_report(cfg)
-    path = _out_path(cfg, "dimension.csv")
-    write_csv(table, path)
+    path = _write_table(cfg, table, "dimension")
     print(f"beta={table.provenance['beta']:.6g} residual={table.provenance['fit_residual']:.3g}")
     print(f"wrote {path}")
     return 0
@@ -126,17 +138,13 @@ def _cmd_cover(cfg: ExperimentConfig, args) -> int:
         raise ConfigError(f"--lam must be finite and at least 2, got {args.lam}")
     theta = parse_direction_spec(cfg.theta)
     result = cover_set(theta, args.lam, cfg.resolved_sigma())
-    cols = {
-        "left": [iv[0] for iv in result.intervals],
-        "right": [iv[1] for iv in result.intervals],
-    }
     table = ResultTable(
-        columns=cols,
+        names=("left", "right"),
+        rows=result.intervals,
         provenance=provenance_block(cfg, experiment="cover", width=result.width,
                                     count=result.count, lam=float(args.lam)),
     )
-    path = _out_path(cfg, "cover.csv")
-    write_csv(table, path)
+    path = _write_table(cfg, table, "cover")
     print(f"N={result.count} width={result.width:.6g}")
     print(f"wrote {path}")
     return 0
@@ -153,20 +161,18 @@ def _cmd_maximal(cfg: ExperimentConfig, args) -> int:
     band = forward_transform(f).band_limit()
     res = maximal_function(f, theta, profile, x_count=cfg.x_count)
     table = ResultTable(
-        columns={"x": list(res.x), "maximal_value": list(res.values)},
+        names=("x", "maximal_value"),
+        rows=zip(res.x, res.values),
         provenance=provenance_block(cfg, experiment="maximal", band=band),
     )
-    path = _out_path(cfg, "maximal.csv")
-    write_csv(table, path)
+    path = _write_table(cfg, table, "maximal")
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_norm_scaling(cfg: ExperimentConfig, args) -> int:
     table, fit = run_scaling_experiment(cfg)
-    path = _out_path(cfg, "scaling.csv")
-    write_csv(table, path)
-    emit_plot_script(table, _out_path(cfg, "scaling.gp"), "scaling.csv")
+    path = _write_table(cfg, table, "scaling", plot=True)
     print(f"fitted slope={fit[0]:.4g} intercept={fit[1]:.4g} residual={fit[2]:.3g}")
     print(f"wrote {path}")
     return 0
@@ -174,35 +180,26 @@ def _cmd_norm_scaling(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_kernel_scan(cfg: ExperimentConfig, args) -> int:
     table, report = run_kernel_scan(cfg)
-    path = _out_path(cfg, "kernel_scan.csv")
-    write_csv(table, path)
-    emit_plot_script(table, _out_path(cfg, "kernel_scan.gp"), "kernel_scan.csv")
+    path = _write_table(cfg, table, "kernel_scan", plot=True)
     lo, hi = report.v2_ratio_range
     print(f"max decay product={report.max_decay_product():.6g} v2 ratio in [{lo:.3g}, {hi:.3g}]")
-    vdc_cols = {"phase": [], "order": [], "lambda": [], "abs_integral": [], "normalized_ratio": []}
     lam_list = [2.0**e for e in range(cfg.lambda_min_exp, cfg.lambda_max_exp + 1)]
-    for phase, k in standard_phases():
-        for lam, absint, ratio in van_der_corput_check(phase, lam_list, k):
-            vdc_cols["phase"].append(phase.name)
-            vdc_cols["order"].append(k)
-            vdc_cols["lambda"].append(lam)
-            vdc_cols["abs_integral"].append(absint)
-            vdc_cols["normalized_ratio"].append(ratio)
-    vdc_table = ResultTable(columns=vdc_cols,
+    vdc_rows = [(phase.name, k, *row)
+                for phase, k in standard_phases()
+                for row in van_der_corput_check(phase, lam_list, k)]
+    vdc_table = ResultTable(names=("phase", "order", "lambda", "abs_integral", "normalized_ratio"),
+                            rows=vdc_rows,
                             provenance=provenance_block(cfg, experiment="van-der-corput"))
-    write_csv(vdc_table, _out_path(cfg, "van_der_corput.csv"))
+    _write_table(cfg, vdc_table, "van_der_corput")
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_converge(cfg: ExperimentConfig, args) -> int:
     table = run_convergence_experiment(cfg)
-    path = _out_path(cfg, "converge.csv")
-    write_csv(table, path)
-    emit_plot_script(table, _out_path(cfg, "converge.gp"), "converge.csv")
-    med = table.columns["median_err"]
-    print(f"median err: {med[0]:.6g} at r={table.columns['r'][0]:g} -> "
-          f"{med[-1]:.6g} at r={table.columns['r'][-1]:g}")
+    path = _write_table(cfg, table, "converge", plot=True)
+    med, r = table.column("median_err"), table.column("r")
+    print(f"median err: {med[0]:.6g} at r={r[0]:g} -> {med[-1]:.6g} at r={r[-1]:g}")
     print(f"wrote {path}")
     return 0
 

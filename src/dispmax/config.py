@@ -119,35 +119,29 @@ def parse_config(text: str) -> ExperimentConfig:
 
 @dataclass
 class ResultTable:
-    columns: dict  # name -> list of values
+    names: tuple  # column names, in CSV order
+    rows: tuple  # one tuple of values per CSV line
     provenance: dict
 
     def __post_init__(self):
-        lengths = {len(v) for v in self.columns.values()}
-        if len(lengths) > 1:
-            raise ValueError("column lengths differ")
+        self.names = tuple(self.names)
+        self.rows = tuple(map(tuple, self.rows))
+        if any(len(row) != len(self.names) for row in self.rows):
+            raise ValueError("row length differs from the number of columns")
 
-    @property
-    def n_rows(self) -> int:
-        return len(next(iter(self.columns.values()))) if self.columns else 0
+    def column(self, name: str) -> list:
+        i = self.names.index(name)
+        return [row[i] for row in self.rows]
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
 def table_to_csv(table: ResultTable) -> str:
     lines = [f"# {k}={_fmt(v)}" for k, v in sorted(table.provenance.items())]
-    names = list(table.columns)
-    lines.append(",".join(names))
-    for i in range(table.n_rows):
-        lines.append(",".join(_fmt(table.columns[n][i]) for n in names))
+    lines.append(",".join(table.names))
+    lines.extend(",".join(map(_fmt, row)) for row in table.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -178,12 +172,8 @@ def read_csv(path) -> ResultTable:
             provenance[key] = _sniff(val)
         elif line:
             body.append(line)
-    names = body[0].split(",")
-    columns = {n: [] for n in names}
-    for line in body[1:]:
-        for n, raw in zip(names, line.split(",")):
-            columns[n].append(_sniff(raw))
-    return ResultTable(columns=columns, provenance=provenance)
+    rows = [[_sniff(raw) for raw in line.split(",")] for line in body[1:]]
+    return ResultTable(names=body[0].split(","), rows=rows, provenance=provenance)
 
 
 def provenance_block(cfg: ExperimentConfig, **extra) -> dict:
@@ -194,18 +184,16 @@ def provenance_block(cfg: ExperimentConfig, **extra) -> dict:
 
 def emit_plot_script(table: ResultTable, script_path, csv_name: str) -> None:
     """Write a gnuplot script plotting the table's numeric columns; never executed here."""
-    names = list(table.columns)
-    xcol = names[0]
     lines = [
         "# generated plot script; run with: gnuplot <this file>",
         "set datafile separator ','",
         "set datafile commentschars '#'",
-        f"set xlabel '{xcol}'",
+        f"set xlabel '{table.names[0]}'",
         "set key outside",
         "plot \\",
     ]
     plots = []
-    for i, name in enumerate(names[1:], start=2):
+    for i, name in enumerate(table.names[1:], start=2):
         plots.append(f"  '{csv_name}' using 1:{i} with linespoints title '{name}'")
     lines.append(", \\\n".join(plots))
     with open(script_path, "w", newline="\n") as fh:

@@ -39,9 +39,7 @@ def run_scaling_experiment(cfg: ExperimentConfig):
     theta = parse_direction_spec(cfg.theta)
     profile = DispersionProfile.power(cfg.a)
     sigma = cfg.resolved_sigma()
-    cols = {name: [] for name in
-            ("k", "lambda", "q", "sigma", "omega_width", "norm_estimate", "trials", "seed")}
-    per_k = []
+    rows, per_k = [], []
     for k in ks:
         lam = 2.0**k
         cover = cover_set(theta, lam, sigma)
@@ -57,18 +55,12 @@ def run_scaling_experiment(cfg: ExperimentConfig):
                 best = est.value
                 best_width = omega[1] - omega[0]
         per_k.append((k, best))
-        cols["k"].append(k)
-        cols["lambda"].append(lam)
-        cols["q"].append(cfg.q)
-        cols["sigma"].append(sigma)
-        cols["omega_width"].append(best_width)
-        cols["norm_estimate"].append(best)
-        cols["trials"].append(cfg.trials)
-        cols["seed"].append(cfg.seed)
+        rows.append((k, lam, cfg.q, sigma, best_width, best, cfg.trials, cfg.seed))
     fit = fit_scaling_exponent(per_k)
     envelope = max(v * 2.0 ** (-k / 4.0) for k, v in per_k)
     table = ResultTable(
-        columns=cols,
+        names=("k", "lambda", "q", "sigma", "omega_width", "norm_estimate", "trials", "seed"),
+        rows=rows,
         provenance=provenance_block(
             cfg, experiment="norm-scaling", fitted_slope=fit[0],
             fitted_intercept=fit[1], fit_residual=fit[2], envelope_constant=envelope,
@@ -85,15 +77,12 @@ def run_convergence_experiment(cfg: ExperimentConfig):
         raise ConfigError("scales must lie in (0, 1] and be nonempty")
     theta = parse_direction_spec(cfg.theta)
     profile = DispersionProfile.power(cfg.a)
-    cols = {"s": [], "r": [], "median_err": [], "max_err": []}
     f = make_sobolev_data(cfg.s, cfg.seed, half_width=cfg.half_width, n=cfg.n_grid)
     levels, sup = convergence_scan(f, theta, profile, scales, x_count=cfg.x_count)
-    for r, row in zip(levels, sup):
-        cols["s"].append(float(cfg.s))
-        cols["r"].append(float(r))
-        cols["median_err"].append(float(np.median(row)))
-        cols["max_err"].append(float(np.max(row)))
-    return ResultTable(columns=cols, provenance=provenance_block(cfg, experiment="converge"))
+    rows = [(float(cfg.s), float(r), float(np.median(err)), float(np.max(err)))
+            for r, err in zip(levels, sup)]
+    return ResultTable(names=("s", "r", "median_err", "max_err"), rows=rows,
+                       provenance=provenance_block(cfg, experiment="converge"))
 
 
 def run_kernel_scan(cfg: ExperimentConfig):
@@ -115,18 +104,10 @@ def run_kernel_scan(cfg: ExperimentConfig):
     report = decay_bound_scan(
         profile, sigma, lam_list, samples_per_region=cfg.samples_per_region, seed=cfg.seed
     )
-    cols = {name: [] for name in
-            ("lambda", "region", "x_dist", "t_dist", "abs_K", "decay_product")}
-    for lam, region, dx, dt, absk, product in report.rows:
-        cols["lambda"].append(lam)
-        cols["region"].append(region)
-        cols["x_dist"].append(dx)
-        cols["t_dist"].append(dt)
-        cols["abs_K"].append(absk)
-        cols["decay_product"].append(product)
     lo, hi = report.v2_ratio_range
     table = ResultTable(
-        columns=cols,
+        names=("lambda", "region", "x_dist", "t_dist", "abs_K", "decay_product"),
+        rows=report.rows,
         provenance=provenance_block(
             cfg, experiment="kernel-scan", v2_ratio_min=lo, v2_ratio_max=hi,
             max_decay_product=report.max_decay_product(),
@@ -139,10 +120,9 @@ def run_dimension_report(cfg: ExperimentConfig):
     """Box counts across scales plus the fitted Minkowski dimension."""
     cfg.validate()
     theta = parse_direction_spec(cfg.theta)
-    rows = dimension_table(theta, cfg.delta_min, cfg.delta_max, cfg.n_scales)
     beta, resid = estimate_minkowski_dim(theta, cfg.delta_min, cfg.delta_max, cfg.n_scales)
-    cols = {"delta": [r[0] for r in rows], "count": [r[1] for r in rows]}
     return ResultTable(
-        columns=cols,
+        names=("delta", "count"),
+        rows=dimension_table(theta, cfg.delta_min, cfg.delta_max, cfg.n_scales),
         provenance=provenance_block(cfg, experiment="dim", beta=beta, fit_residual=resid),
     )

@@ -9,6 +9,7 @@ panel; the oracle is the same scheme at 10x panel density.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,30 +35,26 @@ _SUPPORT = ((-2.0, -0.5), (0.5, 2.0))
 
 # psi^2 on a dense table: linear interpolation is accurate to ~1e-10 here and
 # avoids re-evaluating the exponential bump at millions of quadrature nodes.
-_PSI_SQ_GRID = np.linspace(0.5, 2.0, 2**20 + 1)
-_PSI_SQ_TABLE = None
-
-
-_PSI_SQ_DIFF = None
+@functools.cache
+def _psi_sq_table():
+    """psi^2 at 2^20 + 1 uniform points of [0.5, 2] and its forward differences."""
+    table = psi(np.linspace(0.5, 2.0, 2**20 + 1)) ** 2
+    table[0] = table[-1] = 0.0
+    return table, np.diff(table)
 
 
 def _psi_sq(xi):
     """psi(xi)^2 for |xi| in [0.5, 2] by uniform-grid linear interpolation."""
-    global _PSI_SQ_TABLE, _PSI_SQ_DIFF
-    if _PSI_SQ_TABLE is None:
-        _PSI_SQ_TABLE = psi(_PSI_SQ_GRID) ** 2
-        _PSI_SQ_TABLE[0] = _PSI_SQ_TABLE[-1] = 0.0
-        _PSI_SQ_DIFF = np.diff(_PSI_SQ_TABLE)
-    scale = (len(_PSI_SQ_GRID) - 1) / 1.5
+    table, diff = _psi_sq_table()
     pos = np.abs(xi)
     pos -= 0.5
-    pos *= scale
-    idx = np.minimum(pos.astype(np.int64), len(_PSI_SQ_DIFF) - 1)
+    pos *= (len(table) - 1) / 1.5
+    idx = np.minimum(pos.astype(np.int64), len(diff) - 1)
     frac = pos
     frac -= idx
-    out = _PSI_SQ_DIFF[idx]
+    out = diff[idx]
     out *= frac
-    out += _PSI_SQ_TABLE[idx]
+    out += table[idx]
     return out
 
 
@@ -346,7 +343,6 @@ class PhaseSpec:
     phi: Callable
     derivs: dict = field(repr=False)  # order -> callable, orders 1 and 2
     psi: Callable = field(repr=False, default=None)
-    dpsi: Callable = field(repr=False, default=None)
 
 
 def _half_step_down(a, b):
@@ -357,39 +353,33 @@ def _half_step_down(a, b):
     def psi(x):
         return 1.0 - _smooth_step((np.asarray(x, dtype=float) - a) / span)
 
-    def dpsi(x):
-        eps = 1e-6 * span
-        x = np.asarray(x, dtype=float)
-        return (psi(x + eps) - psi(x - eps)) / (2 * eps)
-
-    return psi, dpsi
+    return psi
 
 
 def standard_phases() -> list[tuple[PhaseSpec, int]]:
     """The three reference phases: linear (k=1), curved without and with a
     stationary point (k=2)."""
-    psi_half, dpsi_half = _half_step_down(1.0, 2.0)
-    dbump = lambda x: (psi0(np.asarray(x) + 1e-6) - psi0(np.asarray(x) - 1e-6)) / 2e-6
+    psi_half = _half_step_down(1.0, 2.0)
     lin = PhaseSpec(
         "linear", 1.0, 2.0,
         phi=lambda x: np.asarray(x, dtype=float),
         derivs={1: lambda x: np.ones_like(np.asarray(x, dtype=float)),
                 2: lambda x: np.zeros_like(np.asarray(x, dtype=float))},
-        psi=psi_half, dpsi=dpsi_half,
+        psi=psi_half,
     )
     quad = PhaseSpec(
         "quadratic-offset", 1.0, 2.0,
         phi=lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
         derivs={1: lambda x: np.asarray(x, dtype=float),
                 2: lambda x: np.ones_like(np.asarray(x, dtype=float))},
-        psi=psi_half, dpsi=dpsi_half,
+        psi=psi_half,
     )
     quad0 = PhaseSpec(
         "quadratic-stationary", -1.0, 1.0,
         phi=lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
         derivs={1: lambda x: np.asarray(x, dtype=float),
                 2: lambda x: np.ones_like(np.asarray(x, dtype=float))},
-        psi=psi0, dpsi=dbump,
+        psi=psi0,
     )
     return [(lin, 1), (quad, 2), (quad0, 2)]
 
@@ -417,7 +407,8 @@ def van_der_corput_check(phase: PhaseSpec, lam_list, k: int):
             raise HypothesisError("phi' is not monotonic on (a, b)")
 
     dense = np.linspace(phase.a, phase.b, 8193)
-    denom = float(np.trapezoid(np.abs(phase.dpsi(dense)), dense) + np.max(np.abs(phase.psi(dense))))
+    dpsi = (phase.psi(dense + 1e-6) - phase.psi(dense - 1e-6)) / 2e-6
+    denom = float(np.trapezoid(np.abs(dpsi), dense) + np.max(np.abs(phase.psi(dense))))
 
     rows = []
     for lam in lam_list:

@@ -10,10 +10,11 @@ resolution rule:
     theta-step <= (1/4) / band,
     lattice    <= (1/4) / band.
 
-Operator-norm estimates are certified lower bounds: every reported value is
-witnessed by a concrete f, produced either by random shell data or by an
-alternating maximization (fix the per-x argmax, one power-iteration step on
-the linearized normal operator, re-project to the shell).
+Operator-norm estimates are witnessed by a concrete f, produced either by
+random shell data or by an alternating maximization (fix the per-x argmax,
+one power-iteration step on the linearized normal operator, re-project to
+the shell).  The value is the witnessed ratio on the x-lattice (a Riemann
+sum for the L^q(I) norm), not yet a certified lower bound.
 """
 
 from __future__ import annotations
@@ -221,10 +222,11 @@ def estimate_operator_norm(
     x_count: int = 65,
     max_rounds: int = 20,
 ) -> NormEstimate:
-    """Certified lower bound on || M_Omega P_k ||_{L^2 -> L^q(I)}.
+    """Lower-bound estimate of || M_Omega P_k ||_{L^2 -> L^q(I)}.
 
     Takes the max of the witnessed ratio lq(M(P_k f)) / ||f||_2 over random
     shell data and an alternating-maximization refinement of the best trial.
+    lq is a Riemann sum over the x-lattice, so the value is not yet certified.
     """
     if not 2.0 <= q <= 4.0:
         raise ValueError("q must lie in [2, 4]")

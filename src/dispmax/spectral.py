@@ -238,9 +238,11 @@ def signal_to_csv(f: SampledSignal) -> str:
 
 def signal_from_csv(text: str) -> SampledSignal:
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    if lines[0] != "x,re,im":
+    if not lines or lines[0] != "x,re,im":
         raise ValueError("expected signal CSV header 'x,re,im'")
     rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    if rows.ndim != 2 or rows.shape[0] < 2 or rows.shape[1] != 3:
+        raise ValueError("expected at least two x,re,im rows")
     x = rows[:, 0]
     half_width = (x[1] - x[0]) * len(x) / 2.0
     return SampledSignal(half_width, rows[:, 1] + 1j * rows[:, 2])

@@ -126,8 +126,8 @@ def test_criterion_4_norm_scaling_window():
     cfg = ExperimentConfig(a=2.0, theta="point:0", q=2.0, sigma=0.5, k_min=2, k_max=6, seed=0)
     table, fit = run_scaling_experiment(cfg)
     slope = fit[0]
-    values = table.columns["norm_estimate"]
-    ceilings = [shell_ceiling(k, cfg.q, cfg.half_width) for k in table.columns["k"]]
+    values = table.column("norm_estimate")
+    ceilings = [shell_ceiling(k, cfg.q, cfg.half_width) for k in table.column("k")]
     ratios = [v / b for v, b in zip(values, ceilings)]
     under = all(r <= 1.0 + 1e-9 for r in ratios)
     dispersive = ratios[-1] < 0.99 * ratios[0]
@@ -181,7 +181,7 @@ def test_criterion_7_convergence():
     s = (beta + 1.0) / 4.0 + 0.5
     cfg = ExperimentConfig(theta=theta_spec, s=s, seed=0)
     table = run_convergence_experiment(cfg)
-    med = table.columns["median_err"]
+    med = table.column("median_err")
     monotone = all(b <= a + 1e-15 for a, b in zip(med, med[1:]))
     halved = med[-1] < 0.5 * med[0]
     elapsed = time.monotonic() - t0

@@ -73,12 +73,13 @@ class TestParseConfig:
 
 class TestResultTable:
     def make_table(self):
-        cols = {"k": [2, 3, 4], "value": [0.5, 1.0, 1.0 / 3.0]}
-        return ResultTable(columns=cols, provenance={"seed": 0, "experiment": "demo"})
+        rows = [(2, 0.5), (3, 1.0), (4, 1.0 / 3.0)]
+        return ResultTable(names=("k", "value"), rows=rows,
+                           provenance={"seed": 0, "experiment": "demo"})
 
-    def test_rejects_ragged_columns(self):
+    def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
-            ResultTable(columns={"a": [1], "b": [1, 2]}, provenance={})
+            ResultTable(names=("a", "b"), rows=[(1, 1), (2,)], provenance={})
 
     def test_csv_round_trip(self, tmp_path):
         table = self.make_table()
@@ -86,6 +87,15 @@ class TestResultTable:
         write_csv(table, path)
         back = read_csv(path)
         assert back == table
+
+    def test_column_follows_csv_order_after_round_trip(self, tmp_path):
+        table = ResultTable(names=("z", "a"), rows=[(1, "p"), (2, "q")], provenance={})
+        path = tmp_path / "t.csv"
+        write_csv(table, path)
+        back = read_csv(path)
+        assert back.names == ("z", "a")
+        assert back.column("z") == [1, 2]
+        assert back.column("a") == ["p", "q"]
 
     def test_csv_format(self, tmp_path):
         table = self.make_table()
@@ -121,7 +131,7 @@ class TestCli:
         assert rc == 0
         table = read_csv(tmp_path / "cover.csv")
         assert table.provenance["count"] == 4
-        assert len(table.columns["left"]) == 4
+        assert len(table.column("left")) == 4
 
     def test_dim_writes_table(self, tmp_path):
         rc = main(["dim", "--theta", "cantor:2,0.3333333333333333,8", "--out", str(tmp_path)])
@@ -135,7 +145,7 @@ class TestCli:
         assert rc == 0
         assert (out1 / "evolved.csv").exists()
 
-    @pytest.mark.parametrize("argv, config", [
+    @pytest.mark.parametrize("argv, files", [
         (["cover", "--q", "9"], None),
         (["dim", "--theta", "bogus:1"], None),
         (["dim", "--theta", "interval:0,2"], None),
@@ -148,27 +158,32 @@ class TestCli:
         (["norm-scaling", "--q", "1.5"], None),
         (["norm-scaling", "--k-min", "0"], None),
         (["norm-scaling", "--k-max", "31"], None),
-        (["kernel-scan"], "samples_per_region = 0"),
-        (["converge"], "n_grid = 3"),
-        (["converge"], "half_width = -1"),
-        (["dim"], "delta_min = 0"),
-        (["dim"], "delta_min = 0.5\ndelta_max = 0.1"),
-        (["dim"], "n_scales = 2"),
-        (["kernel-scan"], "lambda_min_exp = 0"),
-        (["kernel-scan"], "lambda_min_exp = 2"),
-        (["kernel-scan"], "lambda_min_exp = 7\nlambda_max_exp = 6"),
+        (["kernel-scan"], {"--config": "samples_per_region = 0"}),
+        (["converge"], {"--config": "n_grid = 3"}),
+        (["converge"], {"--config": "half_width = -1"}),
+        (["dim"], {"--config": "delta_min = 0"}),
+        (["dim"], {"--config": "delta_min = 0.5\ndelta_max = 0.1"}),
+        (["dim"], {"--config": "n_scales = 2"}),
+        (["kernel-scan"], {"--config": "lambda_min_exp = 0"}),
+        (["kernel-scan"], {"--config": "lambda_min_exp = 2"}),
+        (["kernel-scan"], {"--config": "lambda_min_exp = 7\nlambda_max_exp = 6"}),
+        (["maximal", "--input", "/nonexistent/signal.csv"], None),
+        (["maximal"], {"--input": "x,y,z\n0,1,0\n1,1,0\n"}),
+        (["evolve"], {"--input": "x,re,im\n0,1,0\n"}),
+        (["maximal"], {"--input": "x,re,im\n0,1,0\n1,1,0\n2,1,0\n"}),
     ], ids=["q-out-of-range", "unknown-theta-kind", "theta-outside-range",
             "band-above-bank", "band-negative", "lam-below-2", "t-nan",
             "missing-config-file", "s-negative", "q-below-estimator-range",
             "k-min-zero", "k-max-above-max-band", "samples-per-region-zero",
             "n-grid-not-power-of-two", "half-width-negative", "delta-min-zero",
             "delta-range-reversed", "n-scales-below-4", "lambda-one",
-            "lambda-leaves-v2-empty", "lambda-range-reversed"])
-    def test_config_error_exit_code(self, argv, config, tmp_path, capsys):
-        if config is not None:
-            path = tmp_path / "case.cfg"
-            path.write_text(config + "\n")
-            argv = argv + ["--config", str(path)]
+            "lambda-leaves-v2-empty", "lambda-range-reversed", "missing-input-file",
+            "input-wrong-header", "input-single-row", "input-length-not-power-of-two"])
+    def test_config_error_exit_code(self, argv, files, tmp_path, capsys):
+        for flag, text in (files or {}).items():
+            path = tmp_path / flag.lstrip("-")
+            path.write_text(text + "\n")
+            argv = argv + [flag, str(path)]
         assert main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error")

@@ -35,6 +35,7 @@ COMMANDS = {
     "maximal-points": ["maximal", "--theta", "points:-0.25,0.5"],
     "norm-scaling": ["norm-scaling"],
     "kernel-scan": ["kernel-scan"],
+    "kernel-scan-a1.5": ["kernel-scan", "--a", "1.5"],
     "converge": ["converge", "--theta", f"cantor:{CANTOR},4"],
 }
 
@@ -52,6 +53,11 @@ GOLDEN = {
         "kernel_scan.csv": "12a22a264abc0d515457d6098dfc98b894a7150e107db3e29aaf3d3eae126164",
         "kernel_scan.gp": "8248b1b74f195a5bfab9b5fd987d4b98b172285663699cd83236c5dada10da93",
         "van_der_corput.csv": "4dd6a53919c597f1c5b60a5aeb42948dc15fe08741aca2dfe4327892a65184d5",
+    },
+    "kernel-scan-a1.5": {
+        "kernel_scan.csv": "72f47fcbb232c7d3e2c5755d0ee5c0193a0feec3cccae1edd3dddc8c35ca6ef0",
+        "kernel_scan.gp": "8248b1b74f195a5bfab9b5fd987d4b98b172285663699cd83236c5dada10da93",
+        "van_der_corput.csv": "e98ac27048344b21e9f3dd2290622af4fd418766bed28522c225d8ddf6ce0f04",
     },
     "converge": {
         "converge.csv": "984d05fa1b0220dea48eac98e43f98cd398c42cb983eb39987fa159f0464889c",
