@@ -10,6 +10,12 @@ resolution rule:
     theta-step <= (1/4) / band,
     lattice    <= (1/4) / band.
 
+The scan does only the work it reads: one pair of FFT buffers per scan,
+the 1/h scaling applied to the gathered lattice values only, and a gather
+in blocks of about _CELLS (t, x, theta) cells with an exact two-stage
+max/argmax, so its temporaries do not grow with the number of directions
+(see _scan).
+
 Operator-norm estimates are witnessed by a concrete f, produced either by
 random shell data or by an alternating maximization (fix the per-x argmax,
 one power-iteration step on the linearized normal operator, re-project to
@@ -36,6 +42,7 @@ from .spectral import (
 
 _PHASE_BUDGET = 0.25  # max phase change (radians) per grid step in t, theta, x
 _SCAN_CHUNK = 64  # time slices synthesized per batched inverse FFT
+_CELLS = 1 << 18  # (t, x, theta) cells gathered per block, so temporaries stay cache-sized
 
 
 @dataclass(frozen=True)
@@ -90,6 +97,20 @@ def _scan(
     Given r_levels (descending), the scanned quantity is
     |u(x+t*theta, t) - f(x)| and level_max holds the per-x maxima
     restricted to |t| <= r for each level.
+
+    Time slices go through the inverse FFT _SCAN_CHUNK rows at a time, in
+    two buffers allocated once per scan: a zero-padded input whose live
+    slices [0, n/2) and [n_eval - n/2, n_eval) are overwritten per chunk
+    (the padding between them stays zero), and the FFT output.  The scan
+    reads only x_count * n_theta points of each row, so the 1/h scaling is
+    applied to the gathered values alone; elementwise that gives the same
+    bits as scaling the whole row first.  The gather runs in blocks of
+    whole time slices holding at most _CELLS (t, x, theta) cells (one
+    slice, if a slice holds more), so no temporary grows with the chunk
+    times n_theta.  Each block reduces in two exact stages: the max over
+    theta per (t, x), the first t attaining its max, then the first theta
+    in that row -- the same first occurrence as an argmax over the
+    flattened (t, theta) pairs.
     """
     subtract = r_levels is not None
     c = forward_transform(f)
@@ -102,6 +123,7 @@ def _scan(
     h = 2.0 * half_width / n_eval
 
     n = f.n
+    half = n // 2
     adj = _alternating_sign(n) * c.coeffs
     pos_in_eval = np.arange(-n // 2, n // 2) % n_eval
     phi = np.asarray(profile.phi(c.frequencies), dtype=float)
@@ -112,7 +134,7 @@ def _scan(
 
     base = np.zeros(n_eval, dtype=complex)
     base[pos_in_eval] = adj
-    f0 = (np.fft.ifft(base) / h)[x_idx % n_eval] if subtract else None
+    f0 = np.fft.ifft(base)[x_idx % n_eval] / h if subtract else None
 
     n_theta = len(theta_values)
     best = np.full(x_count, -1.0)
@@ -124,40 +146,55 @@ def _scan(
     dt = t_grid[1] - t_grid[0] if len(t_grid) > 1 else 0.0
     step_mult = np.exp(1j * dt * phi)
 
+    coeff = np.empty((_SCAN_CHUNK, n), dtype=complex)
+    padded = np.zeros((_SCAN_CHUNK, n_eval), dtype=complex)
+    fields = np.empty((_SCAN_CHUNK, n_eval), dtype=complex)
+    flat = fields.reshape(-1)
+    row_offset = (np.arange(_SCAN_CHUNK) * n_eval)[:, None, None]
+    block = max(1, _CELLS // (x_count * n_theta))
+    x_col = x_snap[None, :, None]
+    x_pos = np.arange(x_count)
+
     for start in range(0, len(t_grid), _SCAN_CHUNK):
         t_chunk = t_grid[start : start + _SCAN_CHUNK]
         m = len(t_chunk)
-        coeff = np.empty((m, n), dtype=complex)
         coeff[0] = cur
         for i in range(1, m):
-            coeff[i] = coeff[i - 1] * step_mult
-        cur = coeff[-1] * step_mult
-        a = np.zeros((m, n_eval), dtype=complex)
-        a[:, pos_in_eval] = coeff * adj
-        fields = np.fft.ifft(a, axis=1) / h
+            np.multiply(coeff[i - 1], step_mult, out=coeff[i])
+        cur = coeff[m - 1] * step_mult
+        np.multiply(coeff[:m, :half], adj[:half], out=padded[:m, n_eval - half :])
+        np.multiply(coeff[:m, half:], adj[half:], out=padded[:m, :half])
+        np.fft.ifft(padded[:m], axis=1, out=fields[:m])
 
-        idx = np.round(
-            (x_snap[None, :, None] + t_chunk[:, None, None] * theta_values[None, None, :] + half_width) / h
-        ).astype(np.int64) % n_eval
-        g = np.take_along_axis(fields, idx.reshape(m, -1), axis=1).reshape(m, x_count, n_theta)
-        if subtract:
-            g = g - f0[None, :, None]
-        vals = np.abs(g)
+        for b0 in range(0, m, block):
+            t_block = t_chunk[b0 : b0 + block]
+            pos = x_col + t_block[:, None, None] * theta_values[None, None, :]
+            pos += half_width
+            pos /= h
+            np.round(pos, out=pos)
+            idx = pos.astype(np.int64)
+            idx %= n_eval
+            idx += row_offset[b0 : b0 + len(t_block)]
+            g = flat[idx]
+            g /= h
+            if subtract:
+                g -= f0[None, :, None]
+            vals = np.abs(g)
 
-        flat = vals.transpose(1, 0, 2).reshape(x_count, m * n_theta)
-        cand = flat.max(axis=1)
-        arg = flat.argmax(axis=1)
-        upd = cand > best
-        best = np.where(upd, cand, best)
-        best_t = np.where(upd, start + arg // n_theta, best_t)
-        best_th = np.where(upd, arg % n_theta, best_th)
+            tmax = vals.max(axis=2)
+            arg_t = tmax.argmax(axis=0)
+            cand = tmax[arg_t, x_pos]
+            upd = cand > best
+            best = np.where(upd, cand, best)
+            best_t = np.where(upd, start + b0 + arg_t, best_t)
+            best_th = np.where(upd, vals[arg_t, x_pos].argmax(axis=1), best_th)
 
-        if subtract:
-            abs_t = np.abs(t_chunk)
-            for li, r in enumerate(r_levels):
-                sel = abs_t <= r * (1 + 1e-12)
-                if sel.any():
-                    level_max[li] = np.maximum(level_max[li], vals[sel].max(axis=(0, 2)))
+            if subtract:
+                abs_t = np.abs(t_block)
+                for li, r in enumerate(r_levels):
+                    sel = abs_t <= r * (1 + 1e-12)
+                    if sel.any():
+                        level_max[li] = np.maximum(level_max[li], tmax[sel].max(axis=0))
 
     return MaximalResult(x=x_snap, values=best, t_arg=best_t, theta_arg=best_th,
                          lattice_step=h, level_max=level_max)

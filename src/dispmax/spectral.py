@@ -243,6 +243,10 @@ def signal_from_csv(text: str) -> SampledSignal:
     rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     if rows.ndim != 2 or rows.shape[0] < 2 or rows.shape[1] != 3:
         raise ValueError("expected at least two x,re,im rows")
+    if not np.all(np.isfinite(rows[:, 1:])):
+        raise ValueError("signal samples must be finite")
     x = rows[:, 0]
-    half_width = (x[1] - x[0]) * len(x) / 2.0
-    return SampledSignal(half_width, rows[:, 1] + 1j * rows[:, 2])
+    f = SampledSignal((x[1] - x[0]) * len(x) / 2.0, rows[:, 1] + 1j * rows[:, 2])
+    if not np.allclose(x, f.grid, rtol=0.0, atol=1e-9 * f.grid_step):
+        raise ValueError("x must be the uniform grid -L, -L + h, ..., L - h")
+    return f

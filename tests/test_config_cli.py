@@ -171,6 +171,10 @@ class TestCli:
         (["maximal"], {"--input": "x,y,z\n0,1,0\n1,1,0\n"}),
         (["evolve"], {"--input": "x,re,im\n0,1,0\n"}),
         (["maximal"], {"--input": "x,re,im\n0,1,0\n1,1,0\n2,1,0\n"}),
+        (["evolve"], {"--input": "x,re,im\n-2,1,0\n-1,1,0\n3,1,0\n4,1,0\n"}),
+        (["evolve"], {"--input": "x,re,im\n0,1,0\n1,1,0\n2,1,0\n3,1,0\n"}),
+        (["maximal"], {"--input": "x,re,im\n-2,1,0\n-1,nan,0\n0,1,0\n1,1,0\n"}),
+        (["evolve"], {"--input": "x,re,im\n-2,1,0\n-1,1,inf\n0,1,0\n1,1,0\n"}),
     ], ids=["q-out-of-range", "unknown-theta-kind", "theta-outside-range",
             "band-above-bank", "band-negative", "lam-below-2", "t-nan",
             "missing-config-file", "s-negative", "q-below-estimator-range",
@@ -178,7 +182,9 @@ class TestCli:
             "n-grid-not-power-of-two", "half-width-negative", "delta-min-zero",
             "delta-range-reversed", "n-scales-below-4", "lambda-one",
             "lambda-leaves-v2-empty", "lambda-range-reversed", "missing-input-file",
-            "input-wrong-header", "input-single-row", "input-length-not-power-of-two"])
+            "input-wrong-header", "input-single-row", "input-length-not-power-of-two",
+            "input-nonuniform-x", "input-x-not-centred",
+            "input-non-finite", "input-non-finite-imag"])
     def test_config_error_exit_code(self, argv, files, tmp_path, capsys):
         for flag, text in (files or {}).items():
             path = tmp_path / flag.lstrip("-")

@@ -37,6 +37,10 @@ COMMANDS = {
     "kernel-scan": ["kernel-scan"],
     "kernel-scan-a1.5": ["kernel-scan", "--a", "1.5"],
     "converge": ["converge", "--theta", f"cantor:{CANTOR},4"],
+    # 203 directions on a 2048-point lattice: each 64-row chunk of the scan
+    # spans several gather blocks, and the last chunk is partial
+    "maximal-interval": ["maximal", "--theta", "interval:-1,1"],
+    "converge-interval": ["converge", "--theta", "interval:-1,1"],
 }
 
 GOLDEN = {
@@ -61,6 +65,11 @@ GOLDEN = {
     },
     "converge": {
         "converge.csv": "984d05fa1b0220dea48eac98e43f98cd398c42cb983eb39987fa159f0464889c",
+        "converge.gp": "f220ae8d27e889190ff28602a2d38c96b0617383c6eaebb12403eec1d6f27d1e",
+    },
+    "maximal-interval": {"maximal.csv": "cfb4cedc4b86c10e6fa0929ad89c5199931f661883989d2c94e07d1c19353e14"},
+    "converge-interval": {
+        "converge.csv": "8184aec1eb6ee247a99ef426c16e8941d028098ce6cdf8575a9ba6f9e8c0f0c2",
         "converge.gp": "f220ae8d27e889190ff28602a2d38c96b0617383c6eaebb12403eec1d6f27d1e",
     },
 }

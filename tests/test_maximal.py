@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dispmax import maximal
 from dispmax.directions import make_intervals, make_points
 from dispmax.maximal import (
     _scan,
@@ -20,6 +21,7 @@ from dispmax.spectral import (
     DispersionProfile,
     SampledSignal,
     SpectralCoefficients,
+    _alternating_sign,
     forward_transform,
     inverse_transform,
     make_sobolev_data,
@@ -124,6 +126,128 @@ class TestMaximalFunction:
         lo, hi = theta.components[0]
         assert theta_values[0] == lo and theta_values[-1] == hi
         assert np.max(np.diff(theta_values), initial=0.0) * band <= 0.25 * (1 + 1e-12)
+
+
+def reference_scan(f, theta_values, t_grid, profile, x_count, r_levels=None):
+    """The scan as first written: one fresh zero-padded buffer per chunk, the
+    whole row scaled by 1/h, and one flat argmax over (t, theta) pairs."""
+    subtract = r_levels is not None
+    c = forward_transform(f)
+    band = c.band_limit()
+    half_width = f.half_width
+    step_target = 0.25 / band if band > 0 else f.grid_step
+    n_eval = f.n
+    while 2.0 * half_width / n_eval > step_target:
+        n_eval *= 2
+    h = 2.0 * half_width / n_eval
+
+    n = f.n
+    adj = _alternating_sign(n) * c.coeffs
+    pos_in_eval = np.arange(-n // 2, n // 2) % n_eval
+    phi = np.asarray(profile.phi(c.frequencies), dtype=float)
+
+    ideal = -1.0 + (np.arange(x_count) + 0.5) * (2.0 / x_count)
+    x_idx = np.round((ideal + half_width) / h).astype(np.int64)
+    x_snap = x_idx * h - half_width
+
+    base = np.zeros(n_eval, dtype=complex)
+    base[pos_in_eval] = adj
+    f0 = (np.fft.ifft(base) / h)[x_idx % n_eval] if subtract else None
+
+    n_theta = len(theta_values)
+    best = np.full(x_count, -1.0)
+    best_t = np.zeros(x_count, dtype=np.int64)
+    best_th = np.zeros(x_count, dtype=np.int64)
+    level_max = np.zeros((len(r_levels), x_count)) if subtract else None
+
+    cur = np.exp(1j * t_grid[0] * phi)
+    dt = t_grid[1] - t_grid[0] if len(t_grid) > 1 else 0.0
+    step_mult = np.exp(1j * dt * phi)
+
+    for start in range(0, len(t_grid), 64):
+        t_chunk = t_grid[start : start + 64]
+        m = len(t_chunk)
+        coeff = np.empty((m, n), dtype=complex)
+        coeff[0] = cur
+        for i in range(1, m):
+            coeff[i] = coeff[i - 1] * step_mult
+        cur = coeff[-1] * step_mult
+        a = np.zeros((m, n_eval), dtype=complex)
+        a[:, pos_in_eval] = coeff * adj
+        fields = np.fft.ifft(a, axis=1) / h
+
+        idx = np.round(
+            (x_snap[None, :, None] + t_chunk[:, None, None] * theta_values[None, None, :] + half_width) / h
+        ).astype(np.int64) % n_eval
+        g = np.take_along_axis(fields, idx.reshape(m, -1), axis=1).reshape(m, x_count, n_theta)
+        if subtract:
+            g = g - f0[None, :, None]
+        vals = np.abs(g)
+
+        flat = vals.transpose(1, 0, 2).reshape(x_count, m * n_theta)
+        cand = flat.max(axis=1)
+        arg = flat.argmax(axis=1)
+        upd = cand > best
+        best = np.where(upd, cand, best)
+        best_t = np.where(upd, start + arg // n_theta, best_t)
+        best_th = np.where(upd, arg % n_theta, best_th)
+
+        if subtract:
+            abs_t = np.abs(t_chunk)
+            for li, r in enumerate(r_levels):
+                sel = abs_t <= r * (1 + 1e-12)
+                if sel.any():
+                    level_max[li] = np.maximum(level_max[li], vals[sel].max(axis=(0, 2)))
+
+    return best, best_t, best_th, level_max, h
+
+
+class TestScanMatchesReference:
+    """The chunked, blocked scan reproduces the reference bit for bit."""
+
+    def check(self, f, theta_values, t_grid, r_levels=None, x_count=65):
+        res = _scan(f, theta_values, t_grid, PROFILE, x_count, r_levels=r_levels)
+        values, t_arg, theta_arg, level_max, h = reference_scan(
+            f, theta_values, t_grid, PROFILE, x_count, r_levels)
+        assert np.array_equal(res.values, values)
+        assert np.array_equal(res.t_arg, t_arg)
+        assert np.array_equal(res.theta_arg, theta_arg)
+        assert res.lattice_step == h
+        if r_levels is None:
+            assert res.level_max is None
+        else:
+            assert np.array_equal(res.level_max, level_max)
+
+    def test_point_direction(self):
+        f = band_limited(7)
+        t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), PROFILE,
+                                             make_points([0.3]))
+        self.check(f, theta_values, t_grid)
+
+    def test_wide_interval_crosses_block_boundaries(self):
+        f = band_limited(8, half_width=12.0)
+        t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), PROFILE,
+                                             make_intervals([(-1.0, 1.0)]))
+        rows_per_block = maximal._CELLS // (65 * len(theta_values))
+        assert 1 <= rows_per_block < maximal._SCAN_CHUNK
+        assert len(t_grid) % maximal._SCAN_CHUNK != 0  # the last chunk is partial
+        self.check(f, theta_values, t_grid)
+
+    def test_convergence_levels(self):
+        f = make_sobolev_data(1.0, 9, half_width=12.0, n=256)  # h is not a power of two
+        theta = make_intervals([(-1.0, 1.0)])
+        levels = np.array([0.5, 0.25, 0.1])
+        t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), PROFILE, theta,
+                                             t_range=0.5)
+        self.check(f, theta_values, t_grid, r_levels=levels)
+
+    def test_ties_take_the_first_pair(self):
+        f = SampledSignal(8.0, np.zeros(64, dtype=complex))
+        theta_values, t_grid = np.linspace(0.0, 1.0, 300), np.linspace(-1.0, 1.0, 129)
+        res = _scan(f, theta_values, t_grid, PROFILE, 65)
+        assert np.all(res.values == 0.0)
+        assert np.all(res.t_arg == 0) and np.all(res.theta_arg == 0)
+        self.check(f, theta_values, t_grid)
 
 
 class TestConvergenceScan:

@@ -217,6 +217,16 @@ class TestSignalCsv:
         assert g.half_width == f.half_width
         assert np.max(np.abs(g.values - f.values)) < 1e-15
 
+    @pytest.mark.parametrize("body", [
+        "-2,1,0\n-1,1,0\n3,1,0\n4,1,0\n",
+        "0,1,0\n1,1,0\n2,1,0\n3,1,0\n",
+        "-2,1,0\n-1,nan,0\n0,1,0\n1,1,0\n",
+        "-2,1,0\n-1,1,-inf\n0,1,0\n1,1,0\n",
+    ], ids=["nonuniform-x", "x-not-centred", "nan-sample", "inf-sample"])
+    def test_rejects_malformed(self, body):
+        with pytest.raises(ValueError):
+            signal_from_csv("x,re,im\n" + body)
+
     def test_header(self):
         f = random_signal(2, n=8)
         assert signal_to_csv(f).splitlines()[0].endswith("x,re,im")
