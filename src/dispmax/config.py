@@ -46,10 +46,10 @@ class ExperimentConfig:
             raise ConfigError(f"sigma below q/4 (sigma={sig}, q={self.q})")
         if sig > 1.0 + 1e-12:
             raise ConfigError(f"sigma above 1 (sigma={sig})")
-        if not self.a > 1.0:
-            raise ConfigError(f"a={self.a} must exceed 1")
-        if not self.s > 0.0:
-            raise ConfigError(f"s={self.s} must be positive")
+        if not 1.0 < self.a < float("inf"):
+            raise ConfigError(f"a={self.a} must exceed 1 and be finite")
+        if not 0.0 < self.s < float("inf"):
+            raise ConfigError(f"s={self.s} must be positive and finite")
         if self.trials < 1 or self.x_count < 1:
             raise ConfigError(f"trials={self.trials} and x_count={self.x_count} must be at least 1")
         if self.samples_per_region < 1:

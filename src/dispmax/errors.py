@@ -10,7 +10,7 @@ class ConfigError(DispmaxError):
 
 
 class NonconformingProfileError(DispmaxError):
-    """Dispersion profile fails the curvature conditions on the sampled range."""
+    """Dispersion profile fails the curvature conditions, or overflows, on the sampled range."""
 
 
 class AliasingError(DispmaxError):

@@ -10,11 +10,12 @@ resolution rule:
     theta-step <= (1/4) / band,
     lattice    <= (1/4) / band.
 
-The scan does only the work it reads: one pair of FFT buffers per scan,
-the 1/h scaling applied to the gathered lattice values only, and a gather
-in blocks of about _CELLS (t, x, theta) cells with an exact two-stage
-max/argmax, so its temporaries do not grow with the number of directions
-(see _scan).
+The scan does only the work it reads.  Per block of time slices it builds
+one small real table, |u/h - f(x)| in convergence mode and |u/h| otherwise,
+at just the lattice points the block's cells can reach; each (t, x, theta)
+cell then costs its exact lattice index and one read from that table.
+Every table value goes through the elementwise steps a cell would, so the
+output bits are those of a cell-by-cell scan (see _scan).
 
 Operator-norm estimates are witnessed by a concrete f, produced either by
 random shell data or by an alternating maximization (fix the per-x argmax,
@@ -28,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .directions import DirectionSet, make_intervals, make_points
 from .filters import project, psi0, psi_k
@@ -84,6 +86,33 @@ def grid_for_band(
     return np.linspace(-t_range, t_range, max(nt, 3)), theta.sample(ntheta)
 
 
+def _lattice_index(x, t, theta, half_width, h, out=None):
+    """rint((x + t*theta + half_width) / h) over (t, x, theta), as floats.
+
+    Each step is one correctly rounded IEEE operation, monotone in its
+    operand: the product in theta (increasing for t >= 0, decreasing for
+    t < 0), the sums, the division by h > 0 and rint.  So the result is
+    non-decreasing in x and, for fixed t, monotone in theta.
+    """
+    pos = np.add((t[:, None] * theta[None, :])[:, None, :], x[None, :, None], out=out)
+    pos += half_width
+    pos /= h
+    return np.rint(pos, out=pos)
+
+
+def _reach(x, t, theta_ends, half_width, h):
+    """(lo, hi): the least and greatest lattice index over theta, per (t, x).
+
+    theta_ends holds the smallest and the largest direction.  By
+    monotonicity (see _lattice_index) the extremes over all directions come
+    from these two, evaluated by the very expression each cell uses, so
+    every cell's index lies in [lo, hi] with no margin.
+    """
+    a = _lattice_index(x, t, theta_ends[:1], half_width, h)[:, :, 0]
+    b = _lattice_index(x, t, theta_ends[1:], half_width, h)[:, :, 0]
+    return np.minimum(a, b).astype(np.int64), np.maximum(a, b).astype(np.int64)
+
+
 def _scan(
     f: SampledSignal,
     theta_values: np.ndarray,
@@ -101,16 +130,34 @@ def _scan(
     Time slices go through the inverse FFT _SCAN_CHUNK rows at a time, in
     two buffers allocated once per scan: a zero-padded input whose live
     slices [0, n/2) and [n_eval - n/2, n_eval) are overwritten per chunk
-    (the padding between them stays zero), and the FFT output.  The scan
-    reads only x_count * n_theta points of each row, so the 1/h scaling is
-    applied to the gathered values alone; elementwise that gives the same
-    bits as scaling the whole row first.  The gather runs in blocks of
-    whole time slices holding at most _CELLS (t, x, theta) cells (one
-    slice, if a slice holds more), so no temporary grows with the chunk
-    times n_theta.  Each block reduces in two exact stages: the max over
-    theta per (t, x), the first t attaining its max, then the first theta
-    in that row -- the same first occurrence as an argmax over the
-    flattened (t, theta) pairs.
+    (the padding between them stays zero), and the FFT output.
+
+    The cells are then read in blocks of whole time slices holding at most
+    _CELLS (t, x, theta) cells (one slice, if a slice holds more).  A cell
+    reads lattice index rint((x + t*theta + half_width) / h) modulo n_eval.
+    For each block the scan first builds a magnitude table:
+
+    - convergence mode: per (t, x), |u/h - f(x)| over the window [lo, hi]
+      of lattice indices that x + t*theta reaches as theta varies;
+    - plain mode: per t, |u/h| over the one span that covers every x.
+
+    A window needs no safety margin.  Each float step of the index is one
+    correctly rounded, monotone operation, so for fixed (t, x) the index is
+    monotone in theta, and the same expression evaluated at the smallest
+    and largest theta gives exactly lo and hi (see _reach); in x it is
+    monotone too, so the plain span comes from the first and last x.  The
+    span of the block is wrapped around the periodic box once, on its
+    column indices, so no cell takes an index modulo n_eval.  Each cell
+    then adds its window's base in the flat table to its float index and
+    reads one float64.
+
+    The result is bit for bit that of a scan that gathers u at every cell
+    and computes |u/h - f(x)| there: every table value goes through the
+    same elementwise operations in the same order (gather, divide by h,
+    subtract f(x), abs).  So the two-stage reduction of each block sees the
+    same values: the max over theta per (t, x), the first t attaining its
+    max, then the first theta in that row -- the same first occurrence as
+    an argmax over the flattened (t, theta) pairs.
     """
     subtract = r_levels is not None
     c = forward_transform(f)
@@ -132,9 +179,9 @@ def _scan(
     x_idx = np.round((ideal + half_width) / h).astype(np.int64)
     x_snap = x_idx * h - half_width
 
-    base = np.zeros(n_eval, dtype=complex)
-    base[pos_in_eval] = adj
-    f0 = np.fft.ifft(base)[x_idx % n_eval] / h if subtract else None
+    spectrum = np.zeros(n_eval, dtype=complex)
+    spectrum[pos_in_eval] = adj
+    f0 = np.fft.ifft(spectrum)[x_idx % n_eval] / h if subtract else None
 
     n_theta = len(theta_values)
     best = np.full(x_count, -1.0)
@@ -149,11 +196,12 @@ def _scan(
     coeff = np.empty((_SCAN_CHUNK, n), dtype=complex)
     padded = np.zeros((_SCAN_CHUNK, n_eval), dtype=complex)
     fields = np.empty((_SCAN_CHUNK, n_eval), dtype=complex)
-    flat = fields.reshape(-1)
-    row_offset = (np.arange(_SCAN_CHUNK) * n_eval)[:, None, None]
-    block = max(1, _CELLS // (x_count * n_theta))
-    x_col = x_snap[None, :, None]
+    block = min(_SCAN_CHUNK, max(1, _CELLS // (x_count * n_theta)))
+    pos_buf = np.empty((block, x_count, n_theta))
+    idx_buf = np.empty((block, x_count, n_theta), dtype=np.int64)
     x_pos = np.arange(x_count)
+    theta_ends = np.array([theta_values.min(), theta_values.max()])
+    x_ends = x_snap if subtract else x_snap[[0, -1]]
 
     for start in range(0, len(t_grid), _SCAN_CHUNK):
         t_chunk = t_grid[start : start + _SCAN_CHUNK]
@@ -168,18 +216,35 @@ def _scan(
 
         for b0 in range(0, m, block):
             t_block = t_chunk[b0 : b0 + block]
-            pos = x_col + t_block[:, None, None] * theta_values[None, None, :]
-            pos += half_width
-            pos /= h
-            np.round(pos, out=pos)
-            idx = pos.astype(np.int64)
-            idx %= n_eval
-            idx += row_offset[b0 : b0 + len(t_block)]
-            g = flat[idx]
-            g /= h
+            nb = len(t_block)
+            rows = np.arange(nb)[:, None]
+
+            # The lattice span [s0, s1) the block reaches, scaled by 1/h.
+            lo, hi = _reach(x_ends, t_block, theta_ends, half_width, h)
+            width = int((hi - lo).max()) + 1
+            s0, s1 = int(lo.min()), int(lo.max()) + width
+            if 0 <= s0 and s1 <= n_eval:
+                span = fields[b0 : b0 + nb, s0:s1] / h
+            else:  # past the edge of the periodic box: wrap the span's columns once
+                span = np.take(fields[b0 : b0 + nb], np.arange(s0, s1), axis=1, mode="wrap") / h
+
+            # The magnitude table, and each window's base in it: one window of
+            # `width` values per (t, x) in convergence mode, where the value
+            # depends on x through f(x); the whole span per t otherwise.
             if subtract:
+                g = sliding_window_view(span, width, axis=1)[rows, lo - s0]
                 g -= f0[None, :, None]
-            vals = np.abs(g)
+                table = np.abs(g).reshape(-1)
+                base = np.arange(nb * x_count).reshape(nb, x_count) * width - lo
+            else:
+                table = np.abs(span).reshape(-1)
+                base = rows * (s1 - s0) - s0
+
+            pos = _lattice_index(x_snap, t_block, theta_values, half_width, h, out=pos_buf[:nb])
+            idx = idx_buf[:nb]
+            np.copyto(idx, pos, casting="unsafe")
+            idx += base[:, :, None]
+            vals = np.take(table, idx, out=pos)
 
             tmax = vals.max(axis=2)
             arg_t = tmax.argmax(axis=0)

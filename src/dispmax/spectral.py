@@ -38,15 +38,21 @@ class DispersionProfile:
 
         |xi|^a is evaluated through exp(a*log|xi|) with the value at 0 set
         to 0; the curvature conditions only constrain |xi| >= 1, so the
-        derivatives are never sampled at the origin.
+        derivatives are never sampled at the origin.  Phi raises
+        NonconformingProfileError where |xi|^a overflows, so every caller
+        (the scan grid, the propagator) fails the same way.
         """
         if not a > 1:
             raise ValueError(f"power profile needs a > 1, got {a}")
 
         def phi(xi):
             axi = np.abs(np.asarray(xi, dtype=float))
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore"):
                 out = np.where(axi > 0, np.exp(a * np.log(np.maximum(axi, 1e-300))), 0.0)
+            if not np.all(np.isfinite(out)):
+                raise NonconformingProfileError(
+                    f"Phi = |xi|^{a:g} is not finite at |xi| = {np.min(axi[~np.isfinite(out)]):g}"
+                )
             return out if np.ndim(xi) else float(out)
 
         def phi_prime(xi):

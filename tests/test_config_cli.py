@@ -175,6 +175,11 @@ class TestCli:
         (["evolve"], {"--input": "x,re,im\n0,1,0\n1,1,0\n2,1,0\n3,1,0\n"}),
         (["maximal"], {"--input": "x,re,im\n-2,1,0\n-1,nan,0\n0,1,0\n1,1,0\n"}),
         (["evolve"], {"--input": "x,re,im\n-2,1,0\n-1,1,inf\n0,1,0\n1,1,0\n"}),
+        (["maximal", "--a", "inf"], None),
+        (["evolve", "--a", "inf"], None),
+        (["converge"], {"--config": "a = nan"}),
+        (["evolve", "--s", "inf"], None),
+        (["converge", "--s", "inf"], None),
     ], ids=["q-out-of-range", "unknown-theta-kind", "theta-outside-range",
             "band-above-bank", "band-negative", "lam-below-2", "t-nan",
             "missing-config-file", "s-negative", "q-below-estimator-range",
@@ -184,7 +189,8 @@ class TestCli:
             "lambda-leaves-v2-empty", "lambda-range-reversed", "missing-input-file",
             "input-wrong-header", "input-single-row", "input-length-not-power-of-two",
             "input-nonuniform-x", "input-x-not-centred",
-            "input-non-finite", "input-non-finite-imag"])
+            "input-non-finite", "input-non-finite-imag", "a-inf-maximal", "a-inf-evolve",
+            "a-nan", "s-inf-evolve", "s-inf-converge"])
     def test_config_error_exit_code(self, argv, files, tmp_path, capsys):
         for flag, text in (files or {}).items():
             path = tmp_path / flag.lstrip("-")
@@ -201,6 +207,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--a", "1e300"],
+        ["maximal", "--a", "1e300"],
+        ["converge", "--a", "300"],
+    ], ids=["evolve", "maximal", "converge"])
+    def test_overflowing_profile_exit_code(self, argv, tmp_path, capsys):
+        # a is finite, but |xi|^a overflows on the band of the default grid
+        assert main(argv + ["--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: Phi = |xi|^")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "evolved.csv").exists()
 
     def test_region_sampling_failure_exit_code(self, tmp_path, capsys):
         # at lambda = 2^10 and sigma = 1 region V3 is too thin to fill its quota

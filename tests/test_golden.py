@@ -41,6 +41,17 @@ COMMANDS = {
     # spans several gather blocks, and the last chunk is partial
     "maximal-interval": ["maximal", "--theta", "interval:-1,1"],
     "converge-interval": ["converge", "--theta", "interval:-1,1"],
+    "converge-point": ["converge", "--theta", "point:0.9"],
+    # half_width 1.5 and 1.1 (CONFIG_EXTRA): x + t*theta leaves the periodic
+    # box, so the scan's lattice windows wrap around it
+    "maximal-wrap": ["maximal", "--theta", "interval:-1,1", "--band", "2"],
+    "converge-wrap": ["converge", "--theta", f"cantor:{CANTOR},4"],
+}
+
+# config lines appended to CONFIG for some cases (a later key wins)
+CONFIG_EXTRA = {
+    "maximal-wrap": "half_width = 1.5\n",
+    "converge-wrap": "half_width = 1.1\nn_grid = 32\n",
 }
 
 GOLDEN = {
@@ -72,6 +83,15 @@ GOLDEN = {
         "converge.csv": "8184aec1eb6ee247a99ef426c16e8941d028098ce6cdf8575a9ba6f9e8c0f0c2",
         "converge.gp": "f220ae8d27e889190ff28602a2d38c96b0617383c6eaebb12403eec1d6f27d1e",
     },
+    "maximal-wrap": {"maximal.csv": "c375b9d80816327b9a2e2e03a8d77407508452e6a00f9fec65320a38e4ab9ca1"},
+    "converge-wrap": {
+        "converge.csv": "b1ecc5a7ef9646c533c352c8f719850dcb0450c380d88232a78c4eb60f571471",
+        "converge.gp": "f220ae8d27e889190ff28602a2d38c96b0617383c6eaebb12403eec1d6f27d1e",
+    },
+    "converge-point": {
+        "converge.csv": "12fbf441f760b1c76148e4d431131e9ee00815e8b6a5f370b9bce47db21a1be7",
+        "converge.gp": "f220ae8d27e889190ff28602a2d38c96b0617383c6eaebb12403eec1d6f27d1e",
+    },
 }
 
 
@@ -86,7 +106,7 @@ def output_digests(out_dir) -> dict:
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_outputs_match_golden_digests(command, tmp_path, capsys):
     cfg = tmp_path / "golden.cfg"
-    cfg.write_text(CONFIG)
+    cfg.write_text(CONFIG + CONFIG_EXTRA.get(command, ""))
     out = tmp_path / "out"
     assert main(COMMANDS[command] + ["--config", str(cfg), "--out", str(out)]) == 0
     assert output_digests(out) == GOLDEN[command]

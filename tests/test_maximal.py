@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispmax import maximal
-from dispmax.directions import make_intervals, make_points
+from dispmax.directions import make_cantor, make_intervals, make_points
 from dispmax.maximal import (
     _scan,
     convergence_scan,
@@ -248,6 +248,65 @@ class TestScanMatchesReference:
         assert np.all(res.values == 0.0)
         assert np.all(res.t_arg == 0) and np.all(res.theta_arg == 0)
         self.check(f, theta_values, t_grid)
+
+    @pytest.mark.parametrize("half_width", [0.6, 1.3], ids=["hw0.6", "hw1.3"])
+    @pytest.mark.parametrize("levels", [None, [0.75, 0.3]], ids=["plain", "levels"])
+    def test_windows_wrap_around_the_box(self, half_width, levels):
+        # x + t*theta leaves [-half_width, half_width), so the lattice span
+        # of a block wraps, at 0.6 by more than one period
+        f = band_limited(10, half_width=half_width, n=64, top=12.0)
+        t_range = 1.0 if levels is None else levels[0]
+        t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), PROFILE,
+                                             make_intervals([(-1.0, 1.0)]), t_range=t_range)
+        self.check(f, theta_values, t_grid,
+                   r_levels=None if levels is None else np.array(levels))
+
+    @pytest.mark.parametrize("levels", [None, [0.5, 0.125]], ids=["plain", "levels"])
+    def test_cantor_directions_with_gaps(self, levels):
+        f = band_limited(11, half_width=12.0)
+        t_range = 1.0 if levels is None else levels[0]
+        t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), PROFILE,
+                                             make_cantor(2, 1.0 / 3.0, 4), t_range=t_range)
+        self.check(f, theta_values, t_grid,
+                   r_levels=None if levels is None else np.array(levels))
+
+    def test_point_direction_convergence_levels(self):
+        f = make_sobolev_data(0.8, 12, half_width=12.0, n=256)
+        t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), PROFILE,
+                                             make_points([0.9]), t_range=0.5)
+        self.check(f, theta_values, t_grid, r_levels=np.array([0.5, 0.25, 0.0625]))
+
+
+class TestLatticeWindows:
+    """Every cell's lattice offset lies in the window the scan builds for it."""
+
+    @pytest.mark.parametrize("half_width, theta_values", [
+        (12.0, make_cantor(2, 1.0 / 3.0, 3).sample(4)),
+        (1.3, np.linspace(-1.0, 1.0, 31)),
+        (0.6, np.array([0.9])),
+        (32.0, np.array([0.7, -0.35, 0.0, 0.123456789, -1.0])),  # unsorted
+    ], ids=["cantor", "interval-wrapping", "point-wrapping", "unsorted"])
+    def test_offsets_lie_in_the_window(self, half_width, theta_values):
+        h = 2.0 * half_width / 4096 * 0.987654321  # not a power of two
+        t = np.linspace(-1.0, 1.0, 2001)
+        ideal = -1.0 + (np.arange(65) + 0.5) * (2.0 / 65)
+        x_idx = np.round((ideal + half_width) / h).astype(np.int64)
+        x_snap = x_idx * h - half_width
+        # each cell's index, by the formula the scan has always used
+        idx = np.round(
+            (x_snap[None, :, None] + t[:, None, None] * theta_values[None, None, :] + half_width) / h
+        ).astype(np.int64)
+        offset = idx - x_idx[None, :, None]
+        theta_ends = np.array([theta_values.min(), theta_values.max()])
+        lo, hi = maximal._reach(x_snap, t, theta_ends, half_width, h)
+        assert np.all(offset >= (lo - x_idx)[:, :, None])
+        assert np.all(offset <= (hi - x_idx)[:, :, None])
+        # the extremes are attained, so the window is no wider than it must be
+        assert np.array_equal(lo, idx.min(axis=2)) and np.array_equal(hi, idx.max(axis=2))
+        # plain mode's span per t, from the first and last x alone
+        lo_s, hi_s = maximal._reach(x_snap[[0, -1]], t, theta_ends, half_width, h)
+        assert np.array_equal(lo_s.min(axis=1), idx.min(axis=(1, 2)))
+        assert np.array_equal(hi_s.max(axis=1), idx.max(axis=(1, 2)))
 
 
 class TestConvergenceScan:

@@ -209,6 +209,12 @@ class TestDispersionConditions:
         with pytest.raises(NonconformingProfileError):
             check_dispersion_conditions(prof)
 
+    def test_power_profile_rejects_overflow(self):
+        prof = DispersionProfile.power(300.0)
+        assert abs(prof.phi(10.0) / 1e300 - 1.0) < 1e-12
+        with pytest.raises(NonconformingProfileError, match="not finite"):
+            prof.phi(np.array([0.0, 2.0, 20.0]))
+
 
 class TestSignalCsv:
     def test_round_trip(self):
