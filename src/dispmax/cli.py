@@ -117,11 +117,12 @@ def _cmd_evolve(cfg: ExperimentConfig, args) -> int:
     f = _load_signal(cfg, args)
     profile = DispersionProfile.power(cfg.a)
     g = evolve(f, args.t, profile)
+    norm = sobolev_norm(f, cfg.s)
     path = _out_path(cfg, "evolved.csv")
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# t={args.t:.17g}\n# a={cfg.a:.17g}\n")
         fh.write(signal_to_csv(g))
-    print(f"wrote {path} (H^{cfg.s:g} norm in = {sobolev_norm(f, cfg.s):.6g})")
+    print(f"wrote {path} (H^{cfg.s:g} norm in = {norm:.6g})")
     return 0
 
 

@@ -17,6 +17,10 @@ class AliasingError(DispmaxError):
     """Requested frequency shell exceeds the grid Nyquist frequency."""
 
 
+class RangeError(DispmaxError):
+    """A grid size or value falls outside what float64 arithmetic or memory can hold."""
+
+
 class QuadratureError(DispmaxError):
     """Oscillatory quadrature exceeded its panel budget."""
 

@@ -10,12 +10,17 @@ resolution rule:
     theta-step <= (1/4) / band,
     lattice    <= (1/4) / band.
 
-The scan does only the work it reads.  Per block of time slices it builds
-one small real table, |u/h - f(x)| in convergence mode and |u/h| otherwise,
-at just the lattice points the block's cells can reach; each (t, x, theta)
-cell then costs its exact lattice index and one read from that table.
-Every table value goes through the elementwise steps a cell would, so the
-output bits are those of a cell-by-cell scan (see _scan).
+The scan does only the work it reads.  A cell's lattice index splits into
+an x part and a direction part: x_idx + rint(t*theta/h), exactly, unless
+t*theta/h lies within a rounding-error margin of a half-integer (see _scan
+for the bound).  So a time slice's directions reach only a few distinct
+offsets, the same for every x.  Per block of time slices the scan builds
+the values |u/h - f(x)| in convergence mode and |u/h| otherwise over each
+slice's window of offsets, and takes the max over the offsets the slice
+reaches; the rare near-tie pairs, and the theta argmax of a row that beats
+the best so far, use the per-cell index.  Every value goes through the
+elementwise steps a cell would, so the output bits are those of a
+cell-by-cell scan.
 
 Operator-norm estimates are witnessed by a concrete f, produced either by
 random shell data or by an alternating maximization (fix the per-x argmax,
@@ -29,9 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .directions import DirectionSet, make_intervals, make_points
+from .errors import RangeError
 from .filters import project, psi0, psi_k
 from .spectral import (
     DispersionProfile,
@@ -44,7 +49,9 @@ from .spectral import (
 
 _PHASE_BUDGET = 0.25  # max phase change (radians) per grid step in t, theta, x
 _SCAN_CHUNK = 64  # time slices synthesized per batched inverse FFT
-_CELLS = 1 << 18  # (t, x, theta) cells gathered per block, so temporaries stay cache-sized
+_CELLS = 1 << 15  # window values per block of time slices (32 B of temporaries each)
+_MAX_STEPS = 1 << 24  # grid points per axis; a 2^24-slice scan already runs for hours
+_TIE_MARGIN = 1e-6  # t*theta/h this near a half-integer takes the per-cell index (see _scan)
 
 
 @dataclass(frozen=True)
@@ -74,43 +81,51 @@ def grid_for_band(
     """(t_grid, theta_values): the coarsest scan grid meeting the resolution rule.
 
     This is the only place a scan grid is built, so every scan meets the rule.
+    Raises RangeError where the rule asks for more than _MAX_STEPS points in
+    t or in theta.
     """
     pm = _phi_max(profile, band)
     t_step = _PHASE_BUDGET / pm if pm > 0 else 2.0 * t_range
-    nt = int(np.ceil(2.0 * t_range / t_step)) + 1
-    if nt % 2 == 0:  # odd so that t = 0 is on the grid
-        nt += 1
     widest = max(b - a for a, b in theta.components)
     th_step = _PHASE_BUDGET / band if band > 0 else np.inf
-    ntheta = max(1, int(np.ceil(widest / th_step)) + 1) if widest > 0 else 1
+    t_steps, th_steps = 2.0 * t_range / t_step, widest / th_step
+    for axis, steps in (("t", t_steps), ("theta", th_steps)):
+        if not steps < _MAX_STEPS:
+            raise RangeError(f"the resolution rule asks for {steps:.3g} {axis} steps "
+                             f"at band {band:g}, more than {_MAX_STEPS}")
+    nt = int(np.ceil(t_steps)) + 1
+    if nt % 2 == 0:  # odd so that t = 0 is on the grid
+        nt += 1
+    ntheta = max(1, int(np.ceil(th_steps)) + 1) if widest > 0 else 1
     return np.linspace(-t_range, t_range, max(nt, 3)), theta.sample(ntheta)
 
 
-def _lattice_index(x, t, theta, half_width, h, out=None):
-    """rint((x + t*theta + half_width) / h) over (t, x, theta), as floats.
+def _cell_index(prod, x, half_width, h):
+    """rint((x + t*theta + half_width) / h) as int64, given prod = t*theta.
 
-    Each step is one correctly rounded IEEE operation, monotone in its
-    operand: the product in theta (increasing for t >= 0, decreasing for
-    t < 0), the sums, the division by h > 0 and rint.  So the result is
-    non-decreasing in x and, for fixed t, monotone in theta.
+    The lattice index of scan cell (t, x, theta); prod and x broadcast.
     """
-    pos = np.add((t[:, None] * theta[None, :])[:, None, :], x[None, :, None], out=out)
+    pos = np.add(prod, x)
     pos += half_width
     pos /= h
-    return np.rint(pos, out=pos)
+    return np.rint(pos, out=pos).astype(np.int64)
 
 
-def _reach(x, t, theta_ends, half_width, h):
-    """(lo, hi): the least and greatest lattice index over theta, per (t, x).
+def _direction_offsets(prod, h):
+    """(offset, near_tie, lo, width) of the (t, theta) pairs, given prod = t*theta.
 
-    theta_ends holds the smallest and the largest direction.  By
-    monotonicity (see _lattice_index) the extremes over all directions come
-    from these two, evaluated by the very expression each cell uses, so
-    every cell's index lies in [lo, hi] with no margin.
+    offset = rint(t*theta/h) per pair.  Off a near tie, cell (t, x, theta)
+    reads lattice index x_idx + offset for every x (see _scan); a near-tie
+    pair's t*theta/h lies within _TIE_MARGIN of a half-integer, and its cells
+    take _cell_index, which lands one either side of offset.  Per time slice
+    the window [lo, lo + width) of offsets holds both.
     """
-    a = _lattice_index(x, t, theta_ends[:1], half_width, h)[:, :, 0]
-    b = _lattice_index(x, t, theta_ends[1:], half_width, h)[:, :, 0]
-    return np.minimum(a, b).astype(np.int64), np.maximum(a, b).astype(np.int64)
+    q = prod / h
+    offset = np.rint(q)
+    near_tie = np.abs(q - offset) > 0.5 - _TIE_MARGIN
+    offset = offset.astype(np.int64)
+    lo = (offset - near_tie).min(axis=1)
+    return offset, near_tie, lo, (offset + near_tie).max(axis=1) - lo + 1
 
 
 def _scan(
@@ -132,32 +147,45 @@ def _scan(
     slices [0, n/2) and [n_eval - n/2, n_eval) are overwritten per chunk
     (the padding between them stays zero), and the FFT output.
 
-    The cells are then read in blocks of whole time slices holding at most
-    _CELLS (t, x, theta) cells (one slice, if a slice holds more).  A cell
-    reads lattice index rint((x + t*theta + half_width) / h) modulo n_eval.
-    For each block the scan first builds a magnitude table:
+    Cell (t, x, theta) reads lattice index rint((x + t*theta + half_width) / h)
+    modulo n_eval (_cell_index).  With x = x_idx*h - half_width that index is
+    x_idx + J(t, theta), J = rint(t*theta/h), unless t*theta/h lies within
+    _TIE_MARGIN of a half-integer.  The margin is sized by the rounding
+    error: the cell's index takes five correctly rounded steps (x_idx*h,
+    - half_width, + t*theta, + half_width, / h) and t*theta/h one, each
+    off by at most 2^-53 * M lattice steps, with M the size of the largest
+    number involved, M < (max|x| + half_width + max|t*theta|) / h + 1.  So
+    the two index values differ by less than 7 * 2^-53 * M, about 1e-10
+    for the lattices the scans use, and _TIE_MARGIN = 1e-6 lies far above
+    that (the scan refuses M >= 2^30, where the bound reaches 1e-6) and far
+    below 1/2.  Off the margin the two round alike, so the offset does not
+    depend on x.  On it, rint rounds half to even and the index depends on
+    the parity of x_idx: such near-tie pairs take the per-cell expression.
 
-    - convergence mode: per (t, x), |u/h - f(x)| over the window [lo, hi]
-      of lattice indices that x + t*theta reaches as theta varies;
-    - plain mode: per t, |u/h| over the one span that covers every x.
+    So per time slice only the distinct offsets D(t) of its directions are
+    read.  Each block of time slices builds the values of the window
+    [lo(t), lo(t) + width) of offsets around each x: |u/h - f(x)| in
+    convergence mode, |u/h| otherwise.  The window holds every offset of
+    the slice, and one more on each side of a near-tie pair's.  The block
+    holds whole slices and at most _CELLS window values (one slice, if a
+    slice holds more).  Its lattice span is wrapped around the periodic box
+    once, on its column indices, so no cell takes an index modulo n_eval.
+    Then, per (t, x):
 
-    A window needs no safety margin.  Each float step of the index is one
-    correctly rounded, monotone operation, so for fixed (t, x) the index is
-    monotone in theta, and the same expression evaluated at the smallest
-    and largest theta gives exactly lo and hi (see _reach); in x it is
-    monotone too, so the plain span comes from the first and last x.  The
-    span of the block is wrapped around the periodic box once, on its
-    column indices, so no cell takes an index modulo n_eval.  Each cell
-    then adds its window's base in the flat table to its float index and
-    reads one float64.
+    - tmax is the max of the window values at the offsets in D(t), off
+      near-tie pairs (a masked max), raised by the values the near-tie
+      pairs read;
+    - the first t of the block attaining the max of tmax is the candidate;
+      where it beats the best so far, the theta argmax re-reads that one
+      row's cells by _cell_index and takes the first theta attaining it.
 
     The result is bit for bit that of a scan that gathers u at every cell
-    and computes |u/h - f(x)| there: every table value goes through the
+    and computes |u/h - f(x)| there: every window value goes through the
     same elementwise operations in the same order (gather, divide by h,
-    subtract f(x), abs).  So the two-stage reduction of each block sees the
-    same values: the max over theta per (t, x), the first t attaining its
-    max, then the first theta in that row -- the same first occurrence as
-    an argmax over the flattened (t, theta) pairs.
+    subtract f(x), abs), each cell's value is the window value at its
+    index, and a max does not depend on the order it visits its values.
+    The first t, then the first theta in that row, is the same first
+    occurrence as an argmax over the flattened (t, theta) pairs.
     """
     subtract = r_levels is not None
     c = forward_transform(f)
@@ -179,11 +207,15 @@ def _scan(
     x_idx = np.round((ideal + half_width) / h).astype(np.int64)
     x_snap = x_idx * h - half_width
 
+    reach = np.max(np.abs(t_grid)) * np.max(np.abs(theta_values))
+    if (np.max(np.abs(x_snap)) + half_width + reach) / h + 1 >= 2.0**30:
+        raise RangeError(f"a scan lattice of step {h:g} over |x| <= {half_width:g} is too fine "
+                         "for exact float index arithmetic")
+
     spectrum = np.zeros(n_eval, dtype=complex)
     spectrum[pos_in_eval] = adj
     f0 = np.fft.ifft(spectrum)[x_idx % n_eval] / h if subtract else None
 
-    n_theta = len(theta_values)
     best = np.full(x_count, -1.0)
     best_t = np.zeros(x_count, dtype=np.int64)
     best_th = np.zeros(x_count, dtype=np.int64)
@@ -196,12 +228,8 @@ def _scan(
     coeff = np.empty((_SCAN_CHUNK, n), dtype=complex)
     padded = np.zeros((_SCAN_CHUNK, n_eval), dtype=complex)
     fields = np.empty((_SCAN_CHUNK, n_eval), dtype=complex)
-    block = min(_SCAN_CHUNK, max(1, _CELLS // (x_count * n_theta)))
-    pos_buf = np.empty((block, x_count, n_theta))
-    idx_buf = np.empty((block, x_count, n_theta), dtype=np.int64)
     x_pos = np.arange(x_count)
-    theta_ends = np.array([theta_values.min(), theta_values.max()])
-    x_ends = x_snap if subtract else x_snap[[0, -1]]
+    x_lo, x_hi = int(x_idx.min()), int(x_idx.max())
 
     for start in range(0, len(t_grid), _SCAN_CHUNK):
         t_chunk = t_grid[start : start + _SCAN_CHUNK]
@@ -214,48 +242,59 @@ def _scan(
         np.multiply(coeff[:m, half:], adj[half:], out=padded[:m, :half])
         np.fft.ifft(padded[:m], axis=1, out=fields[:m])
 
-        for b0 in range(0, m, block):
-            t_block = t_chunk[b0 : b0 + block]
-            nb = len(t_block)
-            rows = np.arange(nb)[:, None]
+        # Offsets per (t, theta), each slice's window [lo, lo + widths), and
+        # the lattice column of (offset - lo, x) relative to lo.
+        prod_chunk = t_chunk[:, None] * theta_values[None, :]
+        offset_chunk, tie_chunk, lo_chunk, widths = _direction_offsets(prod_chunk, h)
+        window_cols = np.arange(widths.max())[:, None] + x_idx
+        block = max(1, _CELLS // (x_count * len(window_cols)))
 
-            # The lattice span [s0, s1) the block reaches, scaled by 1/h.
-            lo, hi = _reach(x_ends, t_block, theta_ends, half_width, h)
-            width = int((hi - lo).max()) + 1
-            s0, s1 = int(lo.min()), int(lo.max()) + width
+        for b0 in range(0, m, block):
+            rows_b = slice(b0, b0 + block)
+            prod, offset, tie = prod_chunk[rows_b], offset_chunk[rows_b], tie_chunk[rows_b]
+            lo = lo_chunk[rows_b]
+            nb = len(lo)
+            width = int(widths[rows_b].max())
+            rows = np.arange(nb)
+
+            # The block's lattice span [s0, s1), scaled by 1/h.
+            s0, s1 = x_lo + int(lo.min()), x_hi + int(lo.max()) + width
             if 0 <= s0 and s1 <= n_eval:
                 span = fields[b0 : b0 + nb, s0:s1] / h
             else:  # past the edge of the periodic box: wrap the span's columns once
                 span = np.take(fields[b0 : b0 + nb], np.arange(s0, s1), axis=1, mode="wrap") / h
 
-            # The magnitude table, and each window's base in it: one window of
-            # `width` values per (t, x) in convergence mode, where the value
-            # depends on x through f(x); the whole span per t otherwise.
+            # The window values per (t, offset - lo, x): they depend on x
+            # through the lattice point, and through f(x) in convergence mode.
+            first = rows * (s1 - s0) + lo - s0  # flat position of (t, lo) in span
+            g = span.reshape(-1).take(first[:, None, None] + window_cols[:width])
             if subtract:
-                g = sliding_window_view(span, width, axis=1)[rows, lo - s0]
-                g -= f0[None, :, None]
-                table = np.abs(g).reshape(-1)
-                base = np.arange(nb * x_count).reshape(nb, x_count) * width - lo
-            else:
-                table = np.abs(span).reshape(-1)
-                base = rows * (s1 - s0) - s0
+                g -= f0
+            vals = np.abs(g)
 
-            pos = _lattice_index(x_snap, t_block, theta_values, half_width, h, out=pos_buf[:nb])
-            idx = idx_buf[:nb]
-            np.copyto(idx, pos, casting="unsafe")
-            idx += base[:, :, None]
-            vals = np.take(table, idx, out=pos)
+            # The offsets each slice reaches off near ties; near-tie pairs
+            # mark a spare column that the max does not see.
+            reached = np.zeros((nb, width + 1), dtype=bool)
+            reached[rows[:, None], np.where(tie, width, offset - lo[:, None])] = True
+            tmax = vals.max(axis=1, where=reached[:, :width, None], initial=-1.0)
+            if tie.any():
+                ti, tj = np.nonzero(tie)
+                idx = _cell_index(prod[ti, tj][:, None], x_snap, half_width, h)
+                np.maximum.at(tmax, ti, vals[ti[:, None], idx - x_idx - lo[ti][:, None], x_pos])
 
-            tmax = vals.max(axis=2)
             arg_t = tmax.argmax(axis=0)
             cand = tmax[arg_t, x_pos]
-            upd = cand > best
-            best = np.where(upd, cand, best)
-            best_t = np.where(upd, start + b0 + arg_t, best_t)
-            best_th = np.where(upd, vals[arg_t, x_pos].argmax(axis=1), best_th)
+            upd = np.flatnonzero(cand > best)
+            if len(upd):
+                tu = arg_t[upd]
+                idx = _cell_index(prod[tu], x_snap[upd, None], half_width, h)
+                w = idx - (x_idx[upd] + lo[tu])[:, None]
+                best[upd] = cand[upd]
+                best_t[upd] = start + b0 + tu
+                best_th[upd] = vals[tu[:, None], w, upd[:, None]].argmax(axis=1)
 
             if subtract:
-                abs_t = np.abs(t_block)
+                abs_t = np.abs(t_chunk[rows_b])
                 for li, r in enumerate(r_levels):
                     sel = abs_t <= r * (1 + 1e-12)
                     if sel.any():

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonconformingProfileError
+from .errors import NonconformingProfileError, RangeError
 
 
 @dataclass(frozen=True)
@@ -178,10 +178,17 @@ def evolve(f: SampledSignal, t: float, profile: DispersionProfile) -> SampledSig
 
 
 def sobolev_norm(f: SampledSignal, s: float) -> float:
-    """Discrete H^s norm: ((1/2pi) sum (1+xi^2)^s |c_j|^2 dxi)^(1/2)."""
+    """Discrete H^s norm: ((1/2pi) sum (1+xi^2)^s |c_j|^2 dxi)^(1/2).
+
+    Raises RangeError where the sum is not finite: (1+xi^2)^s overflows.
+    """
     c = forward_transform(f)
     xi = c.frequencies
-    total = np.sum((1.0 + xi * xi) ** s * np.abs(c.coeffs) ** 2) * c.freq_step / (2.0 * np.pi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum((1.0 + xi * xi) ** s * np.abs(c.coeffs) ** 2) * c.freq_step / (2.0 * np.pi)
+    if not np.isfinite(total):
+        raise RangeError(f"the H^{s:g} norm overflows: (1+xi^2)^s is not finite "
+                         f"at |xi| = {np.max(np.abs(xi)):g}")
     return float(np.sqrt(total))
 
 
@@ -190,13 +197,18 @@ def make_sobolev_data(s: float, seed: int, half_width: float = 32.0, n: int = 10
 
     The spectrum has |c(xi)| = (1+xi^2)^(-(s+1/2+0.01)/2) with phases drawn
     uniformly from the seeded generator, so the H^s norm is finite while the
-    H^(s') norms for s' a bit above s blow up under grid refinement.
+    H^(s') norms for s' a bit above s blow up under grid refinement.  Raises
+    RangeError where |c| falls below the smallest normal float, since such
+    data no longer has that spectrum.
     """
     if not s > 0:
         raise ValueError("s must be positive")
     rng = np.random.default_rng(seed)
     xi = (np.pi / half_width) * np.arange(-n // 2, n // 2)
     mag = (1.0 + xi * xi) ** (-(s + 0.51) / 2.0)
+    if not mag.min() >= np.finfo(float).tiny:
+        raise RangeError(f"H^{s:g} data underflows: |c(xi)| = (1+xi^2)^(-(s+0.51)/2) is below "
+                         f"the smallest normal float at |xi| = {np.max(np.abs(xi)):g}")
     phase = rng.uniform(0.0, 2.0 * np.pi, size=n)
     c = SpectralCoefficients(half_width, mag * np.exp(1j * phase))
     return inverse_transform(c)

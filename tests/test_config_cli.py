@@ -221,6 +221,20 @@ class TestCli:
         assert err.count("\n") == 1
         assert not (tmp_path / "evolved.csv").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["norm-scaling", "--a", "300"], "the resolution rule asks for"),
+        (["evolve", "--s", "400"], "H^400 data underflows"),
+        (["converge", "--s", "400"], "H^400 data underflows"),
+        (["evolve", "--s", "150"], "the H^150 norm overflows"),
+    ], ids=["grid-size", "evolve-underflow", "converge-underflow", "evolve-norm-overflow"])
+    def test_out_of_range_exit_code(self, argv, message, tmp_path, capsys):
+        # finite settings whose grid or data leave what float64 or memory holds
+        assert main(argv + ["--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {message}")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
     def test_region_sampling_failure_exit_code(self, tmp_path, capsys):
         # at lambda = 2^10 and sigma = 1 region V3 is too thin to fill its quota
         cfg = tmp_path / "thin.cfg"

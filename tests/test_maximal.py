@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dispmax import maximal
 from dispmax.directions import make_cantor, make_intervals, make_points
+from dispmax.errors import RangeError
 from dispmax.maximal import (
     _scan,
     convergence_scan,
@@ -45,6 +46,22 @@ def interpolate(f, x):
     c = forward_transform(f)
     xi = c.frequencies
     return (c.freq_step / (2.0 * np.pi)) * (np.exp(1j * np.outer(x, xi)) @ c.coeffs)
+
+
+class TestGridForBand:
+    @pytest.mark.parametrize("a, band, theta", [
+        (300.0, 4.0, make_points([0.0])),  # |Phi| about 4^300 asks for ~10^181 t steps
+        (5.0, 64.0, make_points([0.0])),  # about 8.6e9 t steps
+        (2.0, 2.0**25, make_intervals([(-1.0, 1.0)])),  # and as many theta steps
+    ], ids=["a300", "a5-band64", "theta"])
+    def test_refuses_oversized_grids(self, a, band, theta):
+        with pytest.raises(RangeError, match="the resolution rule asks for"):
+            grid_for_band(band, DispersionProfile.power(a), theta)
+
+    def test_largest_grid_is_allowed(self):
+        # a=2 at band 2^10 (k=10) asks for about 8.4e6 t steps, under the cap
+        t_grid, _ = grid_for_band(2.0**10, PROFILE, make_points([0.0]))
+        assert 8e6 < len(t_grid) < maximal._MAX_STEPS
 
 
 class TestMaximalFunction:
@@ -217,6 +234,7 @@ class TestScanMatchesReference:
             assert res.level_max is None
         else:
             assert np.array_equal(res.level_max, level_max)
+        return res
 
     def test_point_direction(self):
         f = band_limited(7)
@@ -228,10 +246,11 @@ class TestScanMatchesReference:
         f = band_limited(8, half_width=12.0)
         t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), PROFILE,
                                              make_intervals([(-1.0, 1.0)]))
-        rows_per_block = maximal._CELLS // (65 * len(theta_values))
-        assert 1 <= rows_per_block < maximal._SCAN_CHUNK
         assert len(t_grid) % maximal._SCAN_CHUNK != 0  # the last chunk is partial
-        self.check(f, theta_values, t_grid)
+        h = self.check(f, theta_values, t_grid).lattice_step
+        width = maximal._direction_offsets(t_grid[:, None] * theta_values[None, :], h)[3]
+        rows_per_block = maximal._CELLS // (65 * width.max())
+        assert 1 <= rows_per_block < maximal._SCAN_CHUNK
 
     def test_convergence_levels(self):
         f = make_sobolev_data(1.0, 9, half_width=12.0, n=256)  # h is not a power of two
@@ -270,6 +289,20 @@ class TestScanMatchesReference:
         self.check(f, theta_values, t_grid,
                    r_levels=None if levels is None else np.array(levels))
 
+    @pytest.mark.parametrize("levels", [None, [1.0, 0.5]], ids=["plain", "levels"])
+    def test_exact_half_integer_offsets(self, levels):
+        # h is a power of two, so t*theta/h is exactly k + 1/2 for t = +-0.5
+        # and theta = h, 3h, and for t = +-1 and theta = -h/2; rint then
+        # rounds each x_idx + k + 1/2 to the even neighbour, by parity of x_idx
+        f = band_limited(12, half_width=8.0, n=64, top=6.0)
+        t_grid = np.linspace(-1.0, 1.0, 5)
+        h = _scan(f, np.array([0.0]), t_grid, PROFILE, 65).lattice_step
+        assert h == 2.0 ** np.round(np.log2(h))
+        theta_values = np.array([-0.5 * h, h, 3.0 * h])
+        near_tie = maximal._direction_offsets(t_grid[:, None] * theta_values[None, :], h)[1]
+        assert near_tie.sum() == 6
+        self.check(f, theta_values, t_grid, r_levels=None if levels is None else np.array(levels))
+
     def test_point_direction_convergence_levels(self):
         f = make_sobolev_data(0.8, 12, half_width=12.0, n=256)
         t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), PROFILE,
@@ -277,8 +310,40 @@ class TestScanMatchesReference:
         self.check(f, theta_values, t_grid, r_levels=np.array([0.5, 0.25, 0.0625]))
 
 
+def snapped_x(half_width, h, x_count=65):
+    """The scan's x-lattice: indices and snapped points of the x-grid on I."""
+    ideal = -1.0 + (np.arange(x_count) + 0.5) * (2.0 / x_count)
+    x_idx = np.round((ideal + half_width) / h).astype(np.int64)
+    return x_idx, x_idx * h - half_width
+
+
+def cell_offsets(t, theta_values, half_width, h):
+    """Each (t, x, theta) cell's lattice index minus x_idx, by the per-cell
+    formula of reference_scan."""
+    x_idx, x_snap = snapped_x(half_width, h)
+    idx = np.round(
+        (x_snap[None, :, None] + t[:, None, None] * theta_values[None, None, :] + half_width) / h
+    ).astype(np.int64)
+    return idx - x_idx[None, :, None]
+
+
 class TestLatticeWindows:
-    """Every cell's lattice offset lies in the window the scan builds for it."""
+    """Off a near tie every x reads the same direction offset, and every
+    cell's offset lies in the window the scan builds for its time slice."""
+
+    def check(self, t, theta_values, half_width, h):
+        cell = cell_offsets(t, theta_values, half_width, h)
+        prod = t[:, None] * theta_values[None, :]
+        offset, near_tie, lo, width = maximal._direction_offsets(prod, h)
+        off = ~np.broadcast_to(near_tie[:, None, :], cell.shape)
+        assert np.array_equal(cell[off], np.broadcast_to(offset[:, None, :], cell.shape)[off])
+        assert np.all(cell >= lo[:, None, None])
+        assert np.all(cell < (lo + width)[:, None, None])
+        # rows without a near tie: the window is no wider than its offsets
+        clean = ~near_tie.any(axis=1)
+        assert np.array_equal(lo[clean], offset[clean].min(axis=1))
+        assert np.array_equal((lo + width - 1)[clean], offset[clean].max(axis=1))
+        return near_tie
 
     @pytest.mark.parametrize("half_width, theta_values", [
         (12.0, make_cantor(2, 1.0 / 3.0, 3).sample(4)),
@@ -288,25 +353,32 @@ class TestLatticeWindows:
     ], ids=["cantor", "interval-wrapping", "point-wrapping", "unsorted"])
     def test_offsets_lie_in_the_window(self, half_width, theta_values):
         h = 2.0 * half_width / 4096 * 0.987654321  # not a power of two
-        t = np.linspace(-1.0, 1.0, 2001)
-        ideal = -1.0 + (np.arange(65) + 0.5) * (2.0 / 65)
-        x_idx = np.round((ideal + half_width) / h).astype(np.int64)
-        x_snap = x_idx * h - half_width
-        # each cell's index, by the formula the scan has always used
-        idx = np.round(
-            (x_snap[None, :, None] + t[:, None, None] * theta_values[None, None, :] + half_width) / h
-        ).astype(np.int64)
-        offset = idx - x_idx[None, :, None]
-        theta_ends = np.array([theta_values.min(), theta_values.max()])
-        lo, hi = maximal._reach(x_snap, t, theta_ends, half_width, h)
-        assert np.all(offset >= (lo - x_idx)[:, :, None])
-        assert np.all(offset <= (hi - x_idx)[:, :, None])
-        # the extremes are attained, so the window is no wider than it must be
-        assert np.array_equal(lo, idx.min(axis=2)) and np.array_equal(hi, idx.max(axis=2))
-        # plain mode's span per t, from the first and last x alone
-        lo_s, hi_s = maximal._reach(x_snap[[0, -1]], t, theta_ends, half_width, h)
-        assert np.array_equal(lo_s.min(axis=1), idx.min(axis=(1, 2)))
-        assert np.array_equal(hi_s.max(axis=1), idx.max(axis=(1, 2)))
+        self.check(np.linspace(-1.0, 1.0, 2001), theta_values, half_width, h)
+
+    @given(half_width=st.floats(0.5, 64.0), n_eval=st.integers(16, 1 << 16),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_offset_is_the_cell_index_off_near_ties(self, half_width, n_eval, seed):
+        # h is a power of two only by accident; directions put t*theta/h at
+        # k + 1/2 + d, from just inside the margin to far outside it
+        h = 2.0 * half_width / n_eval
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(0.5, 1.0, 24) * rng.choice([-1.0, 1.0], 24)
+        k = rng.integers(-int(0.5 / h), int(0.5 / h) + 1, 24)
+        d = rng.choice([0.0, 5e-7, -5e-7, 2e-6, -2e-6, 1e-5, -1e-5, 1e-3, 0.25], 24)
+        theta_values = np.concatenate([(k + 0.5 + d) * h / np.abs(t), rng.uniform(-1.0, 1.0, 8)])
+        near_tie = self.check(t, theta_values, half_width, h)
+        q = t[:, None] * theta_values[None, :] / h
+        off_half = np.abs(np.abs(q - np.round(q)) - 0.5)
+        assert np.all(near_tie[off_half < 0.9 * maximal._TIE_MARGIN])
+        assert not np.any(near_tie[off_half > 1.1 * maximal._TIE_MARGIN])
+
+    def test_scan_refuses_lattices_too_fine_for_float_indices(self):
+        # |t*theta|/h near 2^30 lattice steps: the offset's rounding error
+        # bound would reach the near-tie margin
+        f = band_limited(13, half_width=8.0, n=64, top=4.0)
+        with pytest.raises(RangeError, match="too fine"):
+            _scan(f, np.array([1.0]), np.array([-1e9, 0.0, 1e9]), PROFILE, 65)
 
 
 class TestConvergenceScan:

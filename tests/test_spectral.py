@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispmax.errors import NonconformingProfileError
+from dispmax.errors import NonconformingProfileError, RangeError
 from dispmax.spectral import (
     DispersionProfile,
     SampledSignal,
@@ -152,6 +152,13 @@ class TestSobolevNorm:
         exact = np.sqrt(np.trapezoid((1 + xi**2) * fhat**2, xi) / (2.0 * np.pi))
         assert abs(sobolev_norm(f, 1.0) - exact) / exact < 1e-6
 
+    def test_overflow_raises(self):
+        # (1+xi^2)^150 overflows at the top frequency |xi| of about 25
+        f = make_sobolev_data(1.0, 7, half_width=32.0, n=512)
+        assert np.isfinite(sobolev_norm(f, 100.0))
+        with pytest.raises(RangeError, match="overflows"):
+            sobolev_norm(f, 150.0)
+
 
 class TestMakeSobolevData:
     def test_deterministic_under_seed(self):
@@ -187,6 +194,13 @@ class TestMakeSobolevData:
         cg = forward_transform(g)
         sel = np.abs(cf.frequencies) >= 1.0
         assert np.all(np.abs(cf.coeffs[sel]) >= np.abs(cg.coeffs[sel]))
+
+    def test_underflowing_spectrum_raises(self):
+        # |c| = (1+xi^2)^(-(s+0.51)/2) leaves the normal floats near s = 180
+        # at the top frequency |xi| of about 50 of this grid
+        assert np.all(np.isfinite(make_sobolev_data(150.0, 7).values))
+        with pytest.raises(RangeError, match="underflows"):
+            make_sobolev_data(400.0, 7)
 
 
 class TestDispersionConditions:
