@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DispmaxError, HypothesisError, QuadratureError
 from .filters import _smooth_step, psi, psi0
@@ -213,6 +212,9 @@ def split_u1_u2(
         elif not below.any():
             pieces.append(((lo, hi), "U2"))
         else:
+            # Imported here so that importing dispmax never loads scipy.
+            from scipy.optimize import brentq
+
             root = brentq(
                 lambda s: 2.0 * dt * abs(float(profile.phi_prime(lam * s))) - shift, lo, hi
             )

@@ -2,9 +2,11 @@
 
 Each test computes its quantities, prints a single "criterion N: PASS/FAIL"
 line with the measured values, then asserts.  Criterion 4 runs the scaling
-driver verbatim (a=2, q=2, Theta={0}, sigma=1/2, k=2..6, seed 0) and holds
-its certified lower bounds v_k on ||M_Omega P_k|| to bounds fixed before the
-run:
+driver verbatim (a=2, q=2, --theta point:0, sigma=1/2, k=2..6, seed 0) and
+holds its certified lower bounds v_k on ||M_Omega P_k|| to bounds fixed
+before the run.  The point is not what is scanned: cover_set turns it into
+the one cover interval Omega = [0, 2^(-k/2)], sampled with 9 to 33
+directions for k=2..6, so the bounds are for Omega, not for theta = 0 alone:
 
   (a) v_k <= B_k, the Cauchy-Schwarz ceiling of tests/shell_ceiling.py, which
       ignores dispersion and grows like 2^(k/2); over-reporting (wrap-around,

@@ -1,10 +1,15 @@
 """Tests for config parsing, CSV tables, and the command-line surface."""
 
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dispmax
 from dispmax.cli import main
 from dispmax.config import (
     ExperimentConfig,
@@ -275,3 +280,25 @@ class TestCli:
         b1 = (out1 / "dimension.csv").read_bytes()
         b2 = (out2 / "dimension.csv").read_bytes()
         assert b1 == b2
+
+    def test_cli_runs_without_loading_scipy(self, tmp_path):
+        # pytest's own process has scipy loaded already (tests/shell_ceiling.py),
+        # so the check runs in a fresh interpreter.
+        runner = textwrap.dedent("""
+            import sys
+            from dispmax.cli import main
+            for argv in (["check"],
+                         ["dim", "--theta", "cantor:2,0.3333333333333333,4"],
+                         ["cover", "--theta", "interval:0,1", "--lam", "16"]):
+                assert main(argv + ["--out", sys.argv[1]]) == 0, argv
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            assert not loaded, loaded
+        """)
+        src = str(Path(dispmax.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", runner, str(tmp_path)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "dimension.csv").exists()
+        assert (tmp_path / "cover.csv").exists()
