@@ -5,6 +5,16 @@ over the support of psi, with phase(xi) = (x - x' + t*theta - t'*theta')*xi
 + (t - t')*Phi(xi).  Quadrature bisects panels until the phase variation per
 panel drops below a fixed budget, then applies a 128-point Gauss rule per
 panel; the oracle is the same scheme at 10x panel density.
+
+When no panel is refined (in kernel-scan: every query at lambda <= 2^5 and
+every query at a = 1.2), only the phase depends on the query.  Those queries
+share one read-only rule, built once per density: the nodes and half*psi^2 of
+the unrefined panels, and for power profiles |nodes|^a.  Refined panels are
+summed in blocks of _BLOCK panels in preallocated buffers that fit in a
+core's L2 cache.  The partial sums still cover 4096-panel chunks, because
+they fix how the sum rounds: each chunk's column sums add its rows in order,
+carried from block to block, so the output bits do not depend on the block
+size.
 """
 
 from __future__ import annotations
@@ -42,29 +52,51 @@ def _psi_sq_table():
     return table, np.diff(table)
 
 
-def _psi_sq(xi):
-    """psi(xi)^2 for |xi| in [0.5, 2] by uniform-grid linear interpolation."""
+def _psi_sq(xi, out=None, pos=None, idx=None):
+    """psi(xi)^2 by uniform-grid linear interpolation; 0 outside 0.5 <= |xi| <= 2.
+
+    out and pos (float) and idx (int64), each shaped like xi, are optional
+    work buffers; pos is overwritten.
+    """
     table, diff = _psi_sq_table()
-    pos = np.abs(xi)
+    pos = np.abs(xi, out=pos)
     pos -= 0.5
     pos *= (len(table) - 1) / 1.5
-    idx = np.minimum(pos.astype(np.int64), len(diff) - 1)
+    if idx is None:
+        idx = np.empty(pos.shape, dtype=np.int64)
+    np.copyto(idx, pos, casting="unsafe")  # truncates toward zero, as astype does
+    # Below |xi| = 0.5 the index clamps to 0, where table and diff are 0.
+    np.clip(idx, 0, len(diff) - 1, out=idx)
     frac = pos
     frac -= idx
-    out = diff[idx]
+    # idx is in range; mode="clip" only spares take a buffered bounds check.
+    out = np.take(diff, idx, out=out, mode="clip")
     out *= frac
-    out += table[idx]
+    out += np.take(table, idx, out=pos, mode="clip")
     return out
 
 
-def _phi_at(profile: DispersionProfile, lam: float, nodes: np.ndarray) -> np.ndarray:
+def _power_shape(a: float, nodes: np.ndarray, out=None) -> np.ndarray:
+    """|nodes|^a (nodes^2 at a = 2), the lambda-free factor of a power Phi."""
+    if a == 2.0:
+        return np.multiply(nodes, nodes, out=out)
+    out = np.abs(nodes, out=out)
+    out **= a
+    return out
+
+
+def _phi_at(profile: DispersionProfile, lam: float, nodes: np.ndarray, out: np.ndarray,
+            power_shape=None) -> np.ndarray:
+    """Phi(lam*nodes) into out; power_shape, if given, is _power_shape of the nodes."""
     # The power branch avoids the generic branchy evaluation.  Its rounding is
     # part of the output: routing it through profile.phi moves kernel_scan.csv.
     if profile.kind == "power":
-        if profile.a == 2.0:
-            return (lam * lam) * (nodes * nodes)
-        return lam**profile.a * np.abs(nodes) ** profile.a
-    return np.asarray(profile.phi(lam * nodes), dtype=float)
+        if power_shape is None:
+            power_shape = _power_shape(profile.a, nodes, out)
+        scale = lam * lam if profile.a == 2.0 else lam**profile.a
+        return np.multiply(power_shape, scale, out=out)
+    out[...] = profile.phi(lam * nodes)
+    return out
 
 
 @dataclass(frozen=True)
@@ -106,6 +138,16 @@ def classify_region(w: SpaceTimePoint, wp: SpaceTimePoint, lam: float, sigma: fl
     return _region_labels(abs(w.x - wp.x), abs(w.t - wp.t), lam ** (-sigma)).item()
 
 
+def _base_panels(intervals):
+    """_BASE_SPLIT uniform panels (a, b) per interval, the start of refinement."""
+    a_parts, b_parts = [], []
+    for lo, hi in intervals:
+        edges = np.linspace(lo, hi, _BASE_SPLIT + 1)
+        a_parts.append(edges[:-1])
+        b_parts.append(edges[1:])
+    return np.concatenate(a_parts), np.concatenate(b_parts)
+
+
 def _refine_panels(intervals, dphase: Callable):
     """Subdivide until phase variation per panel is below PANEL_PHASE_BUDGET.
 
@@ -113,13 +155,7 @@ def _refine_panels(intervals, dphase: Callable):
     panels whose estimated variation exceeds the budget are then split
     proportionally, up to PANEL_LIMIT panels in all.
     """
-    a_parts, b_parts = [], []
-    for lo, hi in intervals:
-        edges = np.linspace(lo, hi, _BASE_SPLIT + 1)
-        a_parts.append(edges[:-1])
-        b_parts.append(edges[1:])
-    a = np.concatenate(a_parts)
-    b = np.concatenate(b_parts)
+    a, b = _base_panels(intervals)
     for _ in range(64):
         mid = 0.5 * (a + b)
         da, dm, db = np.abs(dphase(a)), np.abs(dphase(mid)), np.abs(dphase(b))
@@ -145,6 +181,52 @@ def _refine_panels(intervals, dphase: Callable):
     raise QuadratureError("panel refinement failed to converge")
 
 
+def _split_panels(a, b, density: int):
+    """Each panel (a, b) cut into density equal panels."""
+    if density == 1:
+        return a, b
+    offs = np.arange(density) / density
+    width = (b - a) / density
+    a = (a[:, None] + offs[None, :] * (b - a)[:, None]).ravel()
+    return a, a + np.repeat(width, density)
+
+
+def _gauss_rule(a, b, nodes, amp, pos=None, idx=None):
+    """Gauss nodes of the panels (a, b) into nodes, their half-width * psi^2 into amp."""
+    half = 0.5 * (b - a)
+    np.multiply(half[:, None], _GL_NODES, out=nodes)
+    nodes += (0.5 * (a + b))[:, None]
+    _psi_sq(nodes, amp, pos, idx)
+    amp *= half[:, None]
+
+
+@functools.cache
+def _unrefined_rule(density: int):
+    """Read-only nodes and half-width * psi^2 of the unrefined panels at density."""
+    a, b = _split_panels(*_base_panels(_SUPPORT), density)
+    nodes = np.empty((len(a), len(_GL_NODES)))
+    amp = np.empty_like(nodes)
+    _gauss_rule(a, b, nodes, amp)
+    nodes.flags.writeable = amp.flags.writeable = False
+    return nodes, amp
+
+
+@functools.cache
+def _unrefined_power_shape(density: int, a: float):
+    """Read-only _power_shape(a) of the unrefined nodes at density."""
+    shape = _power_shape(a, _unrefined_rule(density)[0])
+    shape.flags.writeable = False
+    return shape
+
+
+# Panels per block of the Gauss sum: the six (_BLOCK, 128) work arrays of a
+# refined query take 1.5 MiB, inside a 2 MiB L2 cache.  Divides _SUM_CHUNK.
+_BLOCK = 256
+# Panels per partial sum.  The column sums of each chunk are added row by row
+# and then weighted, so this fixes how the sum rounds, i.e. the output bits.
+_SUM_CHUNK = 4096
+
+
 def kernel_value(query: KernelQuery, density: int = 1) -> complex:
     """Adaptive Gauss quadrature of the TT* kernel; density=10 is the oracle."""
     w, wp, lam, profile = query.w, query.w_prime, query.lam, query.profile
@@ -155,30 +237,48 @@ def kernel_value(query: KernelQuery, density: int = 1) -> complex:
         return shift * lam + dt * lam * profile.phi_prime(lam * xi)
 
     a, b = _refine_panels(_SUPPORT, dphase)
-    if density > 1:
-        offs = np.arange(density) / density
-        width = (b - a) / density
-        a = (a[:, None] + offs[None, :] * (b - a)[:, None]).ravel()
-        b = a + np.repeat(width, density)
+    # Refinement only ever adds panels, so this count means none was split.
+    shared = len(a) == 2 * _BASE_SPLIT
+    if shared:
+        all_nodes, all_amp = _unrefined_rule(density)
+        all_shape = (_unrefined_power_shape(density, profile.a)
+                     if profile.kind == "power" else None)
+        n_panels = len(all_nodes)
+    else:
+        a, b = _split_panels(a, b, density)
+        n_panels = len(a)
+    rows, cols = min(n_panels, _BLOCK), len(_GL_NODES)
+    if not shared:
+        node_buf, amp_buf = np.empty((rows, cols)), np.empty((rows, cols))
+        idx_buf = np.empty((rows, cols), dtype=np.int64)
+    phase_buf = np.empty((rows, cols))  # also psi^2's work buffer
+    # Rows 1.. take a block's terms; row 0 carries its chunk's column sums.
+    re, im = np.empty((rows + 1, cols)), np.empty((rows + 1, cols))
     re_total = 0.0
     im_total = 0.0
-    chunk = 4096  # keeps the per-chunk arrays cache-resident
-    for start in range(0, len(a), chunk):
-        aa = a[start : start + chunk]
-        bb = b[start : start + chunk]
-        half = 0.5 * (bb - aa)
-        nodes = 0.5 * (aa + bb)[:, None] + half[:, None] * _GL_NODES[None, :]
-        phase = _phi_at(profile, lam, nodes)
+    for start in range(0, n_panels, _BLOCK):
+        stop = min(start + _BLOCK, n_panels)
+        n = stop - start
+        if shared:
+            nodes, amp = all_nodes[start:stop], all_amp[start:stop]
+            shape = None if all_shape is None else all_shape[start:stop]
+        else:
+            nodes, amp, shape = node_buf[:n], amp_buf[:n], None
+            _gauss_rule(a[start:stop], b[start:stop], nodes, amp, phase_buf[:n], idx_buf[:n])
+        phase = _phi_at(profile, lam, nodes, phase_buf[:n], shape)
         phase *= dt
-        phase += (shift * lam) * nodes
-        amp = _psi_sq(nodes)
-        amp *= half[:, None]
-        re = np.cos(phase)
-        re *= amp
-        im = np.sin(phase)
-        im *= amp
-        re_total += float(re.sum(axis=0) @ _GL_WEIGHTS)
-        im_total += float(im.sum(axis=0) @ _GL_WEIGHTS)
+        re_rows, im_rows = re[1 : n + 1], im[1 : n + 1]
+        phase += np.multiply(nodes, shift * lam, out=re_rows)
+        np.cos(phase, out=re_rows)
+        re_rows *= amp
+        np.sin(phase, out=im_rows)
+        im_rows *= amp
+        first = 1 if start % _SUM_CHUNK == 0 else 0
+        re[0] = re[first : n + 1].sum(axis=0)
+        im[0] = im[first : n + 1].sum(axis=0)
+        if stop % _SUM_CHUNK == 0 or stop == n_panels:
+            re_total += float(re[0] @ _GL_WEIGHTS)
+            im_total += float(im[0] @ _GL_WEIGHTS)
     return complex(re_total, im_total)
 
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dispmax import kernel
+from dispmax.cli import main
 from dispmax.errors import HypothesisError
 from dispmax.filters import psi
 from dispmax.kernel import (
@@ -119,6 +121,160 @@ class TestKernelValue:
         w = SpaceTimePoint(0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             KernelQuery(w, w, 1.0, PROFILE)
+
+
+def reference_gauss_sum(query, density=1):
+    """kernel_value as first written: fresh arrays per 4096-panel chunk, psi^2
+    by whole-array interpolation, Phi evaluated per chunk."""
+    w, wp, lam, profile = query.w, query.w_prime, query.lam, query.profile
+    shift = kernel._shift(w, wp)
+    dt = w.t - wp.t
+
+    def dphase(xi):
+        return shift * lam + dt * lam * profile.phi_prime(lam * xi)
+
+    def psi_sq(xi):
+        table, diff = kernel._psi_sq_table()
+        pos = np.abs(xi)
+        pos -= 0.5
+        pos *= (len(table) - 1) / 1.5
+        idx = np.minimum(pos.astype(np.int64), len(diff) - 1)
+        frac = pos
+        frac -= idx
+        out = diff[idx]
+        out *= frac
+        out += table[idx]
+        return out
+
+    def phi_at(nodes):
+        if profile.kind == "power":
+            if profile.a == 2.0:
+                return (lam * lam) * (nodes * nodes)
+            return lam**profile.a * np.abs(nodes) ** profile.a
+        return np.asarray(profile.phi(lam * nodes), dtype=float)
+
+    a, b = kernel._refine_panels(kernel._SUPPORT, dphase)
+    if density > 1:
+        offs = np.arange(density) / density
+        width = (b - a) / density
+        a = (a[:, None] + offs[None, :] * (b - a)[:, None]).ravel()
+        b = a + np.repeat(width, density)
+    re_total = 0.0
+    im_total = 0.0
+    chunk = 4096
+    for start in range(0, len(a), chunk):
+        aa = a[start : start + chunk]
+        bb = b[start : start + chunk]
+        half = 0.5 * (bb - aa)
+        nodes = 0.5 * (aa + bb)[:, None] + half[:, None] * kernel._GL_NODES[None, :]
+        phase = phi_at(nodes)
+        phase *= dt
+        phase += (shift * lam) * nodes
+        amp = psi_sq(nodes)
+        amp *= half[:, None]
+        re = np.cos(phase)
+        re *= amp
+        im = np.sin(phase)
+        im *= amp
+        re_total += float(re.sum(axis=0) @ kernel._GL_WEIGHTS)
+        im_total += float(im.sum(axis=0) @ kernel._GL_WEIGHTS)
+    return complex(re_total, im_total)
+
+
+def panel_count(q):
+    shift, dt = kernel._shift(q.w, q.w_prime), q.w.t - q.w_prime.t
+
+    def dphase(xi):
+        return shift * q.lam + dt * q.lam * q.profile.phi_prime(q.lam * xi)
+
+    return len(kernel._refine_panels(kernel._SUPPORT, dphase)[0])
+
+
+CUSTOM = DispersionProfile.custom(
+    phi=lambda xi: xi**2 + 0.1 * xi**4,
+    phi_prime=lambda xi: 2.0 * xi + 0.4 * xi**3,
+    phi_prime2=lambda xi: 2.0 + 1.2 * xi**2,
+)
+# (w, w'): at lambda = 16 no panel is refined; at lambda = 512 and a = 2 the
+# first pair needs 2621 panels and the second 5390, past one 4096-panel chunk.
+NEAR = (SpaceTimePoint(0.3, 0.2, 0.1), SpaceTimePoint(-0.4, -0.1, 0.05))
+FAR = (SpaceTimePoint(0.3, 0.25, 0.1), SpaceTimePoint(-0.2, -0.25, 0.05))
+LONG = (SpaceTimePoint(0.3, 0.5, 0.1), SpaceTimePoint(-0.2, -0.5, 0.05))
+
+
+class TestGaussSumBits:
+    """kernel_value equals reference_gauss_sum exactly, shared rule or not."""
+
+    def check(self, pair, lam, profile, density=1):
+        q = KernelQuery(*pair, lam, profile)
+        assert kernel_value(q, density) == reference_gauss_sum(q, density)
+        return panel_count(q)
+
+    @pytest.mark.parametrize("a", [2.0, 1.2, 1.5])
+    def test_unrefined_power(self, a):
+        prof = DispersionProfile.power(a)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            x, xp, t, tp = rng.uniform(-1, 1, 4)
+            pair = (SpaceTimePoint(x, t, 0.01), SpaceTimePoint(xp, tp, 0.02))
+            assert self.check(pair, 16.0, prof) == 2 * kernel._BASE_SPLIT
+
+    def test_refined_across_a_chunk_and_a_partial_block(self):
+        n = self.check(LONG, 512.0, PROFILE)
+        assert n > kernel._SUM_CHUNK and n % kernel._BLOCK
+        assert self.check(FAR, 512.0, PROFILE) > kernel._BLOCK
+
+    @pytest.mark.parametrize("density", [3, 10])
+    def test_density(self, density):
+        assert self.check(NEAR, 16.0, PROFILE, density) == 2 * kernel._BASE_SPLIT
+        assert self.check(NEAR, 16.0, DispersionProfile.power(1.5), density)
+        assert self.check(FAR, 512.0, PROFILE, density) * density > kernel._SUM_CHUNK
+
+    def test_custom_profile(self):
+        assert self.check(NEAR, 8.0, CUSTOM) == 2 * kernel._BASE_SPLIT
+        assert self.check(FAR, 32.0, CUSTOM) > kernel._SUM_CHUNK
+
+
+class TestPsiSq:
+    def test_zero_off_the_support(self):
+        # below |xi| = 0.5 the table index used to wrap to the far end
+        xi = np.array([0.0, 0.3, -0.3, 2.5, -2.5])
+        assert np.array_equal(kernel._psi_sq(xi), np.zeros(5))
+
+    def test_matches_psi_squared_and_buffers(self):
+        xi = np.linspace(-2.0, 2.0, 1001).reshape(7, 143)
+        want = psi(xi) ** 2
+        got = kernel._psi_sq(xi)
+        assert np.max(np.abs(got - want)) < 1e-9
+        out, pos = np.empty_like(xi), np.empty_like(xi)
+        idx = np.empty(xi.shape, dtype=np.int64)
+        assert kernel._psi_sq(xi, out, pos, idx) is out
+        assert np.array_equal(out, got)
+
+
+class TestSharedRule:
+    def shared(self):
+        return [*kernel._unrefined_rule(1), kernel._unrefined_power_shape(1, 2.0),
+                kernel._unrefined_power_shape(1, 1.5)]
+
+    def test_read_only(self):
+        for arr in self.shared():
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                arr *= 2.0
+
+    def test_kernel_scan_leaves_it_intact(self, tmp_path):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("lambda_min_exp = 4\nlambda_max_exp = 8\nsamples_per_region = 4\n")
+        for a in ("2", "1.5"):
+            argv = ["kernel-scan", "--a", a, "--config", str(cfg), "--out", str(tmp_path)]
+            assert main(argv) == 0
+        nodes, amp = kernel._unrefined_rule.__wrapped__(1)
+        fresh = [nodes, amp, kernel._unrefined_power_shape.__wrapped__(1, 2.0),
+                 kernel._unrefined_power_shape.__wrapped__(1, 1.5)]
+        for arr, want in zip(self.shared(), fresh):
+            assert arr.tobytes() == want.tobytes()
 
 
 class TestU1U2Split:
