@@ -264,6 +264,9 @@ def main(argv=None) -> int:
     except DispmaxError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"numerical failure: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

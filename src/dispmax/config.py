@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass, fields, replace
 
 from .directions import parse_direction_spec
@@ -64,6 +65,12 @@ class ExperimentConfig:
             )
         if self.n_scales < 4:
             raise ConfigError(f"n_scales={self.n_scales} must be at least 4")
+        # lambda = 2^e and scale = 2^-e; float64 powers of two stop at 2^1023.
+        for key, sign in (("lambda_min_exp", 1), ("lambda_max_exp", 1),
+                          ("scale_min_exp", -1), ("scale_max_exp", -1)):
+            e = sign * getattr(self, key)
+            if e >= sys.float_info.max_exp:
+                raise ConfigError(f"{key}={sign * e}: 2^{e} overflows float64")
         try:
             parse_direction_spec(self.theta)
         except ValueError as exc:

@@ -9,12 +9,11 @@ panel; the oracle is the same scheme at 10x panel density.
 When no panel is refined (in kernel-scan: every query at lambda <= 2^5 and
 every query at a = 1.2), only the phase depends on the query.  Those queries
 share one read-only rule, built once per density: the nodes and half*psi^2 of
-the unrefined panels, and for power profiles |nodes|^a.  Refined panels are
-summed in blocks of _BLOCK panels in preallocated buffers that fit in a
-core's L2 cache.  The partial sums still cover 4096-panel chunks, because
-they fix how the sum rounds: each chunk's column sums add its rows in order,
-carried from block to block, so the output bits do not depend on the block
-size.
+the unrefined panels.  Refined panels are summed in blocks of _BLOCK panels
+in preallocated buffers that fit in a core's L2 cache.  The partial sums
+still cover 4096-panel chunks, because they fix how the sum rounds: each
+chunk's column sums add its rows in order, carried from block to block, so
+the output bits do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -76,25 +75,18 @@ def _psi_sq(xi, out=None, pos=None, idx=None):
     return out
 
 
-def _power_shape(a: float, nodes: np.ndarray, out=None) -> np.ndarray:
-    """|nodes|^a (nodes^2 at a = 2), the lambda-free factor of a power Phi."""
-    if a == 2.0:
-        return np.multiply(nodes, nodes, out=out)
-    out = np.abs(nodes, out=out)
-    out **= a
-    return out
-
-
-def _phi_at(profile: DispersionProfile, lam: float, nodes: np.ndarray, out: np.ndarray,
-            power_shape=None) -> np.ndarray:
-    """Phi(lam*nodes) into out; power_shape, if given, is _power_shape of the nodes."""
+def _phi_at(profile: DispersionProfile, lam: float, nodes: np.ndarray,
+            out: np.ndarray) -> np.ndarray:
+    """Phi(lam*nodes) into out."""
     # The power branch avoids the generic branchy evaluation.  Its rounding is
     # part of the output: routing it through profile.phi moves kernel_scan.csv.
+    # numpy squares for the exponent 2.0, so |nodes|^2 is nodes*nodes bit for
+    # bit; pow(lam, 2.0) need not be correctly rounded, so lam*lam stays.
     if profile.kind == "power":
-        if power_shape is None:
-            power_shape = _power_shape(profile.a, nodes, out)
-        scale = lam * lam if profile.a == 2.0 else lam**profile.a
-        return np.multiply(power_shape, scale, out=out)
+        np.abs(nodes, out=out)
+        out **= profile.a
+        out *= lam * lam if profile.a == 2.0 else lam**profile.a
+        return out
     out[...] = profile.phi(lam * nodes)
     return out
 
@@ -191,11 +183,17 @@ def _split_panels(a, b, density: int):
     return a, a + np.repeat(width, density)
 
 
+def _gauss_nodes(a, b, out=None):
+    """(nodes, half): Gauss nodes of the panels (a, b) and their half-widths."""
+    half = 0.5 * (b - a)
+    nodes = np.multiply(half[:, None], _GL_NODES, out=out)
+    nodes += (0.5 * (a + b))[:, None]
+    return nodes, half
+
+
 def _gauss_rule(a, b, nodes, amp, pos=None, idx=None):
     """Gauss nodes of the panels (a, b) into nodes, their half-width * psi^2 into amp."""
-    half = 0.5 * (b - a)
-    np.multiply(half[:, None], _GL_NODES, out=nodes)
-    nodes += (0.5 * (a + b))[:, None]
+    half = _gauss_nodes(a, b, nodes)[1]
     _psi_sq(nodes, amp, pos, idx)
     amp *= half[:, None]
 
@@ -209,14 +207,6 @@ def _unrefined_rule(density: int):
     _gauss_rule(a, b, nodes, amp)
     nodes.flags.writeable = amp.flags.writeable = False
     return nodes, amp
-
-
-@functools.cache
-def _unrefined_power_shape(density: int, a: float):
-    """Read-only _power_shape(a) of the unrefined nodes at density."""
-    shape = _power_shape(a, _unrefined_rule(density)[0])
-    shape.flags.writeable = False
-    return shape
 
 
 # Panels per block of the Gauss sum: the six (_BLOCK, 128) work arrays of a
@@ -241,8 +231,6 @@ def kernel_value(query: KernelQuery, density: int = 1) -> complex:
     shared = len(a) == 2 * _BASE_SPLIT
     if shared:
         all_nodes, all_amp = _unrefined_rule(density)
-        all_shape = (_unrefined_power_shape(density, profile.a)
-                     if profile.kind == "power" else None)
         n_panels = len(all_nodes)
     else:
         a, b = _split_panels(a, b, density)
@@ -261,11 +249,10 @@ def kernel_value(query: KernelQuery, density: int = 1) -> complex:
         n = stop - start
         if shared:
             nodes, amp = all_nodes[start:stop], all_amp[start:stop]
-            shape = None if all_shape is None else all_shape[start:stop]
         else:
-            nodes, amp, shape = node_buf[:n], amp_buf[:n], None
+            nodes, amp = node_buf[:n], amp_buf[:n]
             _gauss_rule(a[start:stop], b[start:stop], nodes, amp, phase_buf[:n], idx_buf[:n])
-        phase = _phi_at(profile, lam, nodes, phase_buf[:n], shape)
+        phase = _phi_at(profile, lam, nodes, phase_buf[:n])
         phase *= dt
         re_rows, im_rows = re[1 : n + 1], im[1 : n + 1]
         phase += np.multiply(nodes, shift * lam, out=re_rows)
@@ -516,8 +503,9 @@ def van_der_corput_check(phase: PhaseSpec, lam_list, k: int):
     for lam in lam_list:
         dphase = lambda x: lam * np.asarray(phase.derivs[1](x), dtype=float)
         a, b = _refine_panels([(phase.a, phase.b)], dphase)
-        half = 0.5 * (b - a)
-        nodes = 0.5 * (a + b)[:, None] + half[:, None] * _GL_NODES[None, :]
+        # kernel_value's rule, but its own sum: it integrates phase.psi, not
+        # psi^2, and this one np.sum order fixes van_der_corput.csv's bits.
+        nodes, half = _gauss_nodes(a, b)
         vals = np.exp(1j * lam * phase.phi(nodes)) * phase.psi(nodes)
         integral = complex(np.sum(half[:, None] * _GL_WEIGHTS[None, :] * vals))
         ratio = abs(integral) * lam ** (1.0 / k) / denom

@@ -257,12 +257,10 @@ def _scan(
             width = int(widths[rows_b].max())
             rows = np.arange(nb)
 
-            # The block's lattice span [s0, s1), scaled by 1/h.
+            # The block's lattice span [s0, s1), wrapped around the periodic box, scaled by 1/h.
             s0, s1 = x_lo + int(lo.min()), x_hi + int(lo.max()) + width
-            if 0 <= s0 and s1 <= n_eval:
-                span = fields[b0 : b0 + nb, s0:s1] / h
-            else:  # past the edge of the periodic box: wrap the span's columns once
-                span = np.take(fields[b0 : b0 + nb], np.arange(s0, s1), axis=1, mode="wrap") / h
+            span = np.take(fields[b0 : b0 + nb], np.arange(s0, s1), axis=1, mode="wrap")
+            span /= h
 
             # The window values per (t, offset - lo, x): they depend on x
             # through the lattice point, and through f(x) in convergence mode.
@@ -426,7 +424,7 @@ def estimate_operator_norm(
     for _ in range(max_rounds):
         t_arg = t_grid[res.t_arg]
         th_arg = theta_values[res.theta_arg]
-        pos = np.round((res.x + t_arg * th_arg + half_width) / h) * h - half_width
+        pos = _cell_index(t_arg * th_arg, res.x, half_width, h) * h - half_width
         b_mat = (dxi / (2.0 * np.pi)) * shell_live[None, :] * np.exp(
             1j * (pos[:, None] * xi_live[None, :] + t_arg[:, None] * phi_live[None, :])
         )

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dispmax
+from dispmax import cli
 from dispmax.cli import main
 from dispmax.config import (
     ExperimentConfig,
@@ -185,6 +186,9 @@ class TestCli:
         (["converge"], {"--config": "a = nan"}),
         (["evolve", "--s", "inf"], None),
         (["converge", "--s", "inf"], None),
+        (["kernel-scan"], {"--config": "lambda_max_exp = 1100"}),
+        (["kernel-scan"], {"--config": "lambda_min_exp = 1100\nlambda_max_exp = 1200"}),
+        (["converge"], {"--config": "scale_max_exp = -2000"}),
     ], ids=["q-out-of-range", "unknown-theta-kind", "theta-outside-range",
             "band-above-bank", "band-negative", "lam-below-2", "t-nan",
             "missing-config-file", "s-negative", "q-below-estimator-range",
@@ -195,7 +199,8 @@ class TestCli:
             "input-wrong-header", "input-single-row", "input-length-not-power-of-two",
             "input-nonuniform-x", "input-x-not-centred",
             "input-non-finite", "input-non-finite-imag", "a-inf-maximal", "a-inf-evolve",
-            "a-nan", "s-inf-evolve", "s-inf-converge"])
+            "a-nan", "s-inf-evolve", "s-inf-converge", "lambda-max-exp-overflows",
+            "lambda-min-exp-overflows", "scale-max-exp-overflows"])
     def test_config_error_exit_code(self, argv, files, tmp_path, capsys):
         for flag, text in (files or {}).items():
             path = tmp_path / flag.lstrip("-")
@@ -238,6 +243,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"numerical failure: {message}")
         assert err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 8.00 TiB for an array"),
+         "numerical failure: Unable to allocate 8.00 TiB for an array\n"),
+        (MemoryError(), "numerical failure: out of memory\n"),
+    ], ids=["numpy-message", "bare"])
+    def test_memory_error_exit_code(self, exc, line, tmp_path, monkeypatch, capsys):
+        # stands in for a grid too large to allocate, e.g. n_grid = 2^40
+        def refuse(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "make_sobolev_data", refuse)
+        assert main(["evolve", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == line
         assert not list(tmp_path.iterdir())
 
     def test_region_sampling_failure_exit_code(self, tmp_path, capsys):

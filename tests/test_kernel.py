@@ -254,8 +254,7 @@ class TestPsiSq:
 
 class TestSharedRule:
     def shared(self):
-        return [*kernel._unrefined_rule(1), kernel._unrefined_power_shape(1, 2.0),
-                kernel._unrefined_power_shape(1, 1.5)]
+        return kernel._unrefined_rule(1)
 
     def test_read_only(self):
         for arr in self.shared():
@@ -270,10 +269,7 @@ class TestSharedRule:
         for a in ("2", "1.5"):
             argv = ["kernel-scan", "--a", a, "--config", str(cfg), "--out", str(tmp_path)]
             assert main(argv) == 0
-        nodes, amp = kernel._unrefined_rule.__wrapped__(1)
-        fresh = [nodes, amp, kernel._unrefined_power_shape.__wrapped__(1, 2.0),
-                 kernel._unrefined_power_shape.__wrapped__(1, 1.5)]
-        for arr, want in zip(self.shared(), fresh):
+        for arr, want in zip(self.shared(), kernel._unrefined_rule.__wrapped__(1)):
             assert arr.tobytes() == want.tobytes()
 
 
