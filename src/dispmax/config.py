@@ -39,18 +39,24 @@ class ExperimentConfig:
     def resolved_sigma(self) -> float:
         return self.q / 4.0 if self.sigma is None else self.sigma
 
+    def lambdas(self) -> list:
+        """The kernel-scan frequencies 2^lambda_min_exp, ..., 2^lambda_max_exp."""
+        return [2.0**e for e in range(self.lambda_min_exp, self.lambda_max_exp + 1)]
+
     def validate(self) -> "ExperimentConfig":
         if not 1.0 <= self.q <= 4.0:
             raise ConfigError(f"q={self.q} outside [1, 4]")
         sig = self.resolved_sigma()
-        if sig < self.q / 4.0 - 1e-12:
+        if not sig >= self.q / 4.0 - 1e-12:  # NaN fails too
             raise ConfigError(f"sigma below q/4 (sigma={sig}, q={self.q})")
-        if sig > 1.0 + 1e-12:
+        if not sig <= 1.0 + 1e-12:
             raise ConfigError(f"sigma above 1 (sigma={sig})")
         if not 1.0 < self.a < float("inf"):
             raise ConfigError(f"a={self.a} must exceed 1 and be finite")
         if not 0.0 < self.s < float("inf"):
             raise ConfigError(f"s={self.s} must be positive and finite")
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} must be nonnegative")
         if self.trials < 1 or self.x_count < 1:
             raise ConfigError(f"trials={self.trials} and x_count={self.x_count} must be at least 1")
         if self.samples_per_region < 1:
@@ -71,10 +77,7 @@ class ExperimentConfig:
             e = sign * getattr(self, key)
             if e >= sys.float_info.max_exp:
                 raise ConfigError(f"{key}={sign * e}: 2^{e} overflows float64")
-        try:
-            parse_direction_spec(self.theta)
-        except ValueError as exc:
-            raise ConfigError(f"theta: {exc}") from exc
+        parse_direction_spec(self.theta)
         return self
 
     def canonical(self) -> str:

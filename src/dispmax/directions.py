@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class DirectionSet:
@@ -33,15 +35,15 @@ class DirectionSet:
 def _validate_components(comps) -> tuple:
     comps = tuple((float(a), float(b)) for a, b in comps)
     if not comps:
-        raise ValueError("direction set must be nonempty")
+        raise ConfigError("direction set must be nonempty")
     for a, b in comps:
+        if not (-1.0 - 1e-12 <= a and b <= 1.0 + 1e-12):  # NaN fails too
+            raise ConfigError(f"interval [{a}, {b}] escapes [-1, 1] or is not finite")
         if b < a:
-            raise ValueError(f"interval [{a}, {b}] is reversed")
-        if a < -1.0 - 1e-12 or b > 1.0 + 1e-12:
-            raise ValueError(f"interval [{a}, {b}] escapes [-1, 1]")
+            raise ConfigError(f"interval [{a}, {b}] is reversed")
     for (a0, b0), (a1, b1) in zip(comps, comps[1:]):
         if a1 <= b0:
-            raise ValueError("components must be sorted and disjoint")
+            raise ConfigError("components must be sorted and disjoint")
     return comps
 
 
@@ -59,11 +61,11 @@ def make_intervals(intervals) -> DirectionSet:
 def make_cantor(m: int, r: float, depth: int) -> DirectionSet:
     """IFS Cantor set in [0, 1]: m equally spaced affine copies at ratio r, depth d."""
     if m < 2:
-        raise ValueError("need at least 2 pieces")
+        raise ConfigError("need at least 2 pieces")
     if not 0.0 < r <= 1.0 / m:
-        raise ValueError(f"ratio must satisfy 0 < r <= 1/m, got r={r}, m={m}")
+        raise ConfigError(f"ratio must satisfy 0 < r <= 1/m, got r={r}, m={m}")
     if depth < 0:
-        raise ValueError("depth must be nonnegative")
+        raise ConfigError("depth must be nonnegative")
     comps = [(0.0, 1.0)]
     gap = (1.0 - r) / (m - 1)  # relative offset between consecutive piece starts
     for _ in range(depth):
@@ -99,9 +101,9 @@ def parse_direction_spec(spec: str) -> DirectionSet:
             m, r, depth = rest.split(",")
             ds = make_cantor(int(m), float(r), int(depth))
         else:
-            raise ValueError(f"unknown direction-set kind {kind!r}")
+            raise ConfigError(f"unknown direction-set kind {kind!r}")
     except Exception as exc:  # malformed numbers, wrong arity
-        raise ValueError(f"cannot parse direction spec {spec!r}: {exc}") from exc
+        raise ConfigError(f"cannot parse direction spec {spec!r}: {exc}") from exc
     return ds
 
 
@@ -135,16 +137,16 @@ def _greedy_cover(comps, width: float) -> tuple:
 def box_count(theta: DirectionSet, delta: float) -> int:
     """Exact minimal number of closed delta-intervals covering the set."""
     if not 0.0 < delta <= 2.0:
-        raise ValueError(f"delta must lie in (0, 2], got {delta}")
+        raise ConfigError(f"delta must lie in (0, 2], got {delta}")
     return len(_greedy_cover(theta.components, delta))
 
 
 def cover_set(theta: DirectionSet, lam: float, sigma: float) -> CoverResult:
     """Greedy minimal cover by closed intervals of width lambda^(-sigma)."""
-    if not lam >= 2.0:
-        raise ValueError("lambda must be >= 2")
+    if not 2.0 <= lam < np.inf:
+        raise ConfigError(f"lambda must be finite and at least 2, got {lam}")
     if not 0.25 <= sigma <= 1.0:
-        raise ValueError(f"sigma must lie in [1/4, 1], got {sigma}")
+        raise ConfigError(f"sigma must lie in [1/4, 1], got {sigma}")
     width = lam ** (-sigma)
     return CoverResult(_greedy_cover(theta.components, width), width)
 
@@ -158,9 +160,9 @@ def estimate_minkowski_dim(
     against log(1/delta) and fit_residual the RMS residual of the fit.
     """
     if not 0.0 < delta_min < delta_max <= 1.0:
-        raise ValueError("need 0 < delta_min < delta_max <= 1")
+        raise ConfigError("need 0 < delta_min < delta_max <= 1")
     if n_scales < 4:
-        raise ValueError("need at least 4 scales")
+        raise ConfigError("need at least 4 scales")
     deltas, counts = np.array(dimension_table(theta, delta_min, delta_max, n_scales)).T
     x = np.log(1.0 / deltas)
     y = np.log(counts)

@@ -5,8 +5,13 @@ class DispmaxError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(DispmaxError):
-    """Invalid experiment configuration (bad key, value out of range)."""
+class ConfigError(DispmaxError, ValueError):
+    """A setting, flag or argument outside its documented range, NaN included.
+
+    Each library function raises it for the arguments it checks, and the
+    command line turns it into exit 2. It is a ValueError, so callers that
+    catch ValueError still catch it.
+    """
 
 
 class NonconformingProfileError(DispmaxError):

@@ -27,20 +27,17 @@ def run_scaling_experiment(cfg: ExperimentConfig):
     intercept, residual)).
     """
     cfg.validate()
-    if not 2.0 <= cfg.q <= 4.0:
-        raise ConfigError(f"q={cfg.q} outside [2, 4], the range of the norm estimator")
-    if cfg.k_min < 1 or cfg.k_max > MAX_BAND:
+    # checked before any scan: the fit needs three bands, each in the filter bank
+    if not (1 <= cfg.k_min and cfg.k_max - cfg.k_min >= 2 and cfg.k_max <= MAX_BAND):
         raise ConfigError(
-            f"need 1 <= k_min and k_max <= {MAX_BAND}, got k_min={cfg.k_min}, k_max={cfg.k_max}"
+            f"need 1 <= k_min, k_max <= {MAX_BAND} and k_max - k_min >= 2, "
+            f"got k_min={cfg.k_min}, k_max={cfg.k_max}"
         )
-    ks = list(range(cfg.k_min, cfg.k_max + 1))
-    if not ks:
-        raise ConfigError("empty experiment: k range is empty")
     theta = parse_direction_spec(cfg.theta)
     profile = DispersionProfile.power(cfg.a)
     sigma = cfg.resolved_sigma()
     rows, per_k = [], []
-    for k in ks:
+    for k in range(cfg.k_min, cfg.k_max + 1):
         lam = 2.0**k
         cover = cover_set(theta, lam, sigma)
         best = -1.0
@@ -73,8 +70,6 @@ def run_convergence_experiment(cfg: ExperimentConfig):
     """Median/max sup-error of S_t f(x + t*theta) - f(x) over shrinking scales."""
     cfg.validate()
     scales = [2.0**-e for e in range(cfg.scale_max_exp, cfg.scale_min_exp + 1)]
-    if not scales or scales[0] > 1.0 or scales[-1] <= 0.0:
-        raise ConfigError("scales must lie in (0, 1] and be nonempty")
     theta = parse_direction_spec(cfg.theta)
     profile = DispersionProfile.power(cfg.a)
     f = make_sobolev_data(cfg.s, cfg.seed, half_width=cfg.half_width, n=cfg.n_grid)
@@ -90,19 +85,14 @@ def run_kernel_scan(cfg: ExperimentConfig):
     cfg.validate()
     profile = DispersionProfile.power(cfg.a)
     sigma = cfg.resolved_sigma()
-    if cfg.lambda_min_exp > cfg.lambda_max_exp:
-        raise ConfigError(
-            f"lambda_min_exp={cfg.lambda_min_exp} exceeds lambda_max_exp={cfg.lambda_max_exp}"
-        )
     # V2 needs |x - x'| >= 4*lambda^(-sigma) with |x - x'| < 2, so lambda^sigma > 2.
     if 2.0 ** (cfg.lambda_min_exp * sigma) <= 2.0:
         raise ConfigError(
             f"lambda_min_exp={cfg.lambda_min_exp} leaves region V2 empty at sigma={sigma:g}: "
             "2^(lambda_min_exp*sigma) must exceed 2"
         )
-    lam_list = [2.0**e for e in range(cfg.lambda_min_exp, cfg.lambda_max_exp + 1)]
     report = decay_bound_scan(
-        profile, sigma, lam_list, samples_per_region=cfg.samples_per_region, seed=cfg.seed
+        profile, sigma, cfg.lambdas(), samples_per_region=cfg.samples_per_region, seed=cfg.seed
     )
     lo, hi = report.v2_ratio_range
     table = ResultTable(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AliasingError
+from .errors import AliasingError, ConfigError
 from .spectral import SampledSignal, forward_transform, inverse_transform, SpectralCoefficients
 
 MAX_BAND = 30  # highest band index; a grid resolving the shell |xi| ~ 2^k has ~2^k points
@@ -43,7 +43,7 @@ def _theta(xi):
 
 def _check_band(k: int, lowest: int) -> None:
     if not lowest <= k <= MAX_BAND:
-        raise ValueError(f"band index {k} outside [{lowest}, {MAX_BAND}]")
+        raise ConfigError(f"band index {k} outside [{lowest}, {MAX_BAND}]")
 
 
 def psi0(xi):
@@ -101,5 +101,5 @@ def project(f: SampledSignal, k: int) -> SampledSignal:
 def project_wide(f: SampledSignal, k: int) -> SampledSignal:
     """Wide projection with multiplier identically 1 on the k-th shell."""
     if k == 0:
-        raise ValueError("wide projection is defined for k >= 1")
+        raise ConfigError("wide projection is defined for k >= 1")
     return _apply_band(f, k, wide=True)

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DispmaxError, HypothesisError, QuadratureError
+from .errors import ConfigError, DispmaxError, HypothesisError, QuadratureError
 from .filters import _smooth_step, psi, psi0
 from .spectral import DispersionProfile
 
@@ -107,7 +107,7 @@ class KernelQuery:
 
     def __post_init__(self):
         if not self.lam >= 2.0:
-            raise ValueError("lambda must be >= 2")
+            raise ConfigError("lambda must be >= 2")
 
 
 def _shift(w: SpaceTimePoint, wp: SpaceTimePoint) -> float:
@@ -398,8 +398,8 @@ def decay_bound_scan(
     |x - x' + t*theta - t'*theta'| / |x - x'|.
     """
     lam_list = list(lam_list)
-    if any(b <= a for a, b in zip(lam_list, lam_list[1:])):
-        raise ValueError("lambda list must be ascending")
+    if not lam_list or any(b <= a for a, b in zip(lam_list, lam_list[1:])):
+        raise ConfigError("lambda list must be nonempty and ascending")
     rows = []
     ratio_lo, ratio_hi = np.inf, -np.inf
     rng = np.random.default_rng(seed)
@@ -482,7 +482,7 @@ def van_der_corput_check(phase: PhaseSpec, lam_list, k: int):
     (lambda, abs_integral, normalized_ratio).
     """
     if k not in (1, 2):
-        raise ValueError("derivative order k must be 1 or 2")
+        raise ConfigError("derivative order k must be 1 or 2")
     xs = np.linspace(phase.a, phase.b, 2049)
     dk = np.abs(np.asarray(phase.derivs[k](xs), dtype=float))
     if dk.min() < 1.0 - 1e-9:
@@ -522,7 +522,7 @@ def hls_bilinear_check(g: np.ndarray, h: np.ndarray, q: float):
     Returns (lhs, rhs, ratio) with rhs the product of mixed L^q'_x L^1_t norms.
     """
     if not 1.0 <= q <= 4.0:
-        raise ValueError("q must lie in [1, 4]")
+        raise ConfigError("q must lie in [1, 4]")
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
     if g.ndim != 2 or h.ndim != 2 or g.shape[0] != h.shape[0]:

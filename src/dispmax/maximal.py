@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .directions import DirectionSet, make_intervals, make_points
-from .errors import RangeError
+from .errors import ConfigError, RangeError
 from .filters import project, psi0, psi_k
 from .spectral import (
     DispersionProfile,
@@ -327,8 +327,8 @@ def convergence_scan(
     with sup_matrix of shape (n_levels, x_count).
     """
     r_levels = np.sort(np.asarray(r_levels, dtype=float))[::-1]
-    if r_levels[0] > 1.0 or r_levels[-1] <= 0.0:
-        raise ValueError("scales must lie in (0, 1]")
+    if not (r_levels.size and r_levels[0] <= 1.0 and r_levels[-1] > 0.0):  # NaN lands first
+        raise ConfigError("scales must lie in (0, 1] and be nonempty")
     band = forward_transform(f).band_limit()
     t_grid, theta_values = grid_for_band(band, profile, theta, t_range=float(r_levels[0]))
     return r_levels, _scan(f, theta_values, t_grid, profile, x_count, r_levels=r_levels).level_max
@@ -337,7 +337,7 @@ def convergence_scan(
 def lq_norm(values: np.ndarray, q: float) -> float:
     """Riemann-sum L^q norm over I = (-1, 1) on a uniform grid."""
     if not q >= 1.0:
-        raise ValueError("q must be at least 1")
+        raise ConfigError("q must be at least 1")
     values = np.abs(np.asarray(values, dtype=float))
     dx = 2.0 / len(values)
     return float((np.sum(values**q) * dx) ** (1.0 / q))
@@ -368,11 +368,11 @@ def estimate_operator_norm(
     lq is a Riemann sum over the x-lattice, so the value is not yet certified.
     """
     if not 2.0 <= q <= 4.0:
-        raise ValueError("q must lie in [2, 4]")
+        raise ConfigError(f"q={q} outside [2, 4], the range of the norm estimator")
     lo, hi = float(omega[0]), float(omega[1])
     width = hi - lo
     if width > 2.0 ** (-sigma * k) * (1 + 1e-9):
-        raise ValueError(
+        raise ConfigError(
             f"interval width {width:g} violates the hypothesis |Omega| <= 2^(-sigma*k) = {2.0 ** (-sigma * k):g}"
         )
     theta = make_points([lo]) if width == 0.0 else make_intervals([(lo, hi)])
@@ -453,11 +453,11 @@ def fit_scaling_exponent(pairs) -> tuple[float, float, float]:
     """OLS fit of log2(value) against k; returns (slope, intercept, residual)."""
     pairs = list(pairs)
     if len(pairs) < 3:
-        raise ValueError("need at least 3 (k, value) pairs")
+        raise ConfigError("need at least 3 (k, value) pairs")
     ks = np.array([p[0] for p in pairs], dtype=float)
     vals = np.array([p[1] for p in pairs], dtype=float)
     if np.any(vals <= 0):
-        raise ValueError("values must be positive")
+        raise ConfigError("values must be positive")
     y = np.log2(vals)
     slope, intercept = np.polyfit(ks, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * ks + intercept)) ** 2)))

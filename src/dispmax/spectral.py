@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonconformingProfileError, RangeError
+from .errors import ConfigError, NonconformingProfileError, RangeError
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class DispersionProfile:
         (the scan grid, the propagator) fails the same way.
         """
         if not a > 1:
-            raise ValueError(f"power profile needs a > 1, got {a}")
+            raise ConfigError(f"power profile needs a > 1, got {a}")
 
         def phi(xi):
             axi = np.abs(np.asarray(xi, dtype=float))
@@ -85,9 +85,9 @@ class SampledSignal:
         object.__setattr__(self, "values", vals)
         n = len(vals)
         if n < 2 or n & (n - 1):
-            raise ValueError(f"signal length must be a power of two >= 2, got {n}")
+            raise ConfigError(f"signal length must be a power of two >= 2, got {n}")
         if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
+            raise ConfigError("half_width must be positive")
 
     @property
     def n(self) -> int:
@@ -167,7 +167,7 @@ def inverse_transform(c: SpectralCoefficients) -> SampledSignal:
 def evolve(f: SampledSignal, t: float, profile: DispersionProfile) -> SampledSignal:
     """Apply the propagator: multiply the spectrum by exp(i*t*Phi(xi))."""
     if not np.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t}")
+        raise ConfigError(f"evolution time must be finite, got {t}")
     if t == 0.0:
         return f
     if abs(t) > 1.0:
@@ -202,7 +202,7 @@ def make_sobolev_data(s: float, seed: int, half_width: float = 32.0, n: int = 10
     data no longer has that spectrum.
     """
     if not s > 0:
-        raise ValueError("s must be positive")
+        raise ConfigError("s must be positive")
     rng = np.random.default_rng(seed)
     xi = (np.pi / half_width) * np.arange(-n // 2, n // 2)
     mag = (1.0 + xi * xi) ** (-(s + 0.51) / 2.0)

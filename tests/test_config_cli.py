@@ -21,7 +21,10 @@ from dispmax.config import (
     table_to_csv,
     write_csv,
 )
+from dispmax.directions import cover_set, make_points
 from dispmax.errors import ConfigError
+from dispmax.kernel import decay_bound_scan
+from dispmax.spectral import DispersionProfile
 
 
 class TestParseConfig:
@@ -189,6 +192,14 @@ class TestCli:
         (["kernel-scan"], {"--config": "lambda_max_exp = 1100"}),
         (["kernel-scan"], {"--config": "lambda_min_exp = 1100\nlambda_max_exp = 1200"}),
         (["converge"], {"--config": "scale_max_exp = -2000"}),
+        (["cover", "--lam", "inf"], None),
+        (["cover", "--sigma", "nan"], None),
+        (["kernel-scan", "--sigma", "nan"], None),
+        (["maximal", "--theta", "points:0,nan"], None),
+        (["maximal", "--theta", "interval:0,nan"], None),
+        (["converge", "--seed", "-1"], None),
+        (["evolve", "--seed", "-5"], None),
+        (["norm-scaling", "--k-min", "2", "--k-max", "3"], None),
     ], ids=["q-out-of-range", "unknown-theta-kind", "theta-outside-range",
             "band-above-bank", "band-negative", "lam-below-2", "t-nan",
             "missing-config-file", "s-negative", "q-below-estimator-range",
@@ -200,7 +211,9 @@ class TestCli:
             "input-nonuniform-x", "input-x-not-centred",
             "input-non-finite", "input-non-finite-imag", "a-inf-maximal", "a-inf-evolve",
             "a-nan", "s-inf-evolve", "s-inf-converge", "lambda-max-exp-overflows",
-            "lambda-min-exp-overflows", "scale-max-exp-overflows"])
+            "lambda-min-exp-overflows", "scale-max-exp-overflows", "lam-inf", "sigma-nan-cover",
+            "sigma-nan-kernel-scan", "theta-points-nan", "theta-interval-nan",
+            "seed-negative-converge", "seed-negative-evolve", "two-bands"])
     def test_config_error_exit_code(self, argv, files, tmp_path, capsys):
         for flag, text in (files or {}).items():
             path = tmp_path / flag.lstrip("-")
@@ -210,6 +223,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error")
         assert err.count("\n") == 1
+        assert not [p for p in tmp_path.iterdir() if p.suffix in (".csv", ".gp")]
+
+    def test_library_checks_raise_config_error(self):
+        # the CLI's one except clause maps these to exit 2; callers may catch ValueError
+        assert issubclass(ConfigError, ValueError)
+        with pytest.raises(ConfigError, match="lambda must be finite"):
+            cover_set(make_points([0.0]), np.inf, 0.5)
+        with pytest.raises(ConfigError, match="not finite"):
+            make_points([0.0, np.nan])
+        with pytest.raises(ConfigError, match="nonempty"):
+            decay_bound_scan(DispersionProfile.power(2.0), 0.5, [])
+
+    @pytest.mark.parametrize("flag", ["--a", "--q", "--sigma", "--s"])
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_nan_setting_exit_code(self, command, flag, tmp_path, capsys):
+        assert main([command, flag, "nan", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_norm_scaling_band_count_checked_before_any_scan(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scan ran before the k-range check")
+
+        monkeypatch.setattr("dispmax.experiments.estimate_operator_norm", refuse)
+        argv = ["norm-scaling", "--k-min", "2", "--k-max", "3", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "k_max - k_min >= 2" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # the default grid's Nyquist frequency is about 25, below the k=9 shell
