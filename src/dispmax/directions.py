@@ -14,7 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, RangeError
+
+# Most intervals a cover may hold, as maximal._MAX_STEPS caps a scan's axes.
+_MAX_INTERVALS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -121,8 +124,15 @@ def _greedy_cover(comps, width: float) -> tuple:
     """Minimal cover of a union of intervals by closed width-`width` intervals.
 
     Each cover interval starts at the leftmost point not yet covered; on the
-    line this greedy sweep is optimal.
+    line this greedy sweep is optimal.  Raises RangeError, before building
+    any interval, where the count may pass _MAX_INTERVALS.
     """
+    # Each component takes at most ceil(length / width) intervals, plus one
+    # for the rounding of the running cursor.
+    bound = sum(np.ceil((b - a) / width) + 1.0 for a, b in comps)
+    if bound > _MAX_INTERVALS:
+        raise RangeError(f"a cover by width-{width:.3g} intervals may take {bound:.3g} "
+                         f"of them, more than {_MAX_INTERVALS}")
     tol = width * 1e-9
     cover = []
     cursor = -np.inf  # everything <= cursor is covered

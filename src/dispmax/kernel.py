@@ -14,6 +14,10 @@ in preallocated buffers that fit in a core's L2 cache.  The partial sums
 still cover 4096-panel chunks, because they fix how the sum rounds: each
 chunk's column sums add its rows in order, carried from block to block, so
 the output bits do not depend on the block size.
+
+psi^2 is interpolated from one table of 2^20 + 1 values, built in blocks so
+that the build's peak memory is little more than the table's 8.4 MB.  The
+table and the Gauss sum's work arrays are allocated once per process.
 """
 
 from __future__ import annotations
@@ -43,35 +47,51 @@ _SUPPORT = ((-2.0, -0.5), (0.5, 2.0))
 
 # psi^2 on a dense table: linear interpolation is accurate to ~1e-10 here and
 # avoids re-evaluating the exponential bump at millions of quadrature nodes.
+# Only the table is stored: _psi_sq takes table[i + 1] - table[i] as it reads.
+_TABLE_POINTS = 2**20 + 1
+# Points per block of the table build, so that psi's temporaries stay ~1 MB.
+_TABLE_BLOCK = 2**14
+
+
 @functools.cache
 def _psi_sq_table():
-    """psi^2 at 2^20 + 1 uniform points of [0.5, 2] and its forward differences."""
-    table = psi(np.linspace(0.5, 2.0, 2**20 + 1)) ** 2
+    """psi^2 at 2^20 + 1 uniform points of [0.5, 2], zeroed at both ends.
+
+    Built in place, block by block; psi acts pointwise, so the values equal
+    those of one whole-array call.
+    """
+    table = np.linspace(0.5, 2.0, _TABLE_POINTS)
+    for start in range(0, _TABLE_POINTS, _TABLE_BLOCK):
+        block = table[start : start + _TABLE_BLOCK]
+        block[...] = psi(block) ** 2
     table[0] = table[-1] = 0.0
-    return table, np.diff(table)
+    return table
 
 
 def _psi_sq(xi, out=None, pos=None, idx=None):
     """psi(xi)^2 by uniform-grid linear interpolation; 0 outside 0.5 <= |xi| <= 2.
 
     out and pos (float) and idx (int64), each shaped like xi, are optional
-    work buffers; pos is overwritten.
+    work buffers; pos and idx are overwritten.
     """
-    table, diff = _psi_sq_table()
+    table = _psi_sq_table()
     pos = np.abs(xi, out=pos)
     pos -= 0.5
     pos *= (len(table) - 1) / 1.5
     if idx is None:
         idx = np.empty(pos.shape, dtype=np.int64)
     np.copyto(idx, pos, casting="unsafe")  # truncates toward zero, as astype does
-    # Below |xi| = 0.5 the index clamps to 0, where table and diff are 0.
-    np.clip(idx, 0, len(diff) - 1, out=idx)
+    # Below |xi| = 0.5 the index clamps to 0, where table[0] and table[1] are 0.
+    np.clip(idx, 0, len(table) - 2, out=idx)
     frac = pos
     frac -= idx
     # idx is in range; mode="clip" only spares take a buffered bounds check.
-    out = np.take(diff, idx, out=out, mode="clip")
+    lo = np.take(table, idx, mode="clip")
+    idx += 1
+    out = np.take(table, idx, out=out, mode="clip")
+    out -= lo  # the forward difference, as np.diff rounds it
     out *= frac
-    out += np.take(table, idx, out=pos, mode="clip")
+    out += lo
     return out
 
 
@@ -217,6 +237,18 @@ _BLOCK = 256
 _SUM_CHUNK = 4096
 
 
+@functools.cache
+def _work_arrays():
+    """kernel_value's six work arrays, allocated once per process.
+
+    (nodes, amp, idx, phase) are (_BLOCK, 128); (re, im) have one more row.
+    Reused by every call, so kernel_value is not reentrant across threads.
+    """
+    shape, sums = (_BLOCK, len(_GL_NODES)), (_BLOCK + 1, len(_GL_NODES))
+    return (np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.int64),
+            np.empty(shape), np.empty(sums), np.empty(sums))
+
+
 def kernel_value(query: KernelQuery, density: int = 1) -> complex:
     """Adaptive Gauss quadrature of the TT* kernel; density=10 is the oracle."""
     w, wp, lam, profile = query.w, query.w_prime, query.lam, query.profile
@@ -235,13 +267,9 @@ def kernel_value(query: KernelQuery, density: int = 1) -> complex:
     else:
         a, b = _split_panels(a, b, density)
         n_panels = len(a)
-    rows, cols = min(n_panels, _BLOCK), len(_GL_NODES)
-    if not shared:
-        node_buf, amp_buf = np.empty((rows, cols)), np.empty((rows, cols))
-        idx_buf = np.empty((rows, cols), dtype=np.int64)
-    phase_buf = np.empty((rows, cols))  # also psi^2's work buffer
-    # Rows 1.. take a block's terms; row 0 carries its chunk's column sums.
-    re, im = np.empty((rows + 1, cols)), np.empty((rows + 1, cols))
+    # phase_buf is also psi^2's work buffer.  Rows 1.. of re and im take a
+    # block's terms; row 0 carries its chunk's column sums.
+    node_buf, amp_buf, idx_buf, phase_buf, re, im = _work_arrays()
     re_total = 0.0
     im_total = 0.0
     for start in range(0, n_panels, _BLOCK):

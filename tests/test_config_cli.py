@@ -278,7 +278,10 @@ class TestCli:
         (["evolve", "--s", "400"], "H^400 data underflows"),
         (["converge", "--s", "400"], "H^400 data underflows"),
         (["evolve", "--s", "150"], "the H^150 norm overflows"),
-    ], ids=["grid-size", "evolve-underflow", "converge-underflow", "evolve-norm-overflow"])
+        (["cover", "--theta", "interval:0,1", "--lam", "1e20"],
+         "a cover by width-1e-10 intervals may take 1e+10"),
+    ], ids=["grid-size", "evolve-underflow", "converge-underflow", "evolve-norm-overflow",
+            "cover-size"])
     def test_out_of_range_exit_code(self, argv, message, tmp_path, capsys):
         # finite settings whose grid or data leave what float64 or memory holds
         assert main(argv + ["--out", str(tmp_path)]) == 3

@@ -1,5 +1,8 @@
 """Tests for direction sets, box counting, dimension fits, and covers."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from dispmax.directions import (
     make_points,
     parse_direction_spec,
 )
+from dispmax.errors import RangeError
 
 
 class TestConstructors:
@@ -133,6 +137,22 @@ class TestCover:
             cover_set(ds, 1.0, 0.5)
         with pytest.raises(ValueError):
             cover_set(ds, 16.0, 0.1)
+
+    def test_oversized_cover_fails_before_building_it(self):
+        # 10^12 and 10^20 intervals: the greedy loop would run for days
+        ds = make_intervals([(0.0, 1.0)])
+        tracemalloc.start()
+        t0 = time.process_time()
+        try:
+            with pytest.raises(RangeError, match="more than 16777216"):
+                box_count(ds, 1e-12)
+            with pytest.raises(RangeError, match="more than 16777216"):
+                cover_set(ds, 1e20, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.process_time() - t0 < 1.0
+        assert peak < 1 << 16
 
     @given(seed=st.integers(0, 2**31), sigma=st.floats(0.25, 1.0))
     @settings(max_examples=30, deadline=None)

@@ -1,5 +1,11 @@
 """Tests for the oscillatory kernel, its regions, and the lemma checkers."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,8 +139,10 @@ def reference_gauss_sum(query, density=1):
     def dphase(xi):
         return shift * lam + dt * lam * profile.phi_prime(lam * xi)
 
+    table = kernel._psi_sq_table()
+    diff = np.diff(table)
+
     def psi_sq(xi):
-        table, diff = kernel._psi_sq_table()
         pos = np.abs(xi)
         pos -= 0.5
         pos *= (len(table) - 1) / 1.5
@@ -234,8 +242,74 @@ class TestGaussSumBits:
         assert self.check(NEAR, 8.0, CUSTOM) == 2 * kernel._BASE_SPLIT
         assert self.check(FAR, 32.0, CUSTOM) > kernel._SUM_CHUNK
 
+    def test_work_arrays_carry_nothing_between_queries(self):
+        # kernel_value reuses one set of work arrays for every query
+        near, long = KernelQuery(*NEAR, 512.0, PROFILE), KernelQuery(*LONG, 512.0, PROFILE)
+        first = kernel_value(near)
+        kernel_value(long)
+        kernel_value(KernelQuery(*NEAR, 16.0, PROFILE), 3)
+        assert kernel_value(near) == first
+
+
+def psi_sq_by_stored_differences(xi):
+    """_psi_sq as written with a second, stored array diff = np.diff(table)."""
+    table = kernel._psi_sq_table()
+    diff = np.diff(table)
+    pos = np.abs(xi)
+    pos -= 0.5
+    pos *= (len(table) - 1) / 1.5
+    idx = np.clip(pos.astype(np.int64), 0, len(diff) - 1)
+    frac = pos
+    frac -= idx
+    out = diff[idx]
+    out *= frac
+    out += table[idx]
+    return out
+
 
 class TestPsiSq:
+    def test_table_is_psi_squared_bit_for_bit(self):
+        want = psi(np.linspace(0.5, 2.0, 2**20 + 1)) ** 2
+        want[0] = want[-1] = 0.0
+        assert kernel._psi_sq_table().tobytes() == want.tobytes()
+
+    def test_matches_stored_differences_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        edges = [0.5, -0.5, 2.0, -2.0, 0.0, 0.25, -0.4999999, 2.0000001, -3.0, 7.5]
+        xi = np.concatenate([rng.uniform(-2.5, 2.5, 4000), edges]).reshape(10, 401)
+        want = psi_sq_by_stored_differences(xi).tobytes()
+        assert kernel._psi_sq(xi).tobytes() == want
+        out, pos = np.empty_like(xi), np.empty_like(xi)
+        idx = np.empty(xi.shape, dtype=np.int64)
+        assert kernel._psi_sq(xi, out, pos, idx).tobytes() == want
+        assert kernel._psi_sq(xi, out).tobytes() == want
+        assert kernel._psi_sq(xi, pos=pos, idx=idx).tobytes() == want
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+    def test_table_build_adds_little_to_peak_memory(self):
+        # In a fresh interpreter, so that the peak is the build's own.  It
+        # reads VmHWM, the peak RSS of the process's own memory, because
+        # ru_maxrss starts at the peak of the process that launched it.  The
+        # table is 8.4 MB; building it in one piece raised the peak by ~73 MB.
+        runner = textwrap.dedent("""
+            from dispmax import kernel
+
+            def peak_kib():
+                with open("/proc/self/status") as fh:
+                    return int(fh.read().split("VmHWM:")[1].split()[0])
+
+            before = peak_kib()
+            kernel._psi_sq_table()
+            print(peak_kib() - before)
+        """)
+        src = str(Path(kernel.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", runner], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) / 1024 < 24
+
     def test_zero_off_the_support(self):
         # below |xi| = 0.5 the table index used to wrap to the far end
         xi = np.array([0.0, 0.3, -0.3, 2.5, -2.5])
