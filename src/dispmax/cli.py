@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .spectral import (
     sobolev_norm,
 )
 
-_CONFIG_KEYS = ("a", "q", "sigma", "theta", "seed", "out", "k_min", "k_max", "s")
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def _build_config(args) -> ExperimentConfig:

@@ -14,10 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, RangeError
-
-# Most intervals a cover may hold, as maximal._MAX_STEPS caps a scan's axes.
-_MAX_INTERVALS = 1 << 24
+from .errors import MAX_COUNT, ConfigError, RangeError
 
 
 @dataclass(frozen=True)
@@ -28,7 +25,7 @@ class DirectionSet:
         """Equispaced samples, per_component per interval (midpoint if 1)."""
         out = []
         for a, b in self.components:
-            if b - a == 0.0 or per_component == 1:
+            if per_component == 1:
                 out.append([(a + b) / 2.0])
             else:
                 out.append(np.linspace(a, b, per_component))
@@ -69,6 +66,10 @@ def make_cantor(m: int, r: float, depth: int) -> DirectionSet:
         raise ConfigError(f"ratio must satisfy 0 < r <= 1/m, got r={r}, m={m}")
     if depth < 0:
         raise ConfigError("depth must be nonnegative")
+    # m^depth intervals.  As m >= 2, a depth of MAX_COUNT's bit length already
+    # passes the cap, so m**depth is formed only for small depths.
+    if depth >= MAX_COUNT.bit_length() or m**depth > MAX_COUNT:
+        raise ConfigError(f"depth {depth} gives {m}^{depth} intervals, more than {MAX_COUNT}")
     comps = [(0.0, 1.0)]
     gap = (1.0 - r) / (m - 1)  # relative offset between consecutive piece starts
     for _ in range(depth):
@@ -125,14 +126,14 @@ def _greedy_cover(comps, width: float) -> tuple:
 
     Each cover interval starts at the leftmost point not yet covered; on the
     line this greedy sweep is optimal.  Raises RangeError, before building
-    any interval, where the count may pass _MAX_INTERVALS.
+    any interval, where the count may pass MAX_COUNT.
     """
     # Each component takes at most ceil(length / width) intervals, plus one
     # for the rounding of the running cursor.
     bound = sum(np.ceil((b - a) / width) + 1.0 for a, b in comps)
-    if bound > _MAX_INTERVALS:
+    if bound > MAX_COUNT:
         raise RangeError(f"a cover by width-{width:.3g} intervals may take {bound:.3g} "
-                         f"of them, more than {_MAX_INTERVALS}")
+                         f"of them, more than {MAX_COUNT}")
     tol = width * 1e-9
     cover = []
     cursor = -np.inf  # everything <= cursor is covered

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one size cap."""
+
+# Most points a scan axis, and intervals a cover or a Cantor set, may hold;
+# a 2^24-slice scan already runs for hours.
+MAX_COUNT = 1 << 24
 
 
 class DispmaxError(Exception):

@@ -77,7 +77,7 @@ def _shell_top(k: int, wide: bool) -> float:
 
 
 def _apply_band(f: SampledSignal, k: int, wide: bool) -> SampledSignal:
-    _check_band(k, 0)
+    _check_band(k, 1 if wide else 0)
     c = forward_transform(f)
     top = _shell_top(k, wide)
     if top > c.nyquist * (1 + 1e-12):
@@ -100,6 +100,4 @@ def project(f: SampledSignal, k: int) -> SampledSignal:
 
 def project_wide(f: SampledSignal, k: int) -> SampledSignal:
     """Wide projection with multiplier identically 1 on the k-th shell."""
-    if k == 0:
-        raise ConfigError("wide projection is defined for k >= 1")
     return _apply_band(f, k, wide=True)

@@ -102,7 +102,7 @@ def _phi_at(profile: DispersionProfile, lam: float, nodes: np.ndarray,
     # part of the output: routing it through profile.phi moves kernel_scan.csv.
     # numpy squares for the exponent 2.0, so |nodes|^2 is nodes*nodes bit for
     # bit; pow(lam, 2.0) need not be correctly rounded, so lam*lam stays.
-    if profile.kind == "power":
+    if profile.a is not None:
         np.abs(nodes, out=out)
         out **= profile.a
         out *= lam * lam if profile.a == 2.0 else lam**profile.a

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .directions import DirectionSet, make_intervals, make_points
-from .errors import ConfigError, RangeError
+from .directions import DirectionSet, make_intervals
+from .errors import MAX_COUNT, ConfigError, RangeError
 from .filters import project, psi0, psi_k
 from .spectral import (
     DispersionProfile,
@@ -50,7 +50,6 @@ from .spectral import (
 _PHASE_BUDGET = 0.25  # max phase change (radians) per grid step in t, theta, x
 _SCAN_CHUNK = 64  # time slices synthesized per batched inverse FFT
 _CELLS = 1 << 15  # window values per block of time slices (32 B of temporaries each)
-_MAX_STEPS = 1 << 24  # grid points per axis; a 2^24-slice scan already runs for hours
 _TIE_MARGIN = 1e-6  # t*theta/h this near a half-integer takes the per-cell index (see _scan)
 
 
@@ -81,7 +80,7 @@ def grid_for_band(
     """(t_grid, theta_values): the coarsest scan grid meeting the resolution rule.
 
     This is the only place a scan grid is built, so every scan meets the rule.
-    Raises RangeError where the rule asks for more than _MAX_STEPS points in
+    Raises RangeError where the rule asks for more than MAX_COUNT points in
     t or in theta.
     """
     pm = _phi_max(profile, band)
@@ -90,14 +89,13 @@ def grid_for_band(
     th_step = _PHASE_BUDGET / band if band > 0 else np.inf
     t_steps, th_steps = 2.0 * t_range / t_step, widest / th_step
     for axis, steps in (("t", t_steps), ("theta", th_steps)):
-        if not steps < _MAX_STEPS:
+        if not steps < MAX_COUNT:
             raise RangeError(f"the resolution rule asks for {steps:.3g} {axis} steps "
-                             f"at band {band:g}, more than {_MAX_STEPS}")
+                             f"at band {band:g}, more than {MAX_COUNT}")
     nt = int(np.ceil(t_steps)) + 1
     if nt % 2 == 0:  # odd so that t = 0 is on the grid
         nt += 1
-    ntheta = max(1, int(np.ceil(th_steps)) + 1) if widest > 0 else 1
-    return np.linspace(-t_range, t_range, max(nt, 3)), theta.sample(ntheta)
+    return np.linspace(-t_range, t_range, max(nt, 3)), theta.sample(int(np.ceil(th_steps)) + 1)
 
 
 def _cell_index(prod, x, half_width, h):
@@ -375,7 +373,7 @@ def estimate_operator_norm(
         raise ConfigError(
             f"interval width {width:g} violates the hypothesis |Omega| <= 2^(-sigma*k) = {2.0 ** (-sigma * k):g}"
         )
-    theta = make_points([lo]) if width == 0.0 else make_intervals([(lo, hi)])
+    theta = make_intervals([(lo, hi)])
 
     band = 2.0**k
     n = 2
@@ -429,7 +427,7 @@ def estimate_operator_norm(
             1j * (pos[:, None] * xi_live[None, :] + t_arg[:, None] * phi_live[None, :])
         )
         u = b_mat @ coeffs
-        w = dx * np.abs(u) ** (q - 2.0) if q != 2.0 else np.full(x_count, dx)
+        w = dx * np.abs(u) ** (q - 2.0)
         coeffs = b_mat.conj().T @ (w * u)
         nrm = np.sqrt(np.sum(np.abs(coeffs) ** 2) * dxi / (2.0 * np.pi))
         if nrm == 0.0:

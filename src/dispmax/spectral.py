@@ -26,11 +26,10 @@ from .errors import ConfigError, NonconformingProfileError, RangeError
 class DispersionProfile:
     """The real symbol Phi in the propagator multiplier exp(i*t*Phi(xi))."""
 
-    kind: str  # "power" or "custom"
     phi: Callable
     phi_prime: Callable
     phi_prime2: Callable
-    a: float | None = None
+    a: float | None = None  # the exponent of a power profile; None for a custom one
 
     @staticmethod
     def power(a: float) -> "DispersionProfile":
@@ -66,11 +65,11 @@ class DispersionProfile:
             out = np.where(axi > 0, a * (a - 1) * np.maximum(axi, 1e-300) ** (a - 2), 0.0)
             return out if np.ndim(xi) else float(out)
 
-        return DispersionProfile("power", phi, phi_prime, phi_prime2, a=a)
+        return DispersionProfile(phi, phi_prime, phi_prime2, a=a)
 
     @staticmethod
     def custom(phi, phi_prime, phi_prime2) -> "DispersionProfile":
-        return DispersionProfile("custom", phi, phi_prime, phi_prime2)
+        return DispersionProfile(phi, phi_prime, phi_prime2)
 
 
 @dataclass(frozen=True)
@@ -135,10 +134,7 @@ class SpectralCoefficients:
     def band_limit(self) -> float:
         """Largest |xi_j| carrying a coefficient above 1e-13 * max|c|."""
         mags = np.abs(self.coeffs)
-        peak = mags.max()
-        if peak == 0.0:
-            return 0.0
-        live = np.abs(self.frequencies)[mags > 1e-13 * peak]
+        live = np.abs(self.frequencies)[mags > 1e-13 * mags.max()]
         return float(live.max()) if live.size else 0.0
 
 
@@ -165,16 +161,22 @@ def inverse_transform(c: SpectralCoefficients) -> SampledSignal:
 
 
 def evolve(f: SampledSignal, t: float, profile: DispersionProfile) -> SampledSignal:
-    """Apply the propagator: multiply the spectrum by exp(i*t*Phi(xi))."""
+    """Apply the propagator: multiply the spectrum by exp(i*t*Phi(xi)).
+
+    Raises RangeError where t*Phi(xi) overflows on the grid.
+    """
     if not np.isfinite(t):
         raise ConfigError(f"evolution time must be finite, got {t}")
     if t == 0.0:
         return f
+    c = forward_transform(f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = 1j * t * profile.phi(c.frequencies)
+    if not np.all(np.isfinite(phase)):
+        raise RangeError(f"the phase t*Phi(xi) overflows at t = {t:g}")
     if abs(t) > 1.0:
         warnings.warn(f"|t| = {abs(t):g} > 1 is outside the nominal time window")
-    c = forward_transform(f)
-    mult = np.exp(1j * t * profile.phi(c.frequencies))
-    return inverse_transform(SpectralCoefficients(c.half_width, mult * c.coeffs))
+    return inverse_transform(SpectralCoefficients(c.half_width, np.exp(phase) * c.coeffs))
 
 
 def sobolev_norm(f: SampledSignal, s: float) -> float:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,15 @@ class TestCli:
         assert main(argv) == 2
         assert "k_max - k_min >= 2" in capsys.readouterr().err
 
+    def test_cantor_above_size_cap_fails_at_once(self, tmp_path, capsys):
+        # 2^40 intervals; the cap refuses them before building any
+        start = time.perf_counter()
+        assert main(["check", "--theta", "cantor:2,0.3,40", "--out", str(tmp_path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert "2^40 intervals, more than 16777216" in err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # the default grid's Nyquist frequency is about 25, below the k=9 shell
         assert main(["maximal", "--band", "9", "--out", str(tmp_path)]) == 3
@@ -280,8 +290,9 @@ class TestCli:
         (["evolve", "--s", "150"], "the H^150 norm overflows"),
         (["cover", "--theta", "interval:0,1", "--lam", "1e20"],
          "a cover by width-1e-10 intervals may take 1e+10"),
+        (["evolve", "--t", "1e308"], "the phase t*Phi(xi) overflows at t = 1e+308"),
     ], ids=["grid-size", "evolve-underflow", "converge-underflow", "evolve-norm-overflow",
-            "cover-size"])
+            "cover-size", "evolve-phase-overflow"])
     def test_out_of_range_exit_code(self, argv, message, tmp_path, capsys):
         # finite settings whose grid or data leave what float64 or memory holds
         assert main(argv + ["--out", str(tmp_path)]) == 3

@@ -17,7 +17,7 @@ from dispmax.directions import (
     make_points,
     parse_direction_spec,
 )
-from dispmax.errors import RangeError
+from dispmax.errors import MAX_COUNT, ConfigError, RangeError
 
 
 class TestConstructors:
@@ -38,6 +38,13 @@ class TestConstructors:
     def test_rejects_oversized_ratio(self):
         with pytest.raises(ValueError):
             make_cantor(2, 0.6, 3)
+
+    @pytest.mark.parametrize("m, r, depth", [(2, 0.3, 25), (3, 0.3, 16), (2, 0.3, 10**9),
+                                             (2, 0.3, 10**400), (MAX_COUNT + 1, 1e-8, 1)])
+    def test_cantor_above_size_cap_is_refused(self, m, r, depth):
+        # refused before any interval is built: depth 10^9 would never finish
+        with pytest.raises(ConfigError, match=f"more than {MAX_COUNT}"):
+            make_cantor(m, r, depth)
 
     def test_cantor_expansion_count(self):
         ds = make_cantor(2, 1.0 / 3.0, 8)

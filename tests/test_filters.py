@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispmax.errors import AliasingError
+from dispmax.errors import AliasingError, ConfigError
 from dispmax.filters import MAX_BAND, project, project_wide, psi, psi0, psi_k, psi_wide
 from dispmax.spectral import (
     DispersionProfile,
@@ -129,6 +129,10 @@ class TestProjections:
         f = SampledSignal(half_width, np.exp(1j * xi0 * x))
         g = project_wide(f, k)
         assert np.max(np.abs(g.values)) < 1e-15 * n
+
+    def test_wide_projection_refuses_band_zero(self):
+        with pytest.raises(ConfigError, match=r"band index 0 outside \[1, "):
+            project_wide(band_limited_signal(8), 0)
 
     def test_aliasing_guard(self):
         f = band_limited_signal(7, half_width=16.0, n=128)  # Nyquist = 4*pi

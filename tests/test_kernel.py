@@ -155,7 +155,7 @@ def reference_gauss_sum(query, density=1):
         return out
 
     def phi_at(nodes):
-        if profile.kind == "power":
+        if profile.a is not None:
             if profile.a == 2.0:
                 return (lam * lam) * (nodes * nodes)
             return lam**profile.a * np.abs(nodes) ** profile.a
@@ -352,6 +352,14 @@ class TestU1U2Split:
         w = SpaceTimePoint(0.5, 0.3, 0.1)
         wp = SpaceTimePoint(-0.5, 0.3, 0.0)
         pieces = split_u1_u2(w, wp, 8.0, PROFILE)
+        assert [lab for _, lab in pieces] == ["U1", "U1"]
+
+    @pytest.mark.parametrize("lam, a", [(1e308, 2.0), (1e16, 20.0)])
+    def test_time_diagonal_is_all_u1_where_phi_prime_overflows(self, lam, a):
+        # with t = t' the U1 condition holds at any Phi'; 0 * |Phi'| would be NaN here
+        w = SpaceTimePoint(0.5, 0.3, 0.1)
+        wp = SpaceTimePoint(-0.5, 0.3, 0.0)
+        pieces = split_u1_u2(w, wp, lam, DispersionProfile.power(a))
         assert [lab for _, lab in pieces] == ["U1", "U1"]
 
     def test_boundary_location(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dispmax import maximal
 from dispmax.directions import make_cantor, make_intervals, make_points
-from dispmax.errors import RangeError
+from dispmax.errors import MAX_COUNT, RangeError
 from dispmax.maximal import (
     _scan,
     convergence_scan,
@@ -58,10 +58,20 @@ class TestGridForBand:
         with pytest.raises(RangeError, match="the resolution rule asks for"):
             grid_for_band(band, DispersionProfile.power(a), theta)
 
+    @pytest.mark.parametrize("x", [-0.7, 0.0, 0.3])
+    @pytest.mark.parametrize("band", [0.0, 5.0, 64.0])
+    def test_point_grid_equals_zero_width_interval_grid(self, x, band):
+        # estimate_operator_norm builds every Omega, widths 0 included, with make_intervals
+        by_point = grid_for_band(band, PROFILE, make_points([x]))
+        by_interval = grid_for_band(band, PROFILE, make_intervals([(x, x)]))
+        assert by_point[1].tobytes() == np.array([x]).tobytes()
+        for got, want in zip(by_interval, by_point):
+            assert got.tobytes() == want.tobytes()
+
     def test_largest_grid_is_allowed(self):
         # a=2 at band 2^10 (k=10) asks for about 8.4e6 t steps, under the cap
         t_grid, _ = grid_for_band(2.0**10, PROFILE, make_points([0.0]))
-        assert 8e6 < len(t_grid) < maximal._MAX_STEPS
+        assert 8e6 < len(t_grid) < MAX_COUNT
 
 
 class TestMaximalFunction:

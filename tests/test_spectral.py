@@ -1,5 +1,7 @@
 """Tests for the transform pair, the propagator, and Sobolev machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,9 @@ class TestForwardTransform:
         assert np.max(err[above] / exact[above]) < 1e-8
         assert np.max(err) / np.sqrt(2.0 * np.pi) < 1e-14
 
+    def test_band_limit_of_zero_spectrum_is_zero(self):
+        assert SpectralCoefficients(8.0, np.zeros(64)).band_limit() == 0.0
+
 
 class TestInverseTransform:
     @given(seed=st.integers(0, 2**31))
@@ -107,6 +112,13 @@ class TestEvolve:
         f = random_signal(0)
         with pytest.raises(ValueError):
             evolve(f, np.nan, DispersionProfile.power(2.0))
+
+    def test_overflowing_phase_raises_before_any_warning(self):
+        # t*Phi(xi) passes 1.8e308 on this grid; the |t| > 1 warning would come second
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="the phase t\\*Phi\\(xi\\) overflows"):
+                evolve(random_signal(0), 1e308, DispersionProfile.power(2.0))
 
     @given(seed=st.integers(0, 2**31), t=st.floats(-1.0, 1.0))
     @settings(max_examples=30, deadline=None)
