@@ -48,7 +48,7 @@ from .spectral import (
 )
 
 _PHASE_BUDGET = 0.25  # max phase change (radians) per grid step in t, theta, x
-_SCAN_CHUNK = 64  # time slices synthesized per batched inverse FFT
+_FFT_BYTES = 1 << 21  # bytes per synthesis buffer; its rows are the time slices per inverse FFT
 _CELLS = 1 << 15  # window values per block of time slices (32 B of temporaries each)
 _TIE_MARGIN = 1e-6  # t*theta/h this near a half-integer takes the per-cell index (see _scan)
 
@@ -140,10 +140,12 @@ def _scan(
     |u(x+t*theta, t) - f(x)| and level_max holds the per-x maxima
     restricted to |t| <= r for each level.
 
-    Time slices go through the inverse FFT _SCAN_CHUNK rows at a time, in
-    two buffers allocated once per scan: a zero-padded input whose live
-    slices [0, n/2) and [n_eval - n/2, n_eval) are overwritten per chunk
-    (the padding between them stays zero), and the FFT output.
+    Time slices go through the inverse FFT in chunks of at most _FFT_BYTES
+    (max(1, _FFT_BYTES // (16 * n_eval)) rows), in two buffers allocated
+    once per scan: a zero-padded input whose live slices [0, n/2) and
+    [n_eval - n/2, n_eval) are overwritten per chunk (the padding between
+    them stays zero), and the FFT output.  No bit depends on the chunk size:
+    the e^{it Phi} recurrence is one chain, and the FFT transforms each row alone.
 
     Cell (t, x, theta) reads lattice index rint((x + t*theta + half_width) / h)
     modulo n_eval (_cell_index).  With x = x_idx*h - half_width that index is
@@ -223,14 +225,15 @@ def _scan(
     dt = t_grid[1] - t_grid[0] if len(t_grid) > 1 else 0.0
     step_mult = np.exp(1j * dt * phi)
 
-    coeff = np.empty((_SCAN_CHUNK, n), dtype=complex)
-    padded = np.zeros((_SCAN_CHUNK, n_eval), dtype=complex)
-    fields = np.empty((_SCAN_CHUNK, n_eval), dtype=complex)
+    chunk = min(len(t_grid), max(1, _FFT_BYTES // (16 * n_eval)))
+    coeff = np.empty((chunk, n), dtype=complex)
+    padded = np.zeros((chunk, n_eval), dtype=complex)
+    fields = np.empty((chunk, n_eval), dtype=complex)
     x_pos = np.arange(x_count)
     x_lo, x_hi = int(x_idx.min()), int(x_idx.max())
 
-    for start in range(0, len(t_grid), _SCAN_CHUNK):
-        t_chunk = t_grid[start : start + _SCAN_CHUNK]
+    for start in range(0, len(t_grid), chunk):
+        t_chunk = t_grid[start : start + chunk]
         m = len(t_chunk)
         coeff[0] = cur
         for i in range(1, m):

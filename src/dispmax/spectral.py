@@ -183,14 +183,24 @@ def sobolev_norm(f: SampledSignal, s: float) -> float:
     """Discrete H^s norm: ((1/2pi) sum (1+xi^2)^s |c_j|^2 dxi)^(1/2).
 
     Raises RangeError where the sum is not finite: (1+xi^2)^s overflows.
+    Raises RangeError where the weights lift the transform's rounding noise,
+    eps * max|c| per coefficient, above 1e-6 of the sum: the norm then
+    measures that noise, not f.
     """
     c = forward_transform(f)
     xi = c.frequencies
+    mags = np.abs(c.coeffs)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = np.sum((1.0 + xi * xi) ** s * np.abs(c.coeffs) ** 2) * c.freq_step / (2.0 * np.pi)
+        weight = (1.0 + xi * xi) ** s
+        total = np.sum(weight * mags**2) * c.freq_step / (2.0 * np.pi)
+        floor = np.finfo(float).eps * mags.max()
+        noise = np.sum(weight) * floor**2 * c.freq_step / (2.0 * np.pi)
     if not np.isfinite(total):
         raise RangeError(f"the H^{s:g} norm overflows: (1+xi^2)^s is not finite "
                          f"at |xi| = {np.max(np.abs(xi)):g}")
+    if noise > 1e-6 * total:
+        raise RangeError(f"the H^{s:g} norm is rounding noise: (1+xi^2)^s lifts the "
+                         f"transform's noise to {noise / total:.2g} of the sum, above 1e-6")
     return float(np.sqrt(total))
 
 

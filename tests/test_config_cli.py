@@ -288,11 +288,14 @@ class TestCli:
         (["evolve", "--s", "400"], "H^400 data underflows"),
         (["converge", "--s", "400"], "H^400 data underflows"),
         (["evolve", "--s", "150"], "the H^150 norm overflows"),
+        (["evolve", "--s", "12"], "the H^12 norm is rounding noise"),
+        (["evolve", "--s", "15"], "the H^15 norm is rounding noise"),
         (["cover", "--theta", "interval:0,1", "--lam", "1e20"],
          "a cover by width-1e-10 intervals may take 1e+10"),
         (["evolve", "--t", "1e308"], "the phase t*Phi(xi) overflows at t = 1e+308"),
     ], ids=["grid-size", "evolve-underflow", "converge-underflow", "evolve-norm-overflow",
-            "cover-size", "evolve-phase-overflow"])
+            "evolve-norm-noise-s12", "evolve-norm-noise-s15", "cover-size",
+            "evolve-phase-overflow"])
     def test_out_of_range_exit_code(self, argv, message, tmp_path, capsys):
         # finite settings whose grid or data leave what float64 or memory holds
         assert main(argv + ["--out", str(tmp_path)]) == 3
@@ -300,6 +303,15 @@ class TestCli:
         assert err.startswith(f"numerical failure: {message}")
         assert err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("s", ["1", "9"])
+    def test_evolve_norm_above_noise_floor(self, s, tmp_path, capsys):
+        # on the default grid the weights lift the transform's rounding noise
+        # to 2.8e-7 of the H^9 sum, below the 1e-6 at which evolve refuses
+        assert main(["evolve", "--s", s, "--out", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert out.endswith(f"(H^{s} norm in = 1.10162)\n") and not err
+        assert (tmp_path / "evolved.csv").exists()
 
     @pytest.mark.parametrize("exc, line", [
         (MemoryError("Unable to allocate 8.00 TiB for an array"),

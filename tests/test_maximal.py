@@ -1,5 +1,7 @@
 """Tests for the directional maximal scan and the operator-norm probes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,20 +232,25 @@ def reference_scan(f, theta_values, t_grid, profile, x_count, r_levels=None):
 
 
 class TestScanMatchesReference:
-    """The chunked, blocked scan reproduces the reference bit for bit."""
+    """The chunked, blocked scan reproduces the reference bit for bit, with
+    FFT chunks of one row, of three rows and of the default byte budget."""
 
     def check(self, f, theta_values, t_grid, r_levels=None, x_count=65):
-        res = _scan(f, theta_values, t_grid, PROFILE, x_count, r_levels=r_levels)
         values, t_arg, theta_arg, level_max, h = reference_scan(
             f, theta_values, t_grid, PROFILE, x_count, r_levels)
-        assert np.array_equal(res.values, values)
-        assert np.array_equal(res.t_arg, t_arg)
-        assert np.array_equal(res.theta_arg, theta_arg)
-        assert res.lattice_step == h
-        if r_levels is None:
-            assert res.level_max is None
-        else:
-            assert np.array_equal(res.level_max, level_max)
+        n_eval = round(2.0 * f.half_width / h)
+        for budget in (1, 3 * 16 * n_eval, maximal._FFT_BYTES):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(maximal, "_FFT_BYTES", budget)
+                res = _scan(f, theta_values, t_grid, PROFILE, x_count, r_levels=r_levels)
+            assert np.array_equal(res.values, values)
+            assert np.array_equal(res.t_arg, t_arg)
+            assert np.array_equal(res.theta_arg, theta_arg)
+            assert res.lattice_step == h
+            if r_levels is None:
+                assert res.level_max is None
+            else:
+                assert np.array_equal(res.level_max, level_max)
         return res
 
     def test_point_direction(self):
@@ -256,11 +263,12 @@ class TestScanMatchesReference:
         f = band_limited(8, half_width=12.0)
         t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), PROFILE,
                                              make_intervals([(-1.0, 1.0)]))
-        assert len(t_grid) % maximal._SCAN_CHUNK != 0  # the last chunk is partial
         h = self.check(f, theta_values, t_grid).lattice_step
+        chunk = min(len(t_grid), maximal._FFT_BYTES // (16 * round(24.0 / h)))  # 128 rows
+        assert len(t_grid) % chunk != 0  # the last chunk is partial
         width = maximal._direction_offsets(t_grid[:, None] * theta_values[None, :], h)[3]
         rows_per_block = maximal._CELLS // (65 * width.max())
-        assert 1 <= rows_per_block < maximal._SCAN_CHUNK
+        assert 1 <= rows_per_block < chunk
 
     def test_convergence_levels(self):
         f = make_sobolev_data(1.0, 9, half_width=12.0, n=256)  # h is not a power of two
@@ -318,6 +326,21 @@ class TestScanMatchesReference:
         t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), PROFILE,
                                              make_points([0.9]), t_range=0.5)
         self.check(f, theta_values, t_grid, r_levels=np.array([0.5, 0.25, 0.0625]))
+
+
+def test_scan_buffers_are_bounded_in_bytes():
+    # the full band of 4096 points asks for a 2^16-point lattice: 1 MiB a
+    # row, so a buffer of 64 time slices would hold 64 MiB
+    f = band_limited(13, n=4096, top=np.inf)
+    t_grid = np.linspace(-1.0, 1.0, 65)
+    tracemalloc.start()
+    try:
+        res = _scan(f, np.array([0.3]), t_grid, PROFILE, 65)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert round(2.0 * f.half_width / res.lattice_step) >= 2**16
+    assert peak < 2 * maximal._FFT_BYTES + 2**21
 
 
 def snapped_x(half_width, h, x_count=65):

@@ -171,6 +171,15 @@ class TestSobolevNorm:
         with pytest.raises(RangeError, match="overflows"):
             sobolev_norm(f, 150.0)
 
+    def test_noise_floor_raises(self):
+        # H^15 data on 512 points: near |xi| = 25 the coefficients are
+        # rounding noise, about 1e-16, which (1+xi^2)^15 lifts above the data
+        f = make_sobolev_data(15.0, 0, half_width=32.0, n=512)
+        with pytest.raises(RangeError, match="rounding noise"):
+            sobolev_norm(f, 15.0)
+        g = make_sobolev_data(9.0, 0, half_width=32.0, n=512)  # noise at 2.8e-7 of the sum
+        assert abs(sobolev_norm(g, 9.0) - 1.10162) < 5e-6
+
 
 class TestMakeSobolevData:
     def test_deterministic_under_seed(self):
