@@ -62,7 +62,7 @@ def _build_config(args) -> ExperimentConfig:
         env_out = os.environ.get("DISPMAX_OUT")
         if env_out:
             overrides["out"] = env_out
-    return replace(cfg, **overrides).validate()
+    return replace(cfg, **overrides)
 
 
 def _out_path(cfg: ExperimentConfig, name: str) -> str:

@@ -43,7 +43,8 @@ class ExperimentConfig:
         """The kernel-scan frequencies 2^lambda_min_exp, ..., 2^lambda_max_exp."""
         return [2.0**e for e in range(self.lambda_min_exp, self.lambda_max_exp + 1)]
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self):
+        """Refuse, with ConfigError, any setting outside its documented range."""
         if not 1.0 <= self.q <= 4.0:
             raise ConfigError(f"q={self.q} outside [1, 4]")
         sig = self.resolved_sigma()
@@ -78,7 +79,6 @@ class ExperimentConfig:
             if e >= sys.float_info.max_exp:
                 raise ConfigError(f"{key}={sign * e}: 2^{e} overflows float64")
         parse_direction_spec(self.theta)
-        return self
 
     def canonical(self) -> str:
         parts = []
@@ -124,7 +124,7 @@ def parse_config(text: str) -> ExperimentConfig:
             updates[key] = _parse_value(key, raw)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    return replace(ExperimentConfig(), **updates).validate()
+    return replace(ExperimentConfig(), **updates)
 
 
 @dataclass

@@ -21,15 +21,10 @@ from .errors import MAX_COUNT, ConfigError, RangeError
 class DirectionSet:
     components: tuple  # sorted (a, b) closed intervals; points have a == b
 
-    def sample(self, per_component: int = 1) -> np.ndarray:
-        """Equispaced samples, per_component per interval (midpoint if 1)."""
-        out = []
-        for a, b in self.components:
-            if per_component == 1:
-                out.append([(a + b) / 2.0])
-            else:
-                out.append(np.linspace(a, b, per_component))
-        return np.unique(np.concatenate(out))
+    def sample(self, per_component: int) -> np.ndarray:
+        """Equispaced samples, per_component per interval (its left end if 1)."""
+        return np.unique(np.concatenate([np.linspace(a, b, per_component)
+                                         for a, b in self.components]))
 
 
 def _validate_components(comps) -> tuple:
@@ -174,15 +169,24 @@ def estimate_minkowski_dim(
         raise ConfigError("need 0 < delta_min < delta_max <= 1")
     if n_scales < 4:
         raise ConfigError("need at least 4 scales")
-    deltas, counts = np.array(dimension_table(theta, delta_min, delta_max, n_scales)).T
-    x = np.log(1.0 / deltas)
-    y = np.log(counts)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return float(slope), resid
+    return _dimension_fit(dimension_table(theta, delta_min, delta_max, n_scales))
 
 
 def dimension_table(theta: DirectionSet, delta_min: float, delta_max: float, n_scales: int = 12):
     """(delta, count) rows backing the dimension fit, for CSV emission."""
     deltas = np.exp(np.linspace(np.log(delta_max), np.log(delta_min), n_scales))
     return [(float(d), box_count(theta, d)) for d in deltas]
+
+
+def _dimension_fit(rows) -> tuple[float, float]:
+    """(beta, fit_residual) of the (delta, count) rows of dimension_table."""
+    deltas, counts = np.array(rows).T
+    beta, _, resid = _fit_line(np.log(1.0 / deltas), np.log(counts))
+    return beta, resid
+
+
+def _fit_line(x, y) -> tuple[float, float, float]:
+    """Least-squares line y ~ slope*x + intercept; returns (slope, intercept, RMS residual)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    return float(slope), float(intercept), resid

@@ -5,12 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ExperimentConfig, ResultTable, provenance_block
-from .directions import (
-    cover_set,
-    dimension_table,
-    estimate_minkowski_dim,
-    parse_direction_spec,
-)
+from .directions import _dimension_fit, cover_set, dimension_table, parse_direction_spec
 from .errors import ConfigError
 from .filters import MAX_BAND
 from .kernel import decay_bound_scan
@@ -26,7 +21,6 @@ def run_scaling_experiment(cfg: ExperimentConfig):
     exponent is fitted on the per-k values.  Returns (table, (slope,
     intercept, residual)).
     """
-    cfg.validate()
     # checked before any scan: the fit needs three bands, each in the filter bank
     if not (1 <= cfg.k_min and cfg.k_max - cfg.k_min >= 2 and cfg.k_max <= MAX_BAND):
         raise ConfigError(
@@ -68,7 +62,6 @@ def run_scaling_experiment(cfg: ExperimentConfig):
 
 def run_convergence_experiment(cfg: ExperimentConfig):
     """Median/max sup-error of S_t f(x + t*theta) - f(x) over shrinking scales."""
-    cfg.validate()
     scales = [2.0**-e for e in range(cfg.scale_max_exp, cfg.scale_min_exp + 1)]
     theta = parse_direction_spec(cfg.theta)
     profile = DispersionProfile.power(cfg.a)
@@ -82,7 +75,6 @@ def run_convergence_experiment(cfg: ExperimentConfig):
 
 def run_kernel_scan(cfg: ExperimentConfig):
     """Kernel decay products over the lambda scan; rows per sampled pair."""
-    cfg.validate()
     profile = DispersionProfile.power(cfg.a)
     sigma = cfg.resolved_sigma()
     # V2 needs |x - x'| >= 4*lambda^(-sigma) with |x - x'| < 2, so lambda^sigma > 2.
@@ -108,11 +100,11 @@ def run_kernel_scan(cfg: ExperimentConfig):
 
 def run_dimension_report(cfg: ExperimentConfig):
     """Box counts across scales plus the fitted Minkowski dimension."""
-    cfg.validate()
-    theta = parse_direction_spec(cfg.theta)
-    beta, resid = estimate_minkowski_dim(theta, cfg.delta_min, cfg.delta_max, cfg.n_scales)
+    rows = dimension_table(parse_direction_spec(cfg.theta), cfg.delta_min, cfg.delta_max,
+                           cfg.n_scales)
+    beta, resid = _dimension_fit(rows)
     return ResultTable(
         names=("delta", "count"),
-        rows=dimension_table(theta, cfg.delta_min, cfg.delta_max, cfg.n_scales),
+        rows=rows,
         provenance=provenance_block(cfg, experiment="dim", beta=beta, fit_residual=resid),
     )

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, DispmaxError, HypothesisError, QuadratureError
 from .filters import _smooth_step, psi, psi0
+from .maximal import lq_norm
 from .spectral import DispersionProfile
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
@@ -484,20 +485,13 @@ def standard_phases() -> list[tuple[PhaseSpec, int]]:
                 2: lambda x: np.zeros_like(np.asarray(x, dtype=float))},
         psi=psi_half,
     )
-    quad = PhaseSpec(
-        "quadratic-offset", 1.0, 2.0,
-        phi=lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
-        derivs={1: lambda x: np.asarray(x, dtype=float),
-                2: lambda x: np.ones_like(np.asarray(x, dtype=float))},
-        psi=psi_half,
-    )
-    quad0 = PhaseSpec(
-        "quadratic-stationary", -1.0, 1.0,
-        phi=lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
-        derivs={1: lambda x: np.asarray(x, dtype=float),
-                2: lambda x: np.ones_like(np.asarray(x, dtype=float))},
-        psi=psi0,
-    )
+    half_square = lambda x: 0.5 * np.asarray(x, dtype=float) ** 2
+    half_square_derivs = {1: lambda x: np.asarray(x, dtype=float),
+                          2: lambda x: np.ones_like(np.asarray(x, dtype=float))}
+    quad = PhaseSpec("quadratic-offset", 1.0, 2.0, phi=half_square,
+                     derivs=half_square_derivs, psi=psi_half)
+    quad0 = PhaseSpec("quadratic-stationary", -1.0, 1.0, phi=half_square,
+                      derivs=half_square_derivs, psi=psi0)
     return [(lin, 1), (quad, 2), (quad0, 2)]
 
 
@@ -563,11 +557,10 @@ def hls_bilinear_check(g: np.ndarray, h: np.ndarray, q: float):
     diff = np.abs(x[:, None] - x[None, :])
     weight = np.where(diff >= dx * (1 - 1e-12), diff, np.inf) ** -0.5
     lhs = float(big_g @ weight @ big_h * dx * dx)
-    qp = q / (q - 1.0) if q > 1.0 else np.inf
-    if np.isinf(qp):
-        norm = lambda v: float(np.max(v))
-    else:
-        norm = lambda v: float((np.sum(v**qp) * dx) ** (1.0 / qp))
-    rhs = norm(big_g) * norm(big_h)
+    if q > 1.0:
+        qp = q / (q - 1.0)
+        rhs = lq_norm(big_g, qp) * lq_norm(big_h, qp)
+    else:  # q' = inf
+        rhs = float(np.max(big_g)) * float(np.max(big_h))
     ratio = lhs / rhs if rhs > 0 else 0.0
     return lhs, rhs, ratio

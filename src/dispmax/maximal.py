@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .directions import DirectionSet, make_intervals
+from .directions import DirectionSet, _fit_line, make_intervals
 from .errors import MAX_COUNT, ConfigError, RangeError
 from .filters import project, psi0, psi_k
 from .spectral import (
@@ -65,8 +65,6 @@ class MaximalResult:
 
 
 def _phi_max(profile: DispersionProfile, band: float) -> float:
-    if band <= 0:
-        return 0.0
     xi = np.linspace(0.0, band, 1025)
     return float(np.max(np.abs(profile.phi(xi))))
 
@@ -459,10 +457,7 @@ def fit_scaling_exponent(pairs) -> tuple[float, float, float]:
     vals = np.array([p[1] for p in pairs], dtype=float)
     if np.any(vals <= 0):
         raise ConfigError("values must be positive")
-    y = np.log2(vals)
-    slope, intercept = np.polyfit(ks, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * ks + intercept)) ** 2)))
-    return float(slope), float(intercept), resid
+    return _fit_line(ks, np.log2(vals))
 
 
 def low_frequency_check(

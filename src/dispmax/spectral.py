@@ -41,8 +41,8 @@ class DispersionProfile:
         NonconformingProfileError where |xi|^a overflows, so every caller
         (the scan grid, the propagator) fails the same way.
         """
-        if not a > 1:
-            raise ConfigError(f"power profile needs a > 1, got {a}")
+        if not 1 < a < np.inf:
+            raise ConfigError(f"power profile needs a finite a > 1, got {a}")
 
         def phi(xi):
             axi = np.abs(np.asarray(xi, dtype=float))
@@ -66,10 +66,6 @@ class DispersionProfile:
             return out if np.ndim(xi) else float(out)
 
         return DispersionProfile(phi, phi_prime, phi_prime2, a=a)
-
-    @staticmethod
-    def custom(phi, phi_prime, phi_prime2) -> "DispersionProfile":
-        return DispersionProfile(phi, phi_prime, phi_prime2)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,14 @@ class TestParseConfig:
     def test_rejects_nonpositive_values(self, line):
         with pytest.raises(ConfigError):
             parse_config(line + "\n")
+
+    @pytest.mark.parametrize("setting", [{"q": 9.0}, {"seed": -1}, {"n_grid": 3},
+                                         {"theta": "blob:1"}], ids=["q", "seed", "n_grid", "theta"])
+    def test_config_is_checked_when_built(self, setting):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**setting)
+        with pytest.raises(ConfigError):
+            replace(ExperimentConfig(), **setting)
 
     def test_digest_ignores_output_directory(self):
         a = ExperimentConfig(out="here")

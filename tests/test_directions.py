@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dispmax import directions
+from dispmax.config import ExperimentConfig
 from dispmax.directions import (
     box_count,
     cover_set,
@@ -18,6 +20,7 @@ from dispmax.directions import (
     parse_direction_spec,
 )
 from dispmax.errors import MAX_COUNT, ConfigError, RangeError
+from dispmax.experiments import run_dimension_report
 
 
 class TestConstructors:
@@ -119,6 +122,21 @@ class TestDimension:
         ):
             beta, _ = estimate_minkowski_dim(ds, 1e-3, 1e-1)
             assert -0.02 <= beta <= 1.02
+
+    def test_report_counts_boxes_once_per_scale(self, monkeypatch):
+        cfg = ExperimentConfig(theta="cantor:2,0.3333333333333333,6", n_scales=12)
+        calls = []
+
+        def counting_box_count(theta, delta):
+            calls.append(delta)
+            return box_count(theta, delta)
+
+        monkeypatch.setattr(directions, "box_count", counting_box_count)
+        table = run_dimension_report(cfg)
+        assert len(calls) == cfg.n_scales
+        assert table.column("delta") == calls
+        assert table.provenance["beta"] == estimate_minkowski_dim(
+            make_cantor(2, 1.0 / 3.0, 6), cfg.delta_min, cfg.delta_max, cfg.n_scales)[0]
 
 
 class TestCover:

@@ -1,4 +1,5 @@
-"""Source checks: every module-level import in the package is used."""
+"""Source checks: every module-level import in the package is used, and every
+module-level function and class is read by some other code."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,9 @@ import pytest
 
 import dispmax
 
-MODULES = sorted(p for p in Path(dispmax.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(dispmax.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -33,3 +36,36 @@ def test_checker_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _read_names(node) -> set:
+    """Names that node reads, as an ast.Name or as the attribute of an ast.Attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def dead_definitions(sources: dict, checked) -> list:
+    """Module-level functions and classes of the checked sources that nothing reads.
+
+    sources maps a label to its source text.  A definition counts as read when
+    its name is read in some module-level statement of any source other than
+    the definition itself, so recursion alone does not count.
+    """
+    statements = [(label, node, _read_names(node))
+                  for label, text in sources.items() for node in ast.parse(text).body]
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(f"{label}: {node.name}" for label, node, _ in statements
+                  if label in checked and isinstance(node, defs)
+                  and not any(node.name in names for _, other, names in statements
+                              if other is not node))
+
+
+def test_checker_flags_an_unread_definition():
+    source = "def f():\n    return f()\ndef g():\n    pass\nclass C:\n    pass\nprint(g)\n"
+    assert dead_definitions({"m": source, "t": "C = 1\n"}, {"m"}) == ["m: C", "m: f"]
+
+
+def test_every_definition_is_read():
+    sources = {p.name if p.parent == PACKAGE else f"tests/{p.name}": p.read_text()
+               for p in [*PACKAGE.glob("*.py"), *TESTS]}
+    assert dead_definitions(sources, {p.name for p in MODULES}) == []

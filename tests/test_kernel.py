@@ -198,7 +198,7 @@ def panel_count(q):
     return len(kernel._refine_panels(kernel._SUPPORT, dphase)[0])
 
 
-CUSTOM = DispersionProfile.custom(
+CUSTOM = DispersionProfile(
     phi=lambda xi: xi**2 + 0.1 * xi**4,
     phi_prime=lambda xi: 2.0 * xi + 0.4 * xi**3,
     phi_prime2=lambda xi: 2.0 + 1.2 * xi**2,

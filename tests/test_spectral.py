@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispmax.errors import NonconformingProfileError, RangeError
+from dispmax.errors import ConfigError, NonconformingProfileError, RangeError
 from dispmax.spectral import (
     DispersionProfile,
     SampledSignal,
@@ -236,7 +236,7 @@ class TestDispersionConditions:
         assert abs(c2 - 0.5) < 1e-6
 
     def test_linear_profile_is_rejected(self):
-        prof = DispersionProfile.custom(
+        prof = DispersionProfile(
             phi=lambda xi: xi,
             phi_prime=lambda xi: np.ones_like(np.asarray(xi, dtype=float)),
             phi_prime2=lambda xi: np.zeros_like(np.asarray(xi, dtype=float)),
@@ -249,6 +249,11 @@ class TestDispersionConditions:
         assert abs(prof.phi(10.0) / 1e300 - 1.0) < 1e-12
         with pytest.raises(NonconformingProfileError, match="not finite"):
             prof.phi(np.array([0.0, 2.0, 20.0]))
+
+    @pytest.mark.parametrize("a", [1.0, float("inf"), float("nan")])
+    def test_power_profile_needs_finite_exponent_above_one(self, a):
+        with pytest.raises(ConfigError):
+            DispersionProfile.power(a)
 
 
 class TestSignalCsv:
