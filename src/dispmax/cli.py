@@ -10,19 +10,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
 
 import numpy as np
 
 from .config import (
+    _FIELD_TYPES,
     ExperimentConfig,
     ResultTable,
+    _settings,
     emit_plot_script,
-    parse_config,
     provenance_block,
     write_csv,
 )
-from .directions import cover_set, parse_direction_spec
+from .directions import cover_set
 from .errors import ConfigError, DispmaxError
 from .experiments import (
     run_convergence_experiment,
@@ -34,7 +34,6 @@ from .filters import project, psi0, psi_k
 from .kernel import standard_phases, van_der_corput_check
 from .maximal import maximal_function
 from .spectral import (
-    DispersionProfile,
     check_dispersion_conditions,
     evolve,
     forward_transform,
@@ -45,24 +44,21 @@ from .spectral import (
     sobolev_norm,
 )
 
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
-
 
 def _build_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
+    """One config: the defaults, then the --config file's settings (else
+    $DISPMAX_OUT as `out`), then the flags."""
     if args.config:
         try:
             with open(args.config) as fh:
-                text = fh.read()
+                settings = _settings(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        cfg = parse_config(text)
-    overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
-    if "out" not in overrides and not args.config:
+    else:
         env_out = os.environ.get("DISPMAX_OUT")
-        if env_out:
-            overrides["out"] = env_out
-    return replace(cfg, **overrides)
+        settings = {"out": env_out} if env_out else {}
+    overrides = {k: v for k, v in vars(args).items() if k in _FIELD_TYPES and v is not None}
+    return ExperimentConfig(**{**settings, **overrides})
 
 
 def _out_path(cfg: ExperimentConfig, name: str) -> str:
@@ -70,14 +66,16 @@ def _out_path(cfg: ExperimentConfig, name: str) -> str:
     return os.path.join(cfg.out, name)
 
 
-def _write_table(cfg: ExperimentConfig, table: ResultTable, stem: str, plot: bool = False) -> str:
+def _write_table(cfg: ExperimentConfig, table: ResultTable, stem: str, plot: bool = False) -> None:
     """Write <stem>.csv to the output directory, and its gnuplot script
-    <stem>.gp when plot is set; returns the CSV path."""
+    <stem>.gp when plot is set; prints one "wrote" line per file."""
     path = _out_path(cfg, f"{stem}.csv")
     write_csv(table, path)
+    print(f"wrote {path}")
     if plot:
-        emit_plot_script(table, _out_path(cfg, f"{stem}.gp"), f"{stem}.csv")
-    return path
+        script = _out_path(cfg, f"{stem}.gp")
+        emit_plot_script(table, script, f"{stem}.csv")
+        print(f"wrote {script}")
 
 
 def _load_signal(cfg: ExperimentConfig, args):
@@ -92,14 +90,13 @@ def _load_signal(cfg: ExperimentConfig, args):
 
 
 def _cmd_check(cfg: ExperimentConfig, args) -> int:
-    profile = DispersionProfile.power(cfg.a)
-    c1, c2 = check_dispersion_conditions(profile)
+    c1, c2 = check_dispersion_conditions(cfg.profile)
     print(f"dispersion conditions: C1est={c1:.6g} C2est={c2:.6g}")
     f = make_sobolev_data(1.0, cfg.seed, half_width=8.0, n=256)
     rt = inverse_transform(forward_transform(f))
     rt_err = float(np.max(np.abs(rt.values - f.values)) / np.max(np.abs(f.values)))
     print(f"transform round trip: max rel err {rt_err:.3g}")
-    g = evolve(f, 0.5, profile)
+    g = evolve(f, 0.5, cfg.profile)
     unit_err = abs(g.l2_norm() - f.l2_norm()) / f.l2_norm()
     print(f"propagator unitarity: rel err {unit_err:.3g}")
     xi = np.linspace(-16.0, 16.0, 4001)
@@ -113,8 +110,7 @@ def _cmd_check(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_evolve(cfg: ExperimentConfig, args) -> int:
     f = _load_signal(cfg, args)
-    profile = DispersionProfile.power(cfg.a)
-    g = evolve(f, args.t, profile)
+    g = evolve(f, args.t, cfg.profile)
     norm = sobolev_norm(f, cfg.s)
     path = _out_path(cfg, "evolved.csv")
     with open(path, "w", newline="\n") as fh:
@@ -126,58 +122,51 @@ def _cmd_evolve(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_dim(cfg: ExperimentConfig, args) -> int:
     table = run_dimension_report(cfg)
-    path = _write_table(cfg, table, "dimension")
     print(f"beta={table.provenance['beta']:.6g} residual={table.provenance['fit_residual']:.3g}")
-    print(f"wrote {path}")
+    _write_table(cfg, table, "dimension")
     return 0
 
 
 def _cmd_cover(cfg: ExperimentConfig, args) -> int:
-    theta = parse_direction_spec(cfg.theta)
-    result = cover_set(theta, args.lam, cfg.resolved_sigma())
+    result = cover_set(cfg.directions, args.lam, cfg.resolved_sigma())
     table = ResultTable(
         names=("left", "right"),
         rows=result.intervals,
         provenance=provenance_block(cfg, experiment="cover", width=result.width,
                                     count=result.count, lam=float(args.lam)),
     )
-    path = _write_table(cfg, table, "cover")
     print(f"N={result.count} width={result.width:.6g}")
-    print(f"wrote {path}")
+    _write_table(cfg, table, "cover")
     return 0
 
 
 def _cmd_maximal(cfg: ExperimentConfig, args) -> int:
-    theta = parse_direction_spec(cfg.theta)
-    profile = DispersionProfile.power(cfg.a)
     f = _load_signal(cfg, args)
     if args.band is not None:
         f = project(f, args.band)
     band = forward_transform(f).band_limit()
-    res = maximal_function(f, theta, profile, x_count=cfg.x_count)
+    res = maximal_function(f, cfg.directions, cfg.profile, x_count=cfg.x_count)
     table = ResultTable(
         names=("x", "maximal_value"),
         rows=zip(res.x, res.values),
         provenance=provenance_block(cfg, experiment="maximal", band=band),
     )
-    path = _write_table(cfg, table, "maximal")
-    print(f"wrote {path}")
+    _write_table(cfg, table, "maximal")
     return 0
 
 
 def _cmd_norm_scaling(cfg: ExperimentConfig, args) -> int:
     table, fit = run_scaling_experiment(cfg)
-    path = _write_table(cfg, table, "scaling", plot=True)
     print(f"fitted slope={fit[0]:.4g} intercept={fit[1]:.4g} residual={fit[2]:.3g}")
-    print(f"wrote {path}")
+    _write_table(cfg, table, "scaling", plot=True)
     return 0
 
 
 def _cmd_kernel_scan(cfg: ExperimentConfig, args) -> int:
     table, report = run_kernel_scan(cfg)
-    path = _write_table(cfg, table, "kernel_scan", plot=True)
     lo, hi = report.v2_ratio_range
     print(f"max decay product={report.max_decay_product():.6g} v2 ratio in [{lo:.3g}, {hi:.3g}]")
+    _write_table(cfg, table, "kernel_scan", plot=True)
     vdc_rows = [(phase.name, k, *row)
                 for phase, k in standard_phases()
                 for row in van_der_corput_check(phase, cfg.lambdas(), k)]
@@ -185,16 +174,14 @@ def _cmd_kernel_scan(cfg: ExperimentConfig, args) -> int:
                             rows=vdc_rows,
                             provenance=provenance_block(cfg, experiment="van-der-corput"))
     _write_table(cfg, vdc_table, "van_der_corput")
-    print(f"wrote {path}")
     return 0
 
 
 def _cmd_converge(cfg: ExperimentConfig, args) -> int:
     table = run_convergence_experiment(cfg)
-    path = _write_table(cfg, table, "converge", plot=True)
     med, r = table.column("median_err"), table.column("r")
     print(f"median err: {med[0]:.6g} at r={r[0]:g} -> {med[-1]:.6g} at r={r[-1]:g}")
-    print(f"wrote {path}")
+    _write_table(cfg, table, "converge", plot=True)
     return 0
 
 

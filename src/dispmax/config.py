@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from functools import cached_property
 
-from .directions import parse_direction_spec
+from .directions import DirectionSet, parse_direction_spec
 from .errors import ConfigError
+from .spectral import DispersionProfile
 
 __version__ = "0.1.0"
 
@@ -43,6 +45,16 @@ class ExperimentConfig:
         """The kernel-scan frequencies 2^lambda_min_exp, ..., 2^lambda_max_exp."""
         return [2.0**e for e in range(self.lambda_min_exp, self.lambda_max_exp + 1)]
 
+    @cached_property
+    def directions(self) -> DirectionSet:
+        """Theta, parsed from `theta` once per config."""
+        return parse_direction_spec(self.theta)
+
+    @cached_property
+    def profile(self) -> DispersionProfile:
+        """Phi = |xi|^a, built once per config."""
+        return DispersionProfile.power(self.a)
+
     def __post_init__(self):
         """Refuse, with ConfigError, any setting outside its documented range."""
         if not 1.0 <= self.q <= 4.0:
@@ -52,8 +64,7 @@ class ExperimentConfig:
             raise ConfigError(f"sigma below q/4 (sigma={sig}, q={self.q})")
         if not sig <= 1.0 + 1e-12:
             raise ConfigError(f"sigma above 1 (sigma={sig})")
-        if not 1.0 < self.a < float("inf"):
-            raise ConfigError(f"a={self.a} must exceed 1 and be finite")
+        self.profile  # DispersionProfile.power checks a
         if not 0.0 < self.s < float("inf"):
             raise ConfigError(f"s={self.s} must be positive and finite")
         if self.seed < 0:
@@ -78,7 +89,7 @@ class ExperimentConfig:
             e = sign * getattr(self, key)
             if e >= sys.float_info.max_exp:
                 raise ConfigError(f"{key}={sign * e}: 2^{e} overflows float64")
-        parse_direction_spec(self.theta)
+        self.directions  # parsing checks theta
 
     def canonical(self) -> str:
         parts = []
@@ -106,8 +117,8 @@ def _parse_value(key: str, raw: str):
     return raw
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """key=value lines, '#' comments; unknown keys are rejected by line number."""
+def _settings(text: str) -> dict:
+    """key=value lines, '#' comments, as a dict; unknown keys are rejected by line number."""
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -124,7 +135,12 @@ def parse_config(text: str) -> ExperimentConfig:
             updates[key] = _parse_value(key, raw)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    return replace(ExperimentConfig(), **updates)
+    return updates
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """The config of key=value lines, '#' comments; unset keys keep their defaults."""
+    return ExperimentConfig(**_settings(text))
 
 
 @dataclass
@@ -161,17 +177,19 @@ def write_csv(table: ResultTable, path) -> None:
 
 
 def _sniff(raw: str):
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
+    for typ in (int, float):
+        try:
+            value = typ(raw)
+        except ValueError:
+            continue
+        if _fmt(value) == raw:
+            return value
+    return raw
 
 
 def read_csv(path) -> ResultTable:
+    """The table write_csv wrote to path. A value reads back as an int or float only
+    where write_csv spells that number so; other text (`0.1`, `007`) stays a str."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     provenance = {}

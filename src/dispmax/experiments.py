@@ -5,12 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ExperimentConfig, ResultTable, provenance_block
-from .directions import _dimension_fit, cover_set, dimension_table, parse_direction_spec
+from .directions import _dimension_fit, cover_set, dimension_table
 from .errors import ConfigError
 from .filters import MAX_BAND
 from .kernel import decay_bound_scan
 from .maximal import convergence_scan, estimate_operator_norm, fit_scaling_exponent
-from .spectral import DispersionProfile, make_sobolev_data
+from .spectral import make_sobolev_data
 
 
 def run_scaling_experiment(cfg: ExperimentConfig):
@@ -27,18 +27,16 @@ def run_scaling_experiment(cfg: ExperimentConfig):
             f"need 1 <= k_min, k_max <= {MAX_BAND} and k_max - k_min >= 2, "
             f"got k_min={cfg.k_min}, k_max={cfg.k_max}"
         )
-    theta = parse_direction_spec(cfg.theta)
-    profile = DispersionProfile.power(cfg.a)
     sigma = cfg.resolved_sigma()
     rows, per_k = [], []
     for k in range(cfg.k_min, cfg.k_max + 1):
         lam = 2.0**k
-        cover = cover_set(theta, lam, sigma)
+        cover = cover_set(cfg.directions, lam, sigma)
         best = -1.0
         best_width = 0.0
         for j, omega in enumerate(cover.intervals):
             est = estimate_operator_norm(
-                k, omega, cfg.q, sigma, profile,
+                k, omega, cfg.q, sigma, cfg.profile,
                 trials=cfg.trials, seed=cfg.seed + 1000 * k + j,
                 half_width=cfg.half_width, x_count=cfg.x_count,
             )
@@ -63,10 +61,8 @@ def run_scaling_experiment(cfg: ExperimentConfig):
 def run_convergence_experiment(cfg: ExperimentConfig):
     """Median/max sup-error of S_t f(x + t*theta) - f(x) over shrinking scales."""
     scales = [2.0**-e for e in range(cfg.scale_max_exp, cfg.scale_min_exp + 1)]
-    theta = parse_direction_spec(cfg.theta)
-    profile = DispersionProfile.power(cfg.a)
     f = make_sobolev_data(cfg.s, cfg.seed, half_width=cfg.half_width, n=cfg.n_grid)
-    levels, sup = convergence_scan(f, theta, profile, scales, x_count=cfg.x_count)
+    levels, sup = convergence_scan(f, cfg.directions, cfg.profile, scales, x_count=cfg.x_count)
     rows = [(float(cfg.s), float(r), float(np.median(err)), float(np.max(err)))
             for r, err in zip(levels, sup)]
     return ResultTable(names=("s", "r", "median_err", "max_err"), rows=rows,
@@ -75,7 +71,6 @@ def run_convergence_experiment(cfg: ExperimentConfig):
 
 def run_kernel_scan(cfg: ExperimentConfig):
     """Kernel decay products over the lambda scan; rows per sampled pair."""
-    profile = DispersionProfile.power(cfg.a)
     sigma = cfg.resolved_sigma()
     # V2 needs |x - x'| >= 4*lambda^(-sigma) with |x - x'| < 2, so lambda^sigma > 2.
     if 2.0 ** (cfg.lambda_min_exp * sigma) <= 2.0:
@@ -84,7 +79,7 @@ def run_kernel_scan(cfg: ExperimentConfig):
             "2^(lambda_min_exp*sigma) must exceed 2"
         )
     report = decay_bound_scan(
-        profile, sigma, cfg.lambdas(), samples_per_region=cfg.samples_per_region, seed=cfg.seed
+        cfg.profile, sigma, cfg.lambdas(), samples_per_region=cfg.samples_per_region, seed=cfg.seed
     )
     lo, hi = report.v2_ratio_range
     table = ResultTable(
@@ -100,8 +95,7 @@ def run_kernel_scan(cfg: ExperimentConfig):
 
 def run_dimension_report(cfg: ExperimentConfig):
     """Box counts across scales plus the fitted Minkowski dimension."""
-    rows = dimension_table(parse_direction_spec(cfg.theta), cfg.delta_min, cfg.delta_max,
-                           cfg.n_scales)
+    rows = dimension_table(cfg.directions, cfg.delta_min, cfg.delta_max, cfg.n_scales)
     beta, resid = _dimension_fit(rows)
     return ResultTable(
         names=("delta", "count"),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dispmax
-from dispmax import cli
+from dispmax import cli, directions
 from dispmax.cli import main
 from dispmax.config import (
     ExperimentConfig,
@@ -23,7 +23,7 @@ from dispmax.config import (
     table_to_csv,
     write_csv,
 )
-from dispmax.directions import cover_set, make_points
+from dispmax.directions import cover_set, make_cantor, make_points
 from dispmax.errors import ConfigError
 from dispmax.kernel import decay_bound_scan
 from dispmax.spectral import DispersionProfile
@@ -107,6 +107,25 @@ class TestResultTable:
         back = read_csv(path)
         assert back == table
 
+    def test_numeric_looking_text_reads_back_as_text(self, tmp_path):
+        # an all-digit config hash with a leading zero, one that float()
+        # reads as inf, and cells whose numbers would print differently
+        table = ResultTable(names=("cell", "value"), rows=[("007", 1), ("1e5", 0.5)],
+                            provenance={"config_hash": "0012345678901234",
+                                        "other_hash": "12e4567890123456"})
+        path = tmp_path / "t.csv"
+        write_csv(table, path)
+        back = read_csv(path)
+        assert back == table
+        assert back.provenance["config_hash"] == "0012345678901234"
+        assert back.column("cell") == ["007", "1e5"]
+        # write_csv spells 0.1 as 0.10000000000000001, so a hand-written 0.1
+        # is not its output and reads back as the text it is
+        path.write_text("# step=0.1\nx,y\n0.1,0.5\n")
+        back = read_csv(path)
+        assert back.provenance["step"] == "0.1"
+        assert back.rows == (("0.1", 0.5),)
+
     def test_column_follows_csv_order_after_round_trip(self, tmp_path):
         table = ResultTable(names=("z", "a"), rows=[(1, "p"), (2, "q")], provenance={})
         path = tmp_path / "t.csv"
@@ -157,6 +176,40 @@ class TestCli:
         assert rc == 0
         table = read_csv(tmp_path / "dimension.csv")
         assert abs(table.provenance["beta"] - np.log(2) / np.log(3)) < 0.07
+
+    @pytest.mark.parametrize("command", ["dim", "cover"])
+    def test_command_parses_its_theta_once_per_config(self, command, tmp_path, monkeypatch):
+        # both paths build one config, from the file's settings and the flags
+        calls = []
+
+        def counting_make_cantor(*args):
+            calls.append(args)
+            return make_cantor(*args)
+
+        monkeypatch.setattr(directions, "make_cantor", counting_make_cantor)
+        out = ["--out", str(tmp_path / "out")]
+        assert main([command, "--theta", "cantor:2,0.3,5", *out]) == 0
+        assert calls == [(2, 0.3, 5)]
+        calls.clear()
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("theta = cantor:2,0.3,5\n")
+        assert main([command, "--config", str(cfg), *out]) == 0
+        assert calls == [(2, 0.3, 5)]
+
+    @pytest.mark.parametrize("command, files", [
+        ("dim", ["dimension.csv"]),
+        ("cover", ["cover.csv"]),
+        ("kernel-scan", ["kernel_scan.csv", "kernel_scan.gp", "van_der_corput.csv"]),
+    ])
+    def test_one_wrote_line_per_file(self, command, files, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("samples_per_region = 4\nlambda_min_exp = 4\nlambda_max_exp = 5\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        summary, *wrote = capsys.readouterr().out.splitlines()
+        assert not summary.startswith("wrote")
+        assert wrote == [f"wrote {out / name}" for name in files]
+        assert sorted(p.name for p in out.iterdir()) == sorted(files)
 
     def test_evolve_round_trips_through_csv(self, tmp_path):
         out1 = tmp_path / "a"

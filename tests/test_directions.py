@@ -55,6 +55,15 @@ class TestConstructors:
         lengths = [b - a for a, b in ds.components]
         assert np.allclose(lengths, 3.0**-8)
 
+    @pytest.mark.parametrize("m, depth", [(2, 3), (3, 5), (7, 3)])
+    def test_touching_cantor_pieces_merge_into_one_interval(self, m, depth):
+        # r = 1/m: each generation's pieces touch, so the set is [0, 1] itself
+        ds = make_cantor(m, 1.0 / m, depth)
+        assert ds.components == ((0.0, 1.0),)
+        unit = make_intervals([(0.0, 1.0)])
+        for delta in (1.0, 0.3, 1.0 / m**depth, 1e-3):
+            assert box_count(ds, delta) == box_count(unit, delta)
+
     def test_parse_round_trip(self):
         assert parse_direction_spec("point:0") == make_points([0.0])
         assert parse_direction_spec("points:0,0.5,1") == make_points([0.0, 0.5, 1.0])
