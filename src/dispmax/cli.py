@@ -40,7 +40,6 @@ from .spectral import (
     inverse_transform,
     make_sobolev_data,
     signal_from_csv,
-    signal_to_csv,
     sobolev_norm,
 )
 
@@ -61,19 +60,15 @@ def _build_config(args) -> ExperimentConfig:
     return ExperimentConfig(**{**settings, **overrides})
 
 
-def _out_path(cfg: ExperimentConfig, name: str) -> str:
-    os.makedirs(cfg.out, exist_ok=True)
-    return os.path.join(cfg.out, name)
-
-
 def _write_table(cfg: ExperimentConfig, table: ResultTable, stem: str, plot: bool = False) -> None:
     """Write <stem>.csv to the output directory, and its gnuplot script
     <stem>.gp when plot is set; prints one "wrote" line per file."""
-    path = _out_path(cfg, f"{stem}.csv")
+    os.makedirs(cfg.out, exist_ok=True)
+    path = os.path.join(cfg.out, f"{stem}.csv")
     write_csv(table, path)
     print(f"wrote {path}")
     if plot:
-        script = _out_path(cfg, f"{stem}.gp")
+        script = os.path.join(cfg.out, f"{stem}.gp")
         emit_plot_script(table, script, f"{stem}.csv")
         print(f"wrote {script}")
 
@@ -112,11 +107,13 @@ def _cmd_evolve(cfg: ExperimentConfig, args) -> int:
     f = _load_signal(cfg, args)
     g = evolve(f, args.t, cfg.profile)
     norm = sobolev_norm(f, cfg.s)
-    path = _out_path(cfg, "evolved.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# t={args.t:.17g}\n# a={cfg.a:.17g}\n")
-        fh.write(signal_to_csv(g))
-    print(f"wrote {path} (H^{cfg.s:g} norm in = {norm:.6g})")
+    table = ResultTable(
+        names=("x", "re", "im"),
+        rows=zip(g.grid, g.values.real, g.values.imag),
+        provenance=provenance_block(cfg, experiment="evolve", t=args.t, hs_norm_in=norm),
+    )
+    print(f"H^{cfg.s:g} norm in = {norm:.6g}")
+    _write_table(cfg, table, "evolved")
     return 0
 
 

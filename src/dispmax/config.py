@@ -83,12 +83,15 @@ class ExperimentConfig:
             )
         if self.n_scales < 4:
             raise ConfigError(f"n_scales={self.n_scales} must be at least 4")
-        # lambda = 2^e and scale = 2^-e; float64 powers of two stop at 2^1023.
+        # lambda = 2^e and scale = 2^-e; float64 powers of two run from 2^-1074,
+        # the least subnormal, to 2^1023.  Checked before any list of them is built.
         for key, sign in (("lambda_min_exp", 1), ("lambda_max_exp", 1),
                           ("scale_min_exp", -1), ("scale_max_exp", -1)):
             e = sign * getattr(self, key)
             if e >= sys.float_info.max_exp:
                 raise ConfigError(f"{key}={sign * e}: 2^{e} overflows float64")
+            if e < sys.float_info.min_exp - sys.float_info.mant_dig:
+                raise ConfigError(f"{key}={sign * e}: 2^{e} underflows float64 to 0")
         self.directions  # parsing checks theta
 
     def canonical(self) -> str:

@@ -12,8 +12,9 @@ Then
     psi0 + sum_{k=1..K} psi_k = theta(xi / 2^(K-1)) = 1 on |xi| <= 2^(K-1).
 
 The wide cutoff psi_wide(xi) = theta(xi/2) * (1 - theta(4 xi)) is 1 on the
-support of psi and supported in (-4,-1/4) u (1/4,4).  psi_k and psi_wide_k
-take 1 <= k <= MAX_BAND, the projections 0 <= k <= MAX_BAND.
+support of psi and supported in (-4,-1/4) u (1/4,4); the wide projection of
+band k multiplies by psi_wide(xi / 2^(k-1)).  psi_k takes 1 <= k <= MAX_BAND,
+project 0 <= k <= MAX_BAND and project_wide 1 <= k <= MAX_BAND.
 """
 
 from __future__ import annotations
@@ -65,31 +66,18 @@ def psi_wide(xi):
     return _theta(xi / 2.0) * (1.0 - _theta(4.0 * xi))
 
 
-def psi_wide_k(k: int, xi):
-    _check_band(k, 1)
-    return psi_wide(np.asarray(xi, dtype=float) / 2.0 ** (k - 1))
-
-
-def _shell_top(k: int, wide: bool) -> float:
-    if k == 0:
-        return 1.0
-    return 2.0 ** (k + 1) if wide else 2.0 ** k
-
-
 def _apply_band(f: SampledSignal, k: int, wide: bool) -> SampledSignal:
     _check_band(k, 1 if wide else 0)
     c = forward_transform(f)
-    top = _shell_top(k, wide)
+    top = 1.0 if k == 0 else 2.0 ** (k + wide)
     if top > c.nyquist * (1 + 1e-12):
         raise AliasingError(
             f"shell for k={k} reaches |xi|={top:g} beyond the grid Nyquist {c.nyquist:g}"
         )
     if k == 0:
         mult = psi0(c.frequencies)
-    elif wide:
-        mult = psi_wide_k(k, c.frequencies)
     else:
-        mult = psi_k(k, c.frequencies)
+        mult = (psi_wide if wide else psi)(c.frequencies / 2.0 ** (k - 1))
     return inverse_transform(SpectralCoefficients(c.half_width, mult * c.coeffs))
 
 

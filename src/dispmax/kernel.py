@@ -460,24 +460,15 @@ class PhaseSpec:
     b: float
     phi: Callable
     derivs: dict = field(repr=False)  # order -> callable, orders 1 and 2
-    psi: Callable = field(repr=False, default=None)
-
-
-def _half_step_down(a, b):
-    """Smooth weight equal to 1 at a, decaying to 0 at b; nonzero endpoint
-    value keeps the leading lambda^(-1) boundary term alive."""
-    span = b - a
-
-    def psi(x):
-        return 1.0 - _smooth_step((np.asarray(x, dtype=float) - a) / span)
-
-    return psi
+    psi: Callable = field(repr=False)
 
 
 def standard_phases() -> list[tuple[PhaseSpec, int]]:
     """The three reference phases: linear (k=1), curved without and with a
     stationary point (k=2)."""
-    psi_half = _half_step_down(1.0, 2.0)
+    # Smooth weight equal to 1 at x = 1, decaying to 0 at x = 2; its nonzero
+    # endpoint value keeps the leading lambda^(-1) boundary term alive.
+    psi_half = lambda x: 1.0 - _smooth_step(np.asarray(x, dtype=float) - 1.0)
     lin = PhaseSpec(
         "linear", 1.0, 2.0,
         phi=lambda x: np.asarray(x, dtype=float),
@@ -548,7 +539,7 @@ def hls_bilinear_check(g: np.ndarray, h: np.ndarray, q: float):
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
     if g.ndim != 2 or h.ndim != 2 or g.shape[0] != h.shape[0]:
-        raise ValueError("g and h must be 2-D with matching x-resolution")
+        raise ConfigError("g and h must be 2-D with matching x-resolution")
     nx = g.shape[0]
     dx = 2.0 / nx
     x = -1.0 + (np.arange(nx) + 0.5) * dx

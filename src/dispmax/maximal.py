@@ -64,11 +64,6 @@ class MaximalResult:
     level_max: np.ndarray | None = field(default=None, repr=False)
 
 
-def _phi_max(profile: DispersionProfile, band: float) -> float:
-    xi = np.linspace(0.0, band, 1025)
-    return float(np.max(np.abs(profile.phi(xi))))
-
-
 def grid_for_band(
     band: float,
     profile: DispersionProfile,
@@ -81,7 +76,7 @@ def grid_for_band(
     Raises RangeError where the rule asks for more than MAX_COUNT points in
     t or in theta.
     """
-    pm = _phi_max(profile, band)
+    pm = float(np.max(np.abs(profile.phi(np.linspace(0.0, band, 1025)))))
     t_step = _PHASE_BUDGET / pm if pm > 0 else 2.0 * t_range
     widest = max(b - a for a, b in theta.components)
     th_step = _PHASE_BUDGET / band if band > 0 else np.inf
@@ -142,7 +137,9 @@ def _scan(
     (max(1, _FFT_BYTES // (16 * n_eval)) rows), in two buffers allocated
     once per scan: a zero-padded input whose live slices [0, n/2) and
     [n_eval - n/2, n_eval) are overwritten per chunk (the padding between
-    them stays zero), and the FFT output.  No bit depends on the chunk size:
+    them stays zero), and the FFT output.  In convergence mode f(x) is
+    first synthesized from row 0 of the padded input, with the unit
+    multiplier of t = 0.  No bit depends on the chunk size:
     the e^{it Phi} recurrence is one chain, and the FFT transforms each row alone.
 
     Cell (t, x, theta) reads lattice index rint((x + t*theta + half_width) / h)
@@ -198,7 +195,6 @@ def _scan(
     n = f.n
     half = n // 2
     adj = _alternating_sign(n) * c.coeffs
-    pos_in_eval = np.arange(-n // 2, n // 2) % n_eval
     phi = np.asarray(profile.phi(c.frequencies), dtype=float)
 
     ideal = -1.0 + (np.arange(x_count) + 0.5) * (2.0 / x_count)
@@ -209,10 +205,6 @@ def _scan(
     if (np.max(np.abs(x_snap)) + half_width + reach) / h + 1 >= 2.0**30:
         raise RangeError(f"a scan lattice of step {h:g} over |x| <= {half_width:g} is too fine "
                          "for exact float index arithmetic")
-
-    spectrum = np.zeros(n_eval, dtype=complex)
-    spectrum[pos_in_eval] = adj
-    f0 = np.fft.ifft(spectrum)[x_idx % n_eval] / h if subtract else None
 
     best = np.full(x_count, -1.0)
     best_t = np.zeros(x_count, dtype=np.int64)
@@ -227,6 +219,9 @@ def _scan(
     coeff = np.empty((chunk, n), dtype=complex)
     padded = np.zeros((chunk, n_eval), dtype=complex)
     fields = np.empty((chunk, n_eval), dtype=complex)
+    if subtract:  # f(x), the field at t = 0, from row 0 of the padded input
+        padded[0, n_eval - half :], padded[0, :half] = adj[:half], adj[half:]
+        f0 = np.fft.ifft(padded[0])[x_idx % n_eval] / h
     x_pos = np.arange(x_count)
     x_lo, x_hi = int(x_idx.min()), int(x_idx.max())
 

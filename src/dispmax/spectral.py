@@ -12,7 +12,6 @@ the factor 1/(2*pi) carried by the inversion.
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -252,14 +251,6 @@ def check_dispersion_conditions(profile: DispersionProfile) -> tuple[float, floa
             f"profile violates the curvature conditions: C1est={c1:g}, C2est={c2:g}"
         )
     return c1, c2
-
-
-def signal_to_csv(f: SampledSignal) -> str:
-    buf = io.StringIO()
-    buf.write("x,re,im\n")
-    for x, v in zip(f.grid, f.values):
-        buf.write(f"{x:.17g},{v.real:.17g},{v.imag:.17g}\n")
-    return buf.getvalue()
 
 
 def signal_from_csv(text: str) -> SampledSignal:

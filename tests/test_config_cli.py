@@ -200,6 +200,7 @@ class TestCli:
         ("dim", ["dimension.csv"]),
         ("cover", ["cover.csv"]),
         ("kernel-scan", ["kernel_scan.csv", "kernel_scan.gp", "van_der_corput.csv"]),
+        ("evolve", ["evolved.csv"]),
     ])
     def test_one_wrote_line_per_file(self, command, files, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -215,7 +216,14 @@ class TestCli:
         out1 = tmp_path / "a"
         rc = main(["evolve", "--t", "0.25", "--out", str(out1), "--seed", "3"])
         assert rc == 0
-        assert (out1 / "evolved.csv").exists()
+        table = read_csv(out1 / "evolved.csv")
+        assert table.names == ("x", "re", "im") and len(table.rows) == 512
+        prov = table.provenance
+        assert (prov["experiment"], prov["t"], prov["seed"]) == ("evolve", 0.25, 3)
+        assert prov["config_hash"] == ExperimentConfig(seed=3, out=str(out1)).digest()
+        # the provenance lines are comments to the signal reader
+        argv = ["maximal", "--input", str(out1 / "evolved.csv"), "--out", str(tmp_path / "b")]
+        assert main(argv) == 0
 
     @pytest.mark.parametrize("argv, files", [
         (["cover", "--q", "9"], None),
@@ -316,6 +324,27 @@ class TestCli:
         assert main(argv) == 2
         assert "k_max - k_min >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, setting, message", [
+        (["cover", "--sigma", "1.5"], None, "sigma above 1 (sigma=1.5)"),
+        (["cover"], "q = abc", "line 1: bad value for 'q'"),
+        (["converge"], "scale_min_exp = 30000000",
+         "scale_min_exp=30000000: 2^-30000000 underflows float64 to 0"),
+        (["kernel-scan"], "lambda_min_exp = -1075", "lambda_min_exp=-1075: 2^-1075 underflows"),
+    ], ids=["sigma-above-one", "q-not-a-number", "scale-exp-underflows",
+            "lambda-exp-underflows"])
+    def test_config_error_message(self, argv, setting, message, tmp_path, capsys):
+        if setting:
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(setting + "\n")
+            argv = argv + ["--config", str(cfg)]
+        start = time.perf_counter()
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        # refused before any list of 2^-e is built: 3*10^7 scales took 8 CPU s and 1.6 GB
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_cantor_above_size_cap_fails_at_once(self, tmp_path, capsys):
         # 2^40 intervals; the cap refuses them before building any
         start = time.perf_counter()
@@ -372,8 +401,9 @@ class TestCli:
         # to 2.8e-7 of the H^9 sum, below the 1e-6 at which evolve refuses
         assert main(["evolve", "--s", s, "--out", str(tmp_path)]) == 0
         out, err = capsys.readouterr()
-        assert out.endswith(f"(H^{s} norm in = 1.10162)\n") and not err
-        assert (tmp_path / "evolved.csv").exists()
+        path = tmp_path / "evolved.csv"
+        assert out.splitlines() == [f"H^{s} norm in = 1.10162", f"wrote {path}"] and not err
+        assert path.exists()
 
     @pytest.mark.parametrize("exc, line", [
         (MemoryError("Unable to allocate 8.00 TiB for an array"),
@@ -399,6 +429,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:")
         assert err.count("\n") == 1
+
+    def test_panel_budget_exit_code(self, tmp_path, capsys):
+        # at lambda = 2^15 the first sampled pair's phase needs more than PANEL_LIMIT panels
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text("lambda_min_exp = 15\nlambda_max_exp = 15\nsamples_per_region = 1\n")
+        argv = ["kernel-scan", "--config", str(cfg), "--out", str(tmp_path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: panel budget 1000000 exceeded")
+        assert err.count("\n") == 1
+        assert not [p for p in tmp_path.iterdir() if p.suffix in (".csv", ".gp")]
 
     def test_unknown_config_key_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -42,6 +42,12 @@ class TestConstructors:
         with pytest.raises(ValueError):
             make_cantor(2, 0.6, 3)
 
+    @pytest.mark.parametrize("m, depth, message", [(1, 3, "at least 2 pieces"),
+                                                   (2, -1, "depth must be nonnegative")])
+    def test_rejects_too_few_pieces_and_negative_depth(self, m, depth, message):
+        with pytest.raises(ConfigError, match=message):
+            make_cantor(m, 0.3, depth)
+
     @pytest.mark.parametrize("m, r, depth", [(2, 0.3, 25), (3, 0.3, 16), (2, 0.3, 10**9),
                                              (2, 0.3, 10**400), (MAX_COUNT + 1, 1e-8, 1)])
     def test_cantor_above_size_cap_is_refused(self, m, r, depth):

@@ -138,6 +138,10 @@ class TestProjections:
         f = band_limited_signal(7, half_width=16.0, n=128)  # Nyquist = 4*pi
         with pytest.raises(AliasingError):
             project(f, 5)
+        # the wide shell of band 3 reaches |xi| = 16, the narrow one only 8
+        project(f, 3)
+        with pytest.raises(AliasingError, match=r"k=3 reaches \|xi\|=16"):
+            project_wide(f, 3)
 
     @given(seed=st.integers(0, 2**31), k=st.integers(0, 5), t=st.floats(-1.0, 1.0))
     @settings(max_examples=20, deadline=None)

@@ -55,7 +55,7 @@ CONFIG_EXTRA = {
 }
 
 GOLDEN = {
-    "evolve": {"evolved.csv": "07d8984d1a4d1c128ae2468dcb4dc0b2ad76de8f340347541ec24c40a51feda1"},
+    "evolve": {"evolved.csv": "30cce0be99e5aeb975d422ebf7207bb8d3870b6368f6b4b516ce788968ed0dbd"},
     "dim": {"dimension.csv": "afe98394932f25dab503d487c2ac36684c7b5f46d89d33f4dd2f6a6cdb9862c0"},
     "cover": {"cover.csv": "ae32bb1ca3963e5198d166da095acde24bb754f0ef2857f477a7b57a590f9bb6"},
     "maximal": {"maximal.csv": "01784bafdbe96b59b659cc19f6978ad1c7a3f7b709f5de09633e4b6bfb9895e1"},

@@ -1,5 +1,5 @@
 """Source checks: every module-level import in the package is used, and every
-module-level function and class is read by some other code."""
+module-level function, class and assigned name is read by some other code."""
 
 import ast
 from pathlib import Path
@@ -44,8 +44,23 @@ def _read_names(node) -> set:
             if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
 
 
+def _defined_names(node) -> list:
+    """Names that a module-level function, class or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for target in targets for n in ast.walk(target)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+
+
 def dead_definitions(sources: dict, checked) -> list:
-    """Module-level functions and classes of the checked sources that nothing reads.
+    """Module-level functions, classes and assigned names of the checked sources
+    that nothing reads.
 
     sources maps a label to its source text.  A definition counts as read when
     its name is read in some module-level statement of any source other than
@@ -53,16 +68,20 @@ def dead_definitions(sources: dict, checked) -> list:
     """
     statements = [(label, node, _read_names(node))
                   for label, text in sources.items() for node in ast.parse(text).body]
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return sorted(f"{label}: {node.name}" for label, node, _ in statements
-                  if label in checked and isinstance(node, defs)
-                  and not any(node.name in names for _, other, names in statements
-                              if other is not node))
+    return sorted(f"{label}: {name}" for label, node, _ in statements if label in checked
+                  for name in _defined_names(node)
+                  if not any(name in names for _, other, names in statements
+                             if other is not node))
 
 
 def test_checker_flags_an_unread_definition():
     source = "def f():\n    return f()\ndef g():\n    pass\nclass C:\n    pass\nprint(g)\n"
     assert dead_definitions({"m": source, "t": "C = 1\n"}, {"m"}) == ["m: C", "m: f"]
+
+
+def test_checker_flags_an_unread_constant():
+    source = "A = 1\nB, C = 2, A\nD: int = B\nE = 3\n"
+    assert dead_definitions({"m": source, "t": "print(D)\n"}, {"m"}) == ["m: C", "m: E"]
 
 
 def test_every_definition_is_read():

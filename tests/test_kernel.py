@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dispmax import kernel
 from dispmax.cli import main
-from dispmax.errors import HypothesisError
+from dispmax.errors import ConfigError, HypothesisError
 from dispmax.filters import psi
 from dispmax.kernel import (
     KernelQuery,
@@ -362,6 +362,20 @@ class TestU1U2Split:
         pieces = split_u1_u2(w, wp, lam, DispersionProfile.power(a))
         assert [lab for _, lab in pieces] == ["U1", "U1"]
 
+    def test_small_time_gap_is_all_u1(self):
+        # 2 |t - t'| |Phi'(lam xi)| <= 2e-6 * 64 stays below |x - x'| = 1.8 on the support
+        w = SpaceTimePoint(0.9, -5e-7, 0.0)
+        wp = SpaceTimePoint(-0.9, 5e-7, 0.0)
+        pieces = split_u1_u2(w, wp, 16.0, PROFILE)
+        assert pieces == [((-2.0, -0.5), "U1"), ((0.5, 2.0), "U1")]
+
+    def test_rejects_non_monotone_phi_prime(self):
+        # |Phi'(16 xi)| = |sin(16 xi)| rises and falls on each support half-line
+        wavy = DispersionProfile(phi=np.cos, phi_prime=np.sin, phi_prime2=np.cos)
+        w, wp = SpaceTimePoint(0.5, 0.5, 0.0), SpaceTimePoint(-0.5, -0.5, 0.0)
+        with pytest.raises(HypothesisError, match="not monotone"):
+            split_u1_u2(w, wp, 16.0, wavy)
+
     def test_boundary_location(self):
         # |Phi'(lam xi)| = 2 lam |xi|; U1 boundary at shift / (4 dt lam)
         lam, dt, shift = 2.0, 0.5, 4.95
@@ -427,6 +441,21 @@ class TestVanDerCorput:
         with pytest.raises(ValueError):
             van_der_corput_check(lin, [16.0], 3)
 
+    def test_rejects_non_monotone_first_derivative(self):
+        # phi' = 2 + sin(5x) stays above 1 but turns on (1, 2)
+        (lin, _), _, _ = standard_phases()
+        wavy = PhaseSpec("wavy", 1.0, 2.0, phi=lambda x: 2.0 * x - np.cos(5.0 * x) / 5.0,
+                         derivs={1: lambda x: 2.0 + np.sin(5.0 * x),
+                                 2: lambda x: 5.0 * np.cos(5.0 * x)},
+                         psi=lin.psi)
+        with pytest.raises(HypothesisError, match="not monotonic"):
+            van_der_corput_check(wavy, [16.0], 1)
+
+    def test_phase_spec_needs_an_amplitude(self):
+        (lin, _), _, _ = standard_phases()
+        with pytest.raises(TypeError):
+            PhaseSpec(lin.name, lin.a, lin.b, phi=lin.phi, derivs=lin.derivs)
+
 
 class TestHlsBilinear:
     def test_constant_input_closed_form(self):
@@ -438,6 +467,14 @@ class TestHlsBilinear:
         assert lhs < exact
         assert lhs == pytest.approx(exact, rel=0.05)
         assert rhs == pytest.approx(8.0, rel=1e-9)
+
+    def test_q_one_takes_the_sup_norm(self):
+        # q' = inf: rhs = max G * max H, with time averages 4 * (2/4) = 2
+        g = np.ones((64, 4))
+        lhs, rhs, ratio = hls_bilinear_check(g, g, 1.0)
+        assert rhs == 4.0
+        assert ratio == lhs / 4.0
+        assert lhs == hls_bilinear_check(g, g, 2.0)[0]
 
     def test_separated_supports_obey_distance_bound(self):
         nx = 256
@@ -463,7 +500,7 @@ class TestHlsBilinear:
         assert max(ratios) / min(ratios) < 1.5
 
     def test_rejects_bad_shapes_and_q(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             hls_bilinear_check(np.ones((8, 4)), np.ones((16, 4)), 2.0)
         with pytest.raises(ValueError):
             hls_bilinear_check(np.ones((8, 4)), np.ones((8, 4)), 0.5)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dispmax import maximal
 from dispmax.directions import make_cantor, make_intervals, make_points
-from dispmax.errors import MAX_COUNT, RangeError
+from dispmax.errors import MAX_COUNT, ConfigError, RangeError
 from dispmax.maximal import (
     _scan,
     convergence_scan,
@@ -505,6 +505,11 @@ class TestScalingFit:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             fit_scaling_exponent([(1, 1.0), (2, 2.0)])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_needs_positive_values(self, bad):
+        with pytest.raises(ConfigError, match="values must be positive"):
+            fit_scaling_exponent([(1, 1.0), (2, bad), (3, 2.0)])
 
 
 class TestLowFrequency:

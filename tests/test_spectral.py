@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dispmax.cli import main
 from dispmax.errors import ConfigError, NonconformingProfileError, RangeError
 from dispmax.spectral import (
     DispersionProfile,
@@ -18,7 +19,6 @@ from dispmax.spectral import (
     inverse_transform,
     make_sobolev_data,
     signal_from_csv,
-    signal_to_csv,
     sobolev_norm,
 )
 
@@ -244,6 +244,12 @@ class TestDispersionConditions:
         with pytest.raises(NonconformingProfileError):
             check_dispersion_conditions(prof)
 
+    def test_sign_changing_curvature_is_rejected(self):
+        # Phi'' = -sin(xi) changes sign at xi = pi on [1, 64]
+        prof = DispersionProfile(phi=np.sin, phi_prime=np.cos, phi_prime2=lambda xi: -np.sin(xi))
+        with pytest.raises(NonconformingProfileError, match="changes sign"):
+            check_dispersion_conditions(prof)
+
     def test_power_profile_rejects_overflow(self):
         prof = DispersionProfile.power(300.0)
         assert abs(prof.phi(10.0) / 1e300 - 1.0) < 1e-12
@@ -257,11 +263,13 @@ class TestDispersionConditions:
 
 
 class TestSignalCsv:
-    def test_round_trip(self):
-        f = random_signal(2, n=64)
-        g = signal_from_csv(signal_to_csv(f))
+    def test_round_trip(self, tmp_path):
+        # evolve at t = 0 writes its input, the seeded data, under a provenance header
+        assert main(["evolve", "--t", "0", "--seed", "2", "--out", str(tmp_path)]) == 0
+        g = signal_from_csv((tmp_path / "evolved.csv").read_text())
+        f = make_sobolev_data(1.0, 2, half_width=32.0, n=512)
         assert g.half_width == f.half_width
-        assert np.max(np.abs(g.values - f.values)) < 1e-15
+        assert np.array_equal(g.values, f.values)
 
     @pytest.mark.parametrize("body", [
         "-2,1,0\n-1,1,0\n3,1,0\n4,1,0\n",
@@ -272,7 +280,3 @@ class TestSignalCsv:
     def test_rejects_malformed(self, body):
         with pytest.raises(ValueError):
             signal_from_csv("x,re,im\n" + body)
-
-    def test_header(self):
-        f = random_signal(2, n=8)
-        assert signal_to_csv(f).splitlines()[0].endswith("x,re,im")
