@@ -6,22 +6,18 @@ from .directions import (
     DirectionSet,
     box_count,
     cover_set,
-    estimate_minkowski_dim,
     make_cantor,
     make_intervals,
     make_points,
     parse_direction_spec,
 )
-from .filters import project, project_wide, psi, psi0, psi_k
+from .filters import project, psi, psi0, psi_k
 from .kernel import (
     KernelQuery,
     SpaceTimePoint,
     classify_region,
     decay_bound_scan,
-    hls_bilinear_check,
     kernel_value,
-    phase_value,
-    split_u1_u2,
     standard_phases,
     van_der_corput_check,
 )
@@ -32,7 +28,6 @@ from .maximal import (
     fit_scaling_exponent,
     grid_for_band,
     lq_norm,
-    low_frequency_check,
     maximal_function,
 )
 from .spectral import (

@@ -8,6 +8,7 @@ failed lemma hypothesis, region sampling).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 
@@ -74,14 +75,26 @@ def _write_table(cfg: ExperimentConfig, table: ResultTable, stem: str, plot: boo
 
 
 def _load_signal(cfg: ExperimentConfig, args):
-    """The --input signal CSV, or seeded H^s data on the configured grid."""
+    """(signal, sha256 of its file): the --input signal CSV, or seeded H^s data
+    on the configured grid and None."""
     if args.input:
         try:
-            with open(args.input) as fh:
-                return signal_from_csv(fh.read())
+            with open(args.input, "rb") as fh:
+                data = fh.read()
+            return signal_from_csv(data.decode()), hashlib.sha256(data).hexdigest()
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read --input signal: {exc}") from exc
-    return make_sobolev_data(cfg.s, cfg.seed, half_width=cfg.half_width, n=cfg.n_grid)
+    return make_sobolev_data(cfg.s, cfg.seed, half_width=cfg.half_width, n=cfg.n_grid), None
+
+
+def _signal_provenance(cfg: ExperimentConfig, sha256, **extra) -> dict:
+    """provenance_block, naming an --input file by its sha256 in place of the
+    seed its data did not use."""
+    block = provenance_block(cfg, **extra)
+    if sha256 is not None:
+        del block["seed"]
+        block["input_sha256"] = sha256
+    return block
 
 
 def _cmd_check(cfg: ExperimentConfig, args) -> int:
@@ -104,13 +117,13 @@ def _cmd_check(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_evolve(cfg: ExperimentConfig, args) -> int:
-    f = _load_signal(cfg, args)
+    f, sha256 = _load_signal(cfg, args)
     g = evolve(f, args.t, cfg.profile)
     norm = sobolev_norm(f, cfg.s)
     table = ResultTable(
         names=("x", "re", "im"),
         rows=zip(g.grid, g.values.real, g.values.imag),
-        provenance=provenance_block(cfg, experiment="evolve", t=args.t, hs_norm_in=norm),
+        provenance=_signal_provenance(cfg, sha256, experiment="evolve", t=args.t, hs_norm_in=norm),
     )
     print(f"H^{cfg.s:g} norm in = {norm:.6g}")
     _write_table(cfg, table, "evolved")
@@ -138,7 +151,7 @@ def _cmd_cover(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_maximal(cfg: ExperimentConfig, args) -> int:
-    f = _load_signal(cfg, args)
+    f, sha256 = _load_signal(cfg, args)
     if args.band is not None:
         f = project(f, args.band)
     band = forward_transform(f).band_limit()
@@ -146,7 +159,7 @@ def _cmd_maximal(cfg: ExperimentConfig, args) -> int:
     table = ResultTable(
         names=("x", "maximal_value"),
         rows=zip(res.x, res.values),
-        provenance=provenance_block(cfg, experiment="maximal", band=band),
+        provenance=_signal_provenance(cfg, sha256, experiment="maximal", band=band),
     )
     _write_table(cfg, table, "maximal")
     return 0

@@ -157,21 +157,6 @@ def cover_set(theta: DirectionSet, lam: float, sigma: float) -> CoverResult:
     return CoverResult(_greedy_cover(theta.components, width), width)
 
 
-def estimate_minkowski_dim(
-    theta: DirectionSet, delta_min: float, delta_max: float, n_scales: int = 12
-) -> tuple[float, float]:
-    """Least-squares box-dimension slope over log-spaced scales.
-
-    Returns (beta, fit_residual) where beta is the OLS slope of log N
-    against log(1/delta) and fit_residual the RMS residual of the fit.
-    """
-    if not 0.0 < delta_min < delta_max <= 1.0:
-        raise ConfigError("need 0 < delta_min < delta_max <= 1")
-    if n_scales < 4:
-        raise ConfigError("need at least 4 scales")
-    return _dimension_fit(dimension_table(theta, delta_min, delta_max, n_scales))
-
-
 def dimension_table(theta: DirectionSet, delta_min: float, delta_max: float, n_scales: int = 12):
     """(delta, count) rows backing the dimension fit, for CSV emission."""
     deltas = np.exp(np.linspace(np.log(delta_max), np.log(delta_min), n_scales))

@@ -34,7 +34,9 @@ def run_scaling_experiment(cfg: ExperimentConfig):
         cover = cover_set(cfg.directions, lam, sigma)
         best = -1.0
         best_width = 0.0
-        for j, omega in enumerate(cover.intervals):
+        for j, (a, b) in enumerate(cover.intervals):
+            # the cover's last interval may pass 1; Omega must lie in [-1, 1]
+            omega = (a, min(b, 1.0))
             est = estimate_operator_norm(
                 k, omega, cfg.q, sigma, cfg.profile,
                 trials=cfg.trials, seed=cfg.seed + 1000 * k + j,

@@ -11,10 +11,7 @@ Then
     psi_k(xi)  = psi(xi / 2^(k-1))
     psi0 + sum_{k=1..K} psi_k = theta(xi / 2^(K-1)) = 1 on |xi| <= 2^(K-1).
 
-The wide cutoff psi_wide(xi) = theta(xi/2) * (1 - theta(4 xi)) is 1 on the
-support of psi and supported in (-4,-1/4) u (1/4,4); the wide projection of
-band k multiplies by psi_wide(xi / 2^(k-1)).  psi_k takes 1 <= k <= MAX_BAND,
-project 0 <= k <= MAX_BAND and project_wide 1 <= k <= MAX_BAND.
+psi_k takes 1 <= k <= MAX_BAND and project 0 <= k <= MAX_BAND.
 """
 
 from __future__ import annotations
@@ -61,31 +58,14 @@ def psi_k(k: int, xi):
     return psi(np.asarray(xi, dtype=float) / 2.0 ** (k - 1))
 
 
-def psi_wide(xi):
-    xi = np.asarray(xi, dtype=float)
-    return _theta(xi / 2.0) * (1.0 - _theta(4.0 * xi))
-
-
-def _apply_band(f: SampledSignal, k: int, wide: bool) -> SampledSignal:
-    _check_band(k, 1 if wide else 0)
+def project(f: SampledSignal, k: int) -> SampledSignal:
+    """Littlewood-Paley projection P_k (P_0 uses psi0)."""
+    _check_band(k, 0)
     c = forward_transform(f)
-    top = 1.0 if k == 0 else 2.0 ** (k + wide)
+    top = 1.0 if k == 0 else 2.0**k
     if top > c.nyquist * (1 + 1e-12):
         raise AliasingError(
             f"shell for k={k} reaches |xi|={top:g} beyond the grid Nyquist {c.nyquist:g}"
         )
-    if k == 0:
-        mult = psi0(c.frequencies)
-    else:
-        mult = (psi_wide if wide else psi)(c.frequencies / 2.0 ** (k - 1))
+    mult = psi0(c.frequencies) if k == 0 else psi(c.frequencies / 2.0 ** (k - 1))
     return inverse_transform(SpectralCoefficients(c.half_width, mult * c.coeffs))
-
-
-def project(f: SampledSignal, k: int) -> SampledSignal:
-    """Littlewood-Paley projection P_k (P_0 uses psi0)."""
-    return _apply_band(f, k, wide=False)
-
-
-def project_wide(f: SampledSignal, k: int) -> SampledSignal:
-    """Wide projection with multiplier identically 1 on the k-th shell."""
-    return _apply_band(f, k, wide=True)

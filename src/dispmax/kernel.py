@@ -1,4 +1,4 @@
-"""The TT* oscillatory kernel, its region decomposition, and lemma checkers.
+"""The TT* oscillatory kernel, its region decomposition, and the van der Corput checker.
 
 The kernel is K_lambda(w, w') = int exp(i*phase(lambda*xi)) psi(xi)^2 dxi
 over the support of psi, with phase(xi) = (x - x' + t*theta - t'*theta')*xi
@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import ConfigError, DispmaxError, HypothesisError, QuadratureError
 from .filters import _smooth_step, psi, psi0
-from .maximal import lq_norm
 from .spectral import DispersionProfile
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(128)
@@ -134,11 +133,6 @@ class KernelQuery:
 def _shift(w: SpaceTimePoint, wp: SpaceTimePoint) -> float:
     """x - x' + t*theta - t'*theta', the coefficient of xi in the phase."""
     return (w.x - wp.x) + w.t * w.theta - wp.t * wp.theta
-
-
-def phase_value(xi, w: SpaceTimePoint, wp: SpaceTimePoint, profile: DispersionProfile):
-    """(x - x' + t*theta - t'*theta')*xi + (t - t')*Phi(xi)."""
-    return _shift(w, wp) * np.asarray(xi, dtype=float) + (w.t - wp.t) * profile.phi(xi)
 
 
 def _region_labels(dx, dt, width):
@@ -296,51 +290,6 @@ def kernel_value(query: KernelQuery, density: int = 1) -> complex:
             re_total += float(re[0] @ _GL_WEIGHTS)
             im_total += float(im[0] @ _GL_WEIGHTS)
     return complex(re_total, im_total)
-
-
-def split_u1_u2(
-    w: SpaceTimePoint,
-    wp: SpaceTimePoint,
-    lam: float,
-    profile: DispersionProfile,
-):
-    """Partition of supp psi into the small-|Phi'| set U1 and its complement U2.
-
-    U1 = { xi : |x - x' + t*theta - t'*theta'| >= 2 |t - t'| |Phi'(lambda*xi)| },
-    intersected with each half-line of the support; with Phi' monotone this
-    is a single subinterval per half-line.  Returns [((a, b), "U1"|"U2"), ...].
-    """
-    shift = abs(_shift(w, wp))
-    dt = abs(w.t - wp.t)
-    pieces = []
-    for lo, hi in _SUPPORT:
-        if dt == 0.0:
-            pieces.append(((lo, hi), "U1"))
-            continue
-        xi = np.linspace(lo, hi, 512)
-        g = 2.0 * dt * np.abs(np.asarray(profile.phi_prime(lam * xi), dtype=float))
-        diffs = np.diff(g)
-        if (diffs > 1e-12).any() and (diffs < -1e-12).any():
-            raise HypothesisError("|Phi'| is not monotone on a support half-line")
-        below = g <= shift
-        if below.all():
-            pieces.append(((lo, hi), "U1"))
-        elif not below.any():
-            pieces.append(((lo, hi), "U2"))
-        else:
-            # Imported here so that importing dispmax never loads scipy.
-            from scipy.optimize import brentq
-
-            root = brentq(
-                lambda s: 2.0 * dt * abs(float(profile.phi_prime(lam * s))) - shift, lo, hi
-            )
-            if below[0]:
-                pieces.append(((lo, root), "U1"))
-                pieces.append(((root, hi), "U2"))
-            else:
-                pieces.append(((lo, root), "U2"))
-                pieces.append(((root, hi), "U1"))
-    return pieces
 
 
 @dataclass(frozen=True)
@@ -524,34 +473,3 @@ def van_der_corput_check(phase: PhaseSpec, lam_list, k: int):
         ratio = abs(integral) * lam ** (1.0 / k) / denom
         rows.append((float(lam), abs(integral), float(ratio)))
     return rows
-
-
-def hls_bilinear_check(g: np.ndarray, h: np.ndarray, q: float):
-    """Discrete check of the bilinear |x - x'|^(-1/2) inequality.
-
-    g and h are nonnegative samples on I x [-1, 1] (shape nx x nt).  The
-    double integral excludes the diagonal band |x - x'| < one x-grid step
-    (the singular weight is integrable; the excluded mass is O(sqrt(step))).
-    Returns (lhs, rhs, ratio) with rhs the product of mixed L^q'_x L^1_t norms.
-    """
-    if not 1.0 <= q <= 4.0:
-        raise ConfigError("q must lie in [1, 4]")
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if g.ndim != 2 or h.ndim != 2 or g.shape[0] != h.shape[0]:
-        raise ConfigError("g and h must be 2-D with matching x-resolution")
-    nx = g.shape[0]
-    dx = 2.0 / nx
-    x = -1.0 + (np.arange(nx) + 0.5) * dx
-    big_g = g.sum(axis=1) * (2.0 / g.shape[1])
-    big_h = h.sum(axis=1) * (2.0 / h.shape[1])
-    diff = np.abs(x[:, None] - x[None, :])
-    weight = np.where(diff >= dx * (1 - 1e-12), diff, np.inf) ** -0.5
-    lhs = float(big_g @ weight @ big_h * dx * dx)
-    if q > 1.0:
-        qp = q / (q - 1.0)
-        rhs = lq_norm(big_g, qp) * lq_norm(big_h, qp)
-    else:  # q' = inf
-        rhs = float(np.max(big_g)) * float(np.max(big_h))
-    ratio = lhs / rhs if rhs > 0 else 0.0
-    return lhs, rhs, ratio

@@ -37,7 +37,7 @@ import numpy as np
 
 from .directions import DirectionSet, _fit_line, make_intervals
 from .errors import MAX_COUNT, ConfigError, RangeError
-from .filters import project, psi0, psi_k
+from .filters import project, psi_k
 from .spectral import (
     DispersionProfile,
     SampledSignal,
@@ -453,17 +453,3 @@ def fit_scaling_exponent(pairs) -> tuple[float, float, float]:
     if np.any(vals <= 0):
         raise ConfigError("values must be positive")
     return _fit_line(ks, np.log2(vals))
-
-
-def low_frequency_check(
-    f: SampledSignal,
-    theta: DirectionSet,
-    profile: DispersionProfile,
-) -> float:
-    """Ratio l2(M_Theta P_0 f) / int psi0 |f_hat|; bounded uniformly in f."""
-    g = project(f, 0)
-    res = maximal_function(g, theta, profile)
-    num = lq_norm(res.values, 2.0)
-    c = forward_transform(f)
-    denom = float(np.sum(psi0(c.frequencies) * np.abs(c.coeffs)) * c.freq_step)
-    return num / denom

@@ -1,5 +1,6 @@
 """Tests for config parsing, CSV tables, and the command-line surface."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -224,6 +225,30 @@ class TestCli:
         # the provenance lines are comments to the signal reader
         argv = ["maximal", "--input", str(out1 / "evolved.csv"), "--out", str(tmp_path / "b")]
         assert main(argv) == 0
+
+    @pytest.mark.parametrize("command, stem", [("maximal", "maximal"), ("evolve", "evolved")])
+    def test_input_provenance_names_the_file(self, tmp_path, command, stem):
+        assert main(["evolve", "--t", "0", "--out", str(tmp_path / "a")]) == 0
+        src = tmp_path / "a" / "evolved.csv"
+        assert main([command, "--input", str(src), "--seed", "5", "--out", str(tmp_path)]) == 0
+        text = (tmp_path / f"{stem}.csv").read_text()
+        sha = hashlib.sha256(src.read_bytes()).hexdigest()
+        assert f"# input_sha256={sha}\n" in text
+        prov = read_csv(tmp_path / f"{stem}.csv").provenance
+        # the seed of data the command did not use is not recorded
+        assert prov["input_sha256"] == sha and "seed" not in prov
+        assert prov["config_hash"] == ExperimentConfig(seed=5).digest()
+
+    def test_norm_scaling_clips_the_cover_to_the_direction_range(self, tmp_path):
+        # the k=1 cover of [0, 1] ends in [2^-1/2, 2^1/2], which passes 1
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("trials = 1\n")
+        argv = ["norm-scaling", "--theta", "interval:0,1", "--k-min", "1", "--k-max", "3",
+                "--config", str(cfg), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        widths = read_csv(tmp_path / "scaling.csv").column("omega_width")
+        assert widths[0] == 1.0 - 2.0**-0.5
+        assert all(0.0 < w <= 2.0 ** (-k / 2.0) for k, w in zip((1, 2, 3), widths))
 
     @pytest.mark.parametrize("argv, files", [
         (["cover", "--q", "9"], None),
@@ -473,23 +498,34 @@ class TestCli:
         assert b1 == b2
 
     def test_cli_runs_without_loading_scipy(self, tmp_path):
-        # pytest's own process has scipy loaded already (tests/shell_ceiling.py),
-        # so the check runs in a fresh interpreter.
+        # scipy is a test dependency only. pytest's own process has it loaded
+        # already (tests/shell_ceiling.py), so every command runs in a fresh
+        # interpreter, on a tiny config.
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("trials = 1\nscale_min_exp = 2\nlambda_min_exp = 4\n"
+                       "lambda_max_exp = 5\nsamples_per_region = 3\n")
         runner = textwrap.dedent("""
             import sys
             from dispmax.cli import main
             for argv in (["check"],
                          ["dim", "--theta", "cantor:2,0.3333333333333333,4"],
-                         ["cover", "--theta", "interval:0,1", "--lam", "16"]):
-                assert main(argv + ["--out", sys.argv[1]]) == 0, argv
+                         ["cover", "--theta", "interval:0,1", "--lam", "16"],
+                         ["evolve"],
+                         ["maximal", "--band", "1"],
+                         ["converge"],
+                         ["norm-scaling", "--k-min", "1", "--k-max", "3"],
+                         ["kernel-scan"]):
+                assert main(argv + ["--config", sys.argv[2], "--out", sys.argv[1]]) == 0, argv
             loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
             assert not loaded, loaded
         """)
         src = str(Path(dispmax.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", runner, str(tmp_path)],
+        proc = subprocess.run([sys.executable, "-c", runner, str(tmp_path), str(cfg)],
                               env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "dimension.csv").exists()
-        assert (tmp_path / "cover.csv").exists()
+        written = {p.name for p in tmp_path.glob("*.csv")}
+        assert written == {"dimension.csv", "cover.csv", "evolved.csv", "maximal.csv",
+                           "converge.csv", "scaling.csv", "kernel_scan.csv",
+                           "van_der_corput.csv"}

@@ -13,7 +13,6 @@ from dispmax.config import ExperimentConfig
 from dispmax.directions import (
     box_count,
     cover_set,
-    estimate_minkowski_dim,
     make_cantor,
     make_intervals,
     make_points,
@@ -115,28 +114,27 @@ class TestBoxCount:
             assert box_count(small, delta) <= box_count(big, delta)
 
 
+def report_beta(theta, delta_min, delta_max):
+    """The fitted dimension that the `dim` command prints for theta."""
+    cfg = ExperimentConfig(theta=theta, delta_min=delta_min, delta_max=delta_max)
+    return run_dimension_report(cfg).provenance["beta"]
+
+
 class TestDimension:
     def test_point_is_zero_dimensional(self):
-        beta, _ = estimate_minkowski_dim(make_points([0.0]), 1e-4, 1e-1)
-        assert abs(beta) < 1e-9
+        assert abs(report_beta("point:0", 1e-4, 1e-1)) < 1e-9
 
     def test_interval_is_one_dimensional(self):
-        beta, _ = estimate_minkowski_dim(make_intervals([(0.0, 1.0)]), 1e-4, 1e-1)
-        assert abs(beta - 1.0) < 0.02
+        assert abs(report_beta("interval:0,1", 1e-4, 1e-1) - 1.0) < 0.02
 
     def test_cantor_dimension(self):
-        ds = make_cantor(2, 1.0 / 3.0, 10)
-        beta, resid = estimate_minkowski_dim(ds, 3.0**-9, 3.0**-2)
+        beta = report_beta("cantor:2,0.3333333333333333,10", 3.0**-9, 3.0**-2)
         assert abs(beta - np.log(2) / np.log(3)) < 0.05
 
     def test_slope_stays_in_unit_range(self):
-        for ds in (
-            make_points([-0.3, 0.1, 0.7]),
-            make_intervals([(-0.8, -0.2), (0.1, 0.4)]),
-            make_cantor(3, 0.2, 6),
-        ):
-            beta, _ = estimate_minkowski_dim(ds, 1e-3, 1e-1)
-            assert -0.02 <= beta <= 1.02
+        # cantor:2,0.3,1 is the union [0, 0.3] u [0.7, 1]
+        for theta in ("points:-0.3,0.1,0.7", "cantor:2,0.3,1", "cantor:3,0.2,6"):
+            assert -0.02 <= report_beta(theta, 1e-3, 1e-1) <= 1.02
 
     def test_report_counts_boxes_once_per_scale(self, monkeypatch):
         cfg = ExperimentConfig(theta="cantor:2,0.3333333333333333,6", n_scales=12)
@@ -150,8 +148,8 @@ class TestDimension:
         table = run_dimension_report(cfg)
         assert len(calls) == cfg.n_scales
         assert table.column("delta") == calls
-        assert table.provenance["beta"] == estimate_minkowski_dim(
-            make_cantor(2, 1.0 / 3.0, 6), cfg.delta_min, cfg.delta_max, cfg.n_scales)[0]
+        # the printed beta is the fit of the printed rows
+        assert table.provenance["beta"] == directions._dimension_fit(table.rows)[0]
 
 
 class TestCover:

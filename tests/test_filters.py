@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispmax.errors import AliasingError, ConfigError
-from dispmax.filters import MAX_BAND, project, project_wide, psi, psi0, psi_k, psi_wide
+from dispmax.errors import AliasingError
+from dispmax.filters import MAX_BAND, project, psi, psi0, psi_k
 from dispmax.spectral import (
     DispersionProfile,
     SampledSignal,
@@ -57,17 +57,10 @@ class TestBankValues:
         p = psi(xi)
         outside = (np.abs(xi) <= 0.5) | (np.abs(xi) >= 2.0)
         assert np.all(p[outside] < 1e-15)
-        w = psi_wide(xi)
-        outside_w = (np.abs(xi) <= 0.25) | (np.abs(xi) >= 4.0)
-        assert np.all(w[outside_w] < 1e-15)
-
-    def test_wide_cutoff_is_flat_on_the_shell(self):
-        xi = np.concatenate([np.linspace(0.5, 2.0, 2001), -np.linspace(0.5, 2.0, 2001)])
-        assert np.max(np.abs(psi_wide(xi) * psi(xi) - psi(xi))) < 1e-15
 
     def test_ranges(self):
         xi = np.linspace(-40, 40, 8001)
-        for vals in (psi0(xi), psi(xi), psi_wide(xi)):
+        for vals in (psi0(xi), psi(xi)):
             assert vals.min() >= 0.0 and vals.max() <= 1.0
 
     def test_mass_constant(self):
@@ -106,42 +99,14 @@ class TestProjections:
         g = project(project(f, 1), 3)
         assert np.max(np.abs(g.values)) < 1e-12 * np.max(np.abs(f.values))
 
-    def test_wide_projection_fixes_narrow_one(self):
-        f = band_limited_signal(6)
-        pk = project(f, 3)
-        again = project_wide(pk, 3)
-        assert np.max(np.abs(again.values - pk.values)) < 1e-12 * np.max(np.abs(pk.values))
-
-    def test_wide_multiplier_is_one_on_shell_center(self):
-        half_width, n, k = 16.0, 512, 3
-        # any on-grid frequency inside the flat part [2, 8] of the wide cutoff
-        xi0 = np.pi * 16 / half_width
-        x = -half_width + np.arange(n) * (2.0 * half_width / n)
-        f = SampledSignal(half_width, np.exp(1j * xi0 * x))
-        g = project_wide(f, k)
-        assert np.max(np.abs(g.values - f.values)) < 1e-12
-
-    def test_wide_multiplier_vanishes_off_support(self):
-        half_width, n, k = 16.0, 2048, 3
-        j = round(2.0 ** (k - 1) * 5.0 * half_width / np.pi)
-        xi0 = np.pi * j / half_width  # on-grid, just past 5x the shell scale
-        x = -half_width + np.arange(n) * (2.0 * half_width / n)
-        f = SampledSignal(half_width, np.exp(1j * xi0 * x))
-        g = project_wide(f, k)
-        assert np.max(np.abs(g.values)) < 1e-15 * n
-
-    def test_wide_projection_refuses_band_zero(self):
-        with pytest.raises(ConfigError, match=r"band index 0 outside \[1, "):
-            project_wide(band_limited_signal(8), 0)
-
     def test_aliasing_guard(self):
         f = band_limited_signal(7, half_width=16.0, n=128)  # Nyquist = 4*pi
         with pytest.raises(AliasingError):
             project(f, 5)
-        # the wide shell of band 3 reaches |xi| = 16, the narrow one only 8
+        # band 3's shell reaches |xi| = 8, band 4's 16
         project(f, 3)
-        with pytest.raises(AliasingError, match=r"k=3 reaches \|xi\|=16"):
-            project_wide(f, 3)
+        with pytest.raises(AliasingError, match=r"k=4 reaches \|xi\|=16"):
+            project(f, 4)
 
     @given(seed=st.integers(0, 2**31), k=st.integers(0, 5), t=st.floats(-1.0, 1.0))
     @settings(max_examples=20, deadline=None)

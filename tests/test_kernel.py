@@ -1,4 +1,4 @@
-"""Tests for the oscillatory kernel, its regions, and the lemma checkers."""
+"""Tests for the oscillatory kernel, its regions, and the van der Corput checker."""
 
 import os
 import subprocess
@@ -13,17 +13,14 @@ from hypothesis import strategies as st
 
 from dispmax import kernel
 from dispmax.cli import main
-from dispmax.errors import ConfigError, HypothesisError
+from dispmax.errors import HypothesisError
 from dispmax.filters import psi
 from dispmax.kernel import (
     KernelQuery,
     PhaseSpec,
     SpaceTimePoint,
     classify_region,
-    hls_bilinear_check,
     kernel_value,
-    phase_value,
-    split_u1_u2,
     standard_phases,
     van_der_corput_check,
 )
@@ -42,17 +39,8 @@ class TestPhase:
     def test_hand_value(self):
         w = SpaceTimePoint(x=0.7, t=0.5, theta=0.4)
         wp = SpaceTimePoint(x=-0.3, t=0.0, theta=0.9)
-        # shift = (0.7 + 0.3) + 0.5*0.4 - 0 = 1.2, dt = 0.5
-        val = phase_value(1.0, w, wp, PROFILE)
-        assert abs(val - (1.2 * 1.0 + 0.5 * 1.0)) < 1e-12
-
-    def test_antisymmetric_under_swap(self):
-        w = SpaceTimePoint(0.2, 0.3, 0.1)
-        wp = SpaceTimePoint(-0.4, -0.2, 0.05)
-        xi = np.linspace(0.5, 2.0, 11)
-        assert np.allclose(
-            phase_value(xi, w, wp, PROFILE), -phase_value(xi, wp, w, PROFILE), atol=1e-12
-        )
+        # the phase's xi coefficient: (0.7 + 0.3) + 0.5*0.4 - 0 = 1.2
+        assert kernel._shift(w, wp) == pytest.approx(1.2, abs=1e-12)
 
 
 class TestRegions:
@@ -347,63 +335,6 @@ class TestSharedRule:
             assert arr.tobytes() == want.tobytes()
 
 
-class TestU1U2Split:
-    def test_time_diagonal_is_all_u1(self):
-        w = SpaceTimePoint(0.5, 0.3, 0.1)
-        wp = SpaceTimePoint(-0.5, 0.3, 0.0)
-        pieces = split_u1_u2(w, wp, 8.0, PROFILE)
-        assert [lab for _, lab in pieces] == ["U1", "U1"]
-
-    @pytest.mark.parametrize("lam, a", [(1e308, 2.0), (1e16, 20.0)])
-    def test_time_diagonal_is_all_u1_where_phi_prime_overflows(self, lam, a):
-        # with t = t' the U1 condition holds at any Phi'; 0 * |Phi'| would be NaN here
-        w = SpaceTimePoint(0.5, 0.3, 0.1)
-        wp = SpaceTimePoint(-0.5, 0.3, 0.0)
-        pieces = split_u1_u2(w, wp, lam, DispersionProfile.power(a))
-        assert [lab for _, lab in pieces] == ["U1", "U1"]
-
-    def test_small_time_gap_is_all_u1(self):
-        # 2 |t - t'| |Phi'(lam xi)| <= 2e-6 * 64 stays below |x - x'| = 1.8 on the support
-        w = SpaceTimePoint(0.9, -5e-7, 0.0)
-        wp = SpaceTimePoint(-0.9, 5e-7, 0.0)
-        pieces = split_u1_u2(w, wp, 16.0, PROFILE)
-        assert pieces == [((-2.0, -0.5), "U1"), ((0.5, 2.0), "U1")]
-
-    def test_rejects_non_monotone_phi_prime(self):
-        # |Phi'(16 xi)| = |sin(16 xi)| rises and falls on each support half-line
-        wavy = DispersionProfile(phi=np.cos, phi_prime=np.sin, phi_prime2=np.cos)
-        w, wp = SpaceTimePoint(0.5, 0.5, 0.0), SpaceTimePoint(-0.5, -0.5, 0.0)
-        with pytest.raises(HypothesisError, match="not monotone"):
-            split_u1_u2(w, wp, 16.0, wavy)
-
-    def test_boundary_location(self):
-        # |Phi'(lam xi)| = 2 lam |xi|; U1 boundary at shift / (4 dt lam)
-        lam, dt, shift = 2.0, 0.5, 4.95
-        w = SpaceTimePoint(shift / 2.0, dt / 2.0, 0.0)
-        wp = SpaceTimePoint(-shift / 2.0, -dt / 2.0, 0.0)
-        pieces = split_u1_u2(w, wp, lam, PROFILE)
-        root = shift / (4.0 * dt * lam)  # = 1.2375
-        by_lab = {(round(a, 6), round(b, 6)): lab for (a, b), lab in pieces}
-        assert by_lab[(0.5, round(root, 6))] == "U1"
-        assert by_lab[(round(root, 6), 2.0)] == "U2"
-        assert by_lab[(-2.0, round(-root, 6))] == "U2"
-        assert by_lab[(round(-root, 6), -0.5)] == "U1"
-
-    def test_pieces_tile_the_support(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            x, xp, t, tp = rng.uniform(-1, 1, 4)
-            w, wp = SpaceTimePoint(x, t, 0.0), SpaceTimePoint(xp, tp, 0.0)
-            pieces = split_u1_u2(w, wp, 16.0, PROFILE)
-            neg = [(a, b) for (a, b), _ in pieces if b <= -0.5 + 1e-12]
-            pos = [(a, b) for (a, b), _ in pieces if a >= 0.5 - 1e-12]
-            for part, (lo, hi) in ((neg, (-2.0, -0.5)), (pos, (0.5, 2.0))):
-                part = sorted(part)
-                assert part[0][0] == lo and part[-1][1] == hi
-                for (_, b1), (a2, _) in zip(part, part[1:]):
-                    assert abs(b1 - a2) < 1e-12
-
-
 class TestVanDerCorput:
     def test_reference_phases_validate(self):
         lam_list = [2.0**e for e in range(4, 11)]
@@ -456,51 +387,3 @@ class TestVanDerCorput:
         with pytest.raises(TypeError):
             PhaseSpec(lin.name, lin.a, lin.b, phi=lin.phi, derivs=lin.derivs)
 
-
-class TestHlsBilinear:
-    def test_constant_input_closed_form(self):
-        # int_{[-1,1]^2} |x-y|^(-1/2) = 16*sqrt(2)/3; time averages are 1
-        nx = 512
-        g = np.ones((nx, 16))
-        lhs, rhs, ratio = hls_bilinear_check(g, g, 2.0)
-        exact = 4.0 * 16.0 * np.sqrt(2.0) / 3.0
-        assert lhs < exact
-        assert lhs == pytest.approx(exact, rel=0.05)
-        assert rhs == pytest.approx(8.0, rel=1e-9)
-
-    def test_q_one_takes_the_sup_norm(self):
-        # q' = inf: rhs = max G * max H, with time averages 4 * (2/4) = 2
-        g = np.ones((64, 4))
-        lhs, rhs, ratio = hls_bilinear_check(g, g, 1.0)
-        assert rhs == 4.0
-        assert ratio == lhs / 4.0
-        assert lhs == hls_bilinear_check(g, g, 2.0)[0]
-
-    def test_separated_supports_obey_distance_bound(self):
-        nx = 256
-        x = -1.0 + (np.arange(nx) + 0.5) * (2.0 / nx)
-        g = np.where(x < -0.5, 1.0, 0.0)[:, None] * np.ones((1, 8))
-        h = np.where(x > 0.5, 1.0, 0.0)[:, None] * np.ones((1, 8))
-        lhs, _, _ = hls_bilinear_check(g, h, 2.0)
-        mass_g = 2.0 * 0.5  # int G = (time avg 2) * (x-measure 1/2)
-        assert lhs <= mass_g * mass_g * 1.0  # |x - x'| >= 1 on the supports
-
-    def test_zero_input(self):
-        z = np.zeros((32, 4))
-        lhs, rhs, ratio = hls_bilinear_check(z, z, 2.0)
-        assert (lhs, rhs, ratio) == (0.0, 0.0, 0.0)
-
-    def test_ratio_uniform_over_random_inputs(self):
-        rng = np.random.default_rng(0)
-        ratios = []
-        for _ in range(25):
-            g = rng.uniform(0.0, 1.0, (64, 16))
-            h = rng.uniform(0.0, 1.0, (64, 16))
-            ratios.append(hls_bilinear_check(g, h, 2.0)[2])
-        assert max(ratios) / min(ratios) < 1.5
-
-    def test_rejects_bad_shapes_and_q(self):
-        with pytest.raises(ConfigError):
-            hls_bilinear_check(np.ones((8, 4)), np.ones((16, 4)), 2.0)
-        with pytest.raises(ValueError):
-            hls_bilinear_check(np.ones((8, 4)), np.ones((8, 4)), 0.5)

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from dispmax import maximal
 from dispmax.directions import make_cantor, make_intervals, make_points
 from dispmax.errors import MAX_COUNT, ConfigError, RangeError
+from dispmax.filters import project, psi0
 from dispmax.maximal import (
     _scan,
     convergence_scan,
     estimate_operator_norm,
     fit_scaling_exponent,
     grid_for_band,
-    low_frequency_check,
     lq_norm,
     maximal_function,
 )
@@ -518,7 +518,9 @@ class TestLowFrequency:
         ratios = []
         for seed in range(20):
             f = band_limited(seed, top=4.0)
-            ratios.append(low_frequency_check(f, theta, PROFILE))
+            num = lq_norm(maximal_function(project(f, 0), theta, PROFILE).values, 2.0)
+            c = forward_transform(f)
+            ratios.append(num / (np.sum(psi0(c.frequencies) * np.abs(c.coeffs)) * c.freq_step))
         ratios = np.array(ratios)
         # lq(M P0 f) <= 2^(1/q) sup|P0 f| <= 2^(1/q)/(2 pi) * int psi0 |fhat|
         assert ratios.max() <= 2.0**0.5 / (2.0 * np.pi) + 1e-12
