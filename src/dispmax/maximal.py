@@ -10,17 +10,29 @@ resolution rule:
     theta-step <= (1/4) / band,
     lattice    <= (1/4) / band.
 
-The scan does only the work it reads.  A cell's lattice index splits into
-an x part and a direction part: x_idx + rint(t*theta/h), exactly, unless
-t*theta/h lies within a rounding-error margin of a half-integer (see _scan
-for the bound).  So a time slice's directions reach only a few distinct
-offsets, the same for every x.  Per block of time slices the scan builds
-the values |u/h - f(x)| in convergence mode and |u/h| otherwise over each
-slice's window of offsets, and takes the max over the offsets the slice
-reaches; the rare near-tie pairs, and the theta argmax of a row that beats
-the best so far, use the per-cell index.  Every value goes through the
-elementwise steps a cell would, so the output bits are those of a
-cell-by-cell scan.
+The scan does only the work it reads, and it splits into a plan and a pass.
+A cell's lattice index splits into an x part and a direction part:
+x_idx + rint(t*theta/h), exactly, unless t*theta/h lies within a
+rounding-error margin of a half-integer (see _scan for the bound).  So a
+time slice's directions reach only a few distinct offsets, the same for
+every x.
+
+- The plan (_ScanPlan) depends on the grid alone: per time slice its
+  window of offsets and the offsets it reaches, the rare near-tie pairs,
+  and the blocks of slices with their lattice spans.  It holds nothing per
+  x, and a one-entry memo keeps it, so every scan of one band in
+  estimate_operator_norm, and back-to-back scans of one grid, build it
+  once.
+- The pass runs per signal.  It synthesizes the time slices with one
+  unnormalized inverse FFT per chunk, then per block builds the values
+  |u/h - f(x)| in convergence mode and |u/h| otherwise over each slice's
+  window (in plain mode from |u/h| taken once per lattice column), and
+  takes the max over the offsets the slice reaches.  The near-tie pairs,
+  and the theta argmax of a row that beats the best so far, use the
+  per-cell index.
+
+Every value goes through the elementwise steps a cell would, so the output
+bits are those of a cell-by-cell scan.
 
 Operator-norm estimates are witnessed by a concrete f, produced either by
 random shell data or by an alternating maximization (fix the per-x argmax,
@@ -49,7 +61,7 @@ from .spectral import (
 
 _PHASE_BUDGET = 0.25  # max phase change (radians) per grid step in t, theta, x
 _FFT_BYTES = 1 << 21  # bytes per synthesis buffer; its rows are the time slices per inverse FFT
-_CELLS = 1 << 15  # window values per block of time slices (32 B of temporaries each)
+_CELLS = 1 << 15  # window values per block of time slices (16 B of temporaries each, 32 B with f(x))
 _TIE_MARGIN = 1e-6  # t*theta/h this near a half-integer takes the per-cell index (see _scan)
 
 
@@ -119,6 +131,91 @@ def _direction_offsets(prod, h):
     return offset, near_tie, lo, (offset + near_tie).max(axis=1) - lo + 1
 
 
+@dataclass(frozen=True)
+class _ScanPlan:
+    """What a scan reads that depends on its grid alone (see _scan).
+
+    blocks has one row per block of time slices: the slices [start, stop),
+    the lattice span [s0, s1), the window width, where the block's
+    (slices, width) mask of reached offsets starts in reached, and its
+    near-tie pairs [tie_lo, tie_hi).  chunk_blocks[i] is the first block of
+    FFT chunk i, and chunk_blocks[-1] the number of blocks.  Per time slice,
+    lo is the lowest offset of its window and first the flat position of
+    (slice, lo) in its block's span.  Per near-tie pair, in slice order,
+    tie_slice is its time slice and tie_prod its t*theta.  No array has an
+    x axis, so a plan stays small next to the scan's FFT buffers.
+    """
+
+    blocks: np.ndarray
+    chunk_blocks: np.ndarray
+    lo: np.ndarray
+    first: np.ndarray
+    reached: np.ndarray
+    tie_slice: np.ndarray
+    tie_prod: np.ndarray
+
+
+def _build_plan(t_grid, theta_values, h, x_idx, chunk) -> _ScanPlan:
+    """The _ScanPlan of a grid, lattice step h, x lattice x_idx and FFT chunk size.
+
+    A chunk's blocks hold whole slices and at most _CELLS window values at
+    the chunk's widest window (one slice, if a slice holds more).
+    """
+    x_lo, x_hi = int(x_idx.min()), int(x_idx.max())
+    lo_all = np.empty(len(t_grid), dtype=np.int64)
+    first_all = np.empty(len(t_grid), dtype=np.int64)
+    blocks, chunk_blocks, reached, tie_slice, tie_prod = [], [], [], [], []
+    n_reached = n_ties = 0
+    for start in range(0, len(t_grid), chunk):
+        chunk_blocks.append(len(blocks))
+        prod_chunk = t_grid[start : start + chunk, None] * theta_values[None, :]
+        offset_chunk, tie_chunk, lo_chunk, widths = _direction_offsets(prod_chunk, h)
+        lo_all[start : start + len(lo_chunk)] = lo_chunk
+        block = max(1, _CELLS // (len(x_idx) * int(widths.max())))
+        for b0 in range(0, len(lo_chunk), block):
+            rows_b = slice(b0, b0 + block)
+            offset, tie, lo = offset_chunk[rows_b], tie_chunk[rows_b], lo_chunk[rows_b]
+            nb, width = len(lo), int(widths[rows_b].max())
+            rows = np.arange(nb)
+            s0, s1 = x_lo + int(lo.min()), x_hi + int(lo.max()) + width
+            first_all[start + b0 : start + b0 + nb] = rows * (s1 - s0) + lo - s0
+            # Near-tie pairs mark a spare column, which is dropped.
+            mask = np.zeros((nb, width + 1), dtype=bool)
+            mask[rows[:, None], np.where(tie, width, offset - lo[:, None])] = True
+            reached.append(mask[:, :width].ravel())
+            ti, tj = np.nonzero(tie)
+            tie_slice.append(start + b0 + ti)
+            tie_prod.append(prod_chunk[b0 + ti, tj])
+            blocks.append((start + b0, start + b0 + nb, s0, s1, width,
+                           n_reached, n_ties, n_ties + len(ti)))
+            n_reached += nb * width
+            n_ties += len(ti)
+    chunk_blocks.append(len(blocks))
+    return _ScanPlan(blocks=np.array(blocks, dtype=np.int64),
+                     chunk_blocks=np.array(chunk_blocks, dtype=np.int64),
+                     lo=lo_all, first=first_all, reached=np.concatenate(reached),
+                     tie_slice=np.concatenate(tie_slice), tie_prod=np.concatenate(tie_prod))
+
+
+_plan_memo = {}  # one entry: the plan of the grid scanned last, under its key
+
+
+def _scan_plan(t_grid, theta_values, h, half_width, x_idx, chunk) -> _ScanPlan:
+    """The memoized _ScanPlan, keyed on the grid, the lattice, the block sizes
+    and the near-tie margin.
+
+    Every scan of one band in estimate_operator_norm, and back-to-back scans
+    of one grid, share one plan; a scan of another grid replaces it.
+    """
+    key = (t_grid.tobytes(), theta_values.tobytes(), h, half_width, x_idx.tobytes(), chunk,
+           _CELLS, _TIE_MARGIN)
+    plan = _plan_memo.get(key)
+    if plan is None:
+        _plan_memo.clear()
+        plan = _plan_memo[key] = _build_plan(t_grid, theta_values, h, x_idx, chunk)
+    return plan
+
+
 def _scan(
     f: SampledSignal,
     theta_values: np.ndarray,
@@ -141,6 +238,17 @@ def _scan(
     first synthesized from row 0 of the padded input, with the unit
     multiplier of t = 0.  No bit depends on the chunk size:
     the e^{it Phi} recurrence is one chain, and the FFT transforms each row alone.
+
+    The FFT runs unnormalized (norm="forward"), and the scan divides each
+    value it reads by 2*half_width, where the normalized FFT scales the
+    whole row by 1/n_eval in a pass of its own and the value is then
+    divided by h.  The bits agree.  n_eval is a power of two, so the
+    1/n_eval scaling is exact and n_eval*h is 2*half_width exactly.  numpy
+    divides a complex by a real by multiplying both parts by the rounded
+    reciprocal, and fl(1/(n_eval*h)) = fl(1/h)/n_eval exactly; so both
+    ways round the same real number, once.  This needs every value, and
+    every value over n_eval, to stay a normal float (above 2^-1022, below
+    2^1024); data from 1e-200 to 1e200 stays far inside.
 
     Cell (t, x, theta) reads lattice index rint((x + t*theta + half_width) / h)
     modulo n_eval (_cell_index).  With x = x_idx*h - half_width that index is
@@ -165,7 +273,11 @@ def _scan(
     holds whole slices and at most _CELLS window values (one slice, if a
     slice holds more).  Its lattice span is wrapped around the periodic box
     once, on its column indices, so no cell takes an index modulo n_eval.
-    Then, per (t, x):
+    What depends on the grid alone (offsets, windows, reached masks,
+    near-tie pairs, blocks and spans) is the _ScanPlan, built once per grid;
+    the pass per signal reads it.  In plain mode the pass takes |u/h| once
+    per lattice column of the span and gathers the window values from
+    those.  Then, per (t, x):
 
     - tmax is the max of the window values at the offsets in D(t), off
       near-tie pairs (a masked max), raised by the values the near-tie
@@ -191,6 +303,7 @@ def _scan(
     while 2.0 * half_width / n_eval > step_target:
         n_eval *= 2
     h = 2.0 * half_width / n_eval
+    scale = 2.0 * half_width  # n_eval * h, see above
 
     n = f.n
     half = n // 2
@@ -216,62 +329,53 @@ def _scan(
     step_mult = np.exp(1j * dt * phi)
 
     chunk = min(len(t_grid), max(1, _FFT_BYTES // (16 * n_eval)))
+    plan = _scan_plan(t_grid, theta_values, h, half_width, x_idx, chunk)
     coeff = np.empty((chunk, n), dtype=complex)
     padded = np.zeros((chunk, n_eval), dtype=complex)
     fields = np.empty((chunk, n_eval), dtype=complex)
     if subtract:  # f(x), the field at t = 0, from row 0 of the padded input
         padded[0, n_eval - half :], padded[0, :half] = adj[:half], adj[half:]
-        f0 = np.fft.ifft(padded[0])[x_idx % n_eval] / h
+        f0 = np.fft.ifft(padded[0], norm="forward")[x_idx % n_eval] / scale
     x_pos = np.arange(x_count)
-    x_lo, x_hi = int(x_idx.min()), int(x_idx.max())
+    # The lattice column of (offset - lo, x) relative to lo, for the widest window.
+    window_cols = np.arange(plan.blocks[:, 4].max())[:, None] + x_idx
+    blocks, chunk_blocks = plan.blocks.tolist(), plan.chunk_blocks.tolist()
 
-    for start in range(0, len(t_grid), chunk):
-        t_chunk = t_grid[start : start + chunk]
-        m = len(t_chunk)
+    coeff_rows = list(coeff)
+    for ci, start in enumerate(range(0, len(t_grid), chunk)):
+        m = min(chunk, len(t_grid) - start)
         coeff[0] = cur
         for i in range(1, m):
-            np.multiply(coeff[i - 1], step_mult, out=coeff[i])
+            np.multiply(coeff_rows[i - 1], step_mult, out=coeff_rows[i])
         cur = coeff[m - 1] * step_mult
         np.multiply(coeff[:m, :half], adj[:half], out=padded[:m, n_eval - half :])
         np.multiply(coeff[:m, half:], adj[half:], out=padded[:m, :half])
-        np.fft.ifft(padded[:m], axis=1, out=fields[:m])
+        np.fft.ifft(padded[:m], axis=1, norm="forward", out=fields[:m])
 
-        # Offsets per (t, theta), each slice's window [lo, lo + widths), and
-        # the lattice column of (offset - lo, x) relative to lo.
-        prod_chunk = t_chunk[:, None] * theta_values[None, :]
-        offset_chunk, tie_chunk, lo_chunk, widths = _direction_offsets(prod_chunk, h)
-        window_cols = np.arange(widths.max())[:, None] + x_idx
-        block = max(1, _CELLS // (x_count * len(window_cols)))
+        for b_start, b_stop, s0, s1, width, r0, tie_lo, tie_hi in \
+                blocks[chunk_blocks[ci] : chunk_blocks[ci + 1]]:
+            b0, nb = b_start - start, b_stop - b_start
+            lo = plan.lo[b_start:b_stop]
 
-        for b0 in range(0, m, block):
-            rows_b = slice(b0, b0 + block)
-            prod, offset, tie = prod_chunk[rows_b], offset_chunk[rows_b], tie_chunk[rows_b]
-            lo = lo_chunk[rows_b]
-            nb = len(lo)
-            width = int(widths[rows_b].max())
-            rows = np.arange(nb)
-
-            # The block's lattice span [s0, s1), wrapped around the periodic box, scaled by 1/h.
-            s0, s1 = x_lo + int(lo.min()), x_hi + int(lo.max()) + width
+            # The block's lattice span [s0, s1), wrapped around the periodic box, as u/h.
             span = np.take(fields[b0 : b0 + nb], np.arange(s0, s1), axis=1, mode="wrap")
-            span /= h
+            span /= scale
 
             # The window values per (t, offset - lo, x): they depend on x
             # through the lattice point, and through f(x) in convergence mode.
-            first = rows * (s1 - s0) + lo - s0  # flat position of (t, lo) in span
-            g = span.reshape(-1).take(first[:, None, None] + window_cols[:width])
+            cols = plan.first[b_start:b_stop, None, None] + window_cols[:width]
             if subtract:
+                g = span.take(cols)
                 g -= f0
-            vals = np.abs(g)
+                vals = np.abs(g)
+            else:
+                vals = np.abs(span).take(cols)
 
-            # The offsets each slice reaches off near ties; near-tie pairs
-            # mark a spare column that the max does not see.
-            reached = np.zeros((nb, width + 1), dtype=bool)
-            reached[rows[:, None], np.where(tie, width, offset - lo[:, None])] = True
-            tmax = vals.max(axis=1, where=reached[:, :width, None], initial=-1.0)
-            if tie.any():
-                ti, tj = np.nonzero(tie)
-                idx = _cell_index(prod[ti, tj][:, None], x_snap, half_width, h)
+            reached = plan.reached[r0 : r0 + nb * width].reshape(nb, width, 1)
+            tmax = vals.max(axis=1, where=reached, initial=-1.0)
+            if tie_hi > tie_lo:
+                ti = plan.tie_slice[tie_lo:tie_hi] - b_start
+                idx = _cell_index(plan.tie_prod[tie_lo:tie_hi, None], x_snap, half_width, h)
                 np.maximum.at(tmax, ti, vals[ti[:, None], idx - x_idx - lo[ti][:, None], x_pos])
 
             arg_t = tmax.argmax(axis=0)
@@ -279,14 +383,15 @@ def _scan(
             upd = np.flatnonzero(cand > best)
             if len(upd):
                 tu = arg_t[upd]
-                idx = _cell_index(prod[tu], x_snap[upd, None], half_width, h)
+                prod = t_grid[b_start + tu, None] * theta_values[None, :]
+                idx = _cell_index(prod, x_snap[upd, None], half_width, h)
                 w = idx - (x_idx[upd] + lo[tu])[:, None]
                 best[upd] = cand[upd]
-                best_t[upd] = start + b0 + tu
+                best_t[upd] = b_start + tu
                 best_th[upd] = vals[tu[:, None], w, upd[:, None]].argmax(axis=1)
 
             if subtract:
-                abs_t = np.abs(t_chunk[rows_b])
+                abs_t = np.abs(t_grid[b_start:b_stop])
                 for li, r in enumerate(r_levels):
                     sel = abs_t <= r * (1 + 1e-12)
                     if sel.any():
@@ -363,6 +468,8 @@ def estimate_operator_norm(
     """
     if not 2.0 <= q <= 4.0:
         raise ConfigError(f"q={q} outside [2, 4], the range of the norm estimator")
+    if trials < 1 or x_count < 1:
+        raise ConfigError(f"trials={trials} and x_count={x_count} must be at least 1")
     lo, hi = float(omega[0]), float(omega[1])
     width = hi - lo
     if width > 2.0 ** (-sigma * k) * (1 + 1e-9):
@@ -386,6 +493,9 @@ def estimate_operator_norm(
     xi_live = xi[live]
     shell_live = shell[live]
     n_live = int(live.sum())
+    if n_live == 0:
+        raise ConfigError(f"no frequency of the grid of step pi/half_width = {dxi:g} lies in "
+                          f"the P_{k} shell; half_width={half_width:g} is too small")
 
     def shell_signal(c_live: np.ndarray) -> SampledSignal:
         full = np.zeros(n, dtype=complex)

@@ -355,8 +355,11 @@ class TestCli:
         (["converge"], "scale_min_exp = 30000000",
          "scale_min_exp=30000000: 2^-30000000 underflows float64 to 0"),
         (["kernel-scan"], "lambda_min_exp = -1075", "lambda_min_exp=-1075: 2^-1075 underflows"),
+        # the frequency step 2*pi puts no grid point in the P_2 shell [1, 4]
+        (["norm-scaling", "--k-min", "2"], "half_width = 0.5",
+         "no frequency of the grid of step pi/half_width = 6.28319 lies in the P_2 shell"),
     ], ids=["sigma-above-one", "q-not-a-number", "scale-exp-underflows",
-            "lambda-exp-underflows"])
+            "lambda-exp-underflows", "norm-scaling-empty-shell"])
     def test_config_error_message(self, argv, setting, message, tmp_path, capsys):
         if setting:
             cfg = tmp_path / "c.cfg"

@@ -231,27 +231,58 @@ def reference_scan(f, theta_values, t_grid, profile, x_count, r_levels=None):
     return best, best_t, best_th, level_max, h
 
 
+def assert_matches_reference(res, want, r_levels):
+    """res, a MaximalResult, is bit for bit the reference_scan output want."""
+    values, t_arg, theta_arg, level_max, h = want
+    assert np.array_equal(res.values, values)
+    assert np.array_equal(res.t_arg, t_arg)
+    assert np.array_equal(res.theta_arg, theta_arg)
+    assert res.lattice_step == h
+    if r_levels is None:
+        assert res.level_max is None
+    else:
+        assert np.array_equal(res.level_max, level_max)
+
+
 class TestScanMatchesReference:
     """The chunked, blocked scan reproduces the reference bit for bit, with
-    FFT chunks of one row, of three rows and of the default byte budget."""
+    FFT chunks of one row, of three rows and of the default byte budget, and
+    whether it builds its plan or takes it from the memo."""
 
     def check(self, f, theta_values, t_grid, r_levels=None, x_count=65):
-        values, t_arg, theta_arg, level_max, h = reference_scan(
-            f, theta_values, t_grid, PROFILE, x_count, r_levels)
-        n_eval = round(2.0 * f.half_width / h)
+        want = reference_scan(f, theta_values, t_grid, PROFILE, x_count, r_levels)
+        n_eval = round(2.0 * f.half_width / want[-1])
         for budget in (1, 3 * 16 * n_eval, maximal._FFT_BYTES):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(maximal, "_FFT_BYTES", budget)
                 res = _scan(f, theta_values, t_grid, PROFILE, x_count, r_levels=r_levels)
-            assert np.array_equal(res.values, values)
-            assert np.array_equal(res.t_arg, t_arg)
-            assert np.array_equal(res.theta_arg, theta_arg)
-            assert res.lattice_step == h
-            if r_levels is None:
-                assert res.level_max is None
-            else:
-                assert np.array_equal(res.level_max, level_max)
+            assert_matches_reference(res, want, r_levels)
         return res
+
+    @pytest.mark.parametrize("levels", [None, [0.75, 0.3]], ids=["plain", "levels"])
+    def test_back_to_back_scans_share_the_plan_memo(self, levels, monkeypatch):
+        builds = []
+        build = maximal._build_plan
+        monkeypatch.setattr(maximal, "_build_plan", lambda *a: builds.append(a[2]) or build(*a))
+        monkeypatch.setattr(maximal, "_plan_memo", {})
+        r_levels = None if levels is None else np.array(levels)
+        f1, f2 = band_limited(20, half_width=12.0), band_limited(21, half_width=12.0)
+        narrow = band_limited(22, half_width=12.0, top=4.0)  # half the band: a coarser lattice
+        band = forward_transform(f1).band_limit()
+        assert forward_transform(f2).band_limit() == band
+        t_grid, theta_values = grid_for_band(band, PROFILE, make_intervals([(-0.5, 1.0)]),
+                                             t_range=1.0 if levels is None else levels[0])
+        # (signal, x_count, FFT budget, plan builds after the scan)
+        steps = [(f1, 65, maximal._FFT_BYTES, 1), (f2, 65, maximal._FFT_BYTES, 1),
+                 (narrow, 65, maximal._FFT_BYTES, 2), (f1, 33, maximal._FFT_BYTES, 3),
+                 (f1, 33, 3 * 16 * 1024, 4), (f2, 33, 3 * 16 * 1024, 4)]
+        for f, x_count, budget, n_builds in steps:
+            want = reference_scan(f, theta_values, t_grid, PROFILE, x_count, r_levels)
+            monkeypatch.setattr(maximal, "_FFT_BYTES", budget)
+            res = _scan(f, theta_values, t_grid, PROFILE, x_count, r_levels=r_levels)
+            assert_matches_reference(res, want, r_levels)
+            assert len(builds) == n_builds
+        assert builds[1] == 2.0 * builds[0]  # the narrow band's lattice step
 
     def test_point_direction(self):
         f = band_limited(7)
@@ -326,6 +357,62 @@ class TestScanMatchesReference:
         t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), PROFILE,
                                              make_points([0.9]), t_range=0.5)
         self.check(f, theta_values, t_grid, r_levels=np.array([0.5, 0.25, 0.0625]))
+
+
+def test_norm_estimate_builds_one_plan_per_grid(monkeypatch):
+    # every trial and round of one band scans one grid, so shares one plan
+    builds, scans = [], []
+    build, scan = maximal._build_plan, maximal._scan
+    monkeypatch.setattr(maximal, "_build_plan", lambda *a: builds.append(a) or build(*a))
+    monkeypatch.setattr(maximal, "_scan", lambda *a, **kw: scans.append(a) or scan(*a, **kw))
+    monkeypatch.setattr(maximal, "_plan_memo", {})
+    estimate_operator_norm(3, (0.0, 2.0**-1.5), 2.0, 0.5, PROFILE, trials=3, seed=0)
+    assert len(scans) > 3
+    assert len(builds) == 1
+
+
+def test_plan_of_the_largest_criterion_4_grid_is_small():
+    # criterion 4's k=6 band, Omega = [0, 2^-3]: its shell signals take
+    # the 2^14-point lattice; the plan is built without any FFT
+    k, half_width, n_eval, x_count = 6, 32.0, 1 << 14, 65
+    t_grid, theta_values = grid_for_band(2.0**k, PROFILE, make_intervals([(0.0, 2.0 ** (-k / 2))]))
+    assert (len(t_grid), len(theta_values)) == (32769, 33)
+    h = 2.0 * half_width / n_eval
+    x_idx, _ = snapped_x(half_width, h, x_count)
+    chunk = maximal._FFT_BYTES // (16 * n_eval)
+    plan = maximal._build_plan(t_grid, theta_values, h, x_idx, chunk)
+    arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) < 2 * 2**20
+    # every axis counts time slices, blocks, chunks, near-tie pairs or window
+    # offsets, none x points
+    start, stop, width = plan.blocks[:, 0], plan.blocks[:, 1], plan.blocks[:, 4]
+    assert plan.blocks.shape == (len(plan.blocks), 8)
+    assert np.array_equal(start[1:], stop[:-1]) and stop[-1] == len(t_grid)
+    assert plan.chunk_blocks.shape == (-(-len(t_grid) // chunk) + 1,)
+    assert plan.lo.shape == plan.first.shape == (len(t_grid),)
+    assert plan.reached.shape == (np.sum((stop - start) * width),)
+    assert plan.tie_slice.shape == plan.tie_prod.shape == (plan.blocks[-1, 7],)
+
+
+@given(log2_n=st.integers(1, 16), live_frac=st.sampled_from([1, 2, 8]),
+       half_width=st.floats(0.5, 64.0), exponent=st.integers(-200, 200),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_unnormalized_fft_over_box_width_is_the_normalized_fft_over_h(
+        log2_n, live_frac, half_width, exponent, seed):
+    # _scan's exactness argument: n_eval a power of two, so pocketfft's 1/n_eval
+    # scaling is exact and n_eval*h is 2*half_width exactly, for data from
+    # 1e-200 to 1e200 (the quotients stay normal floats)
+    n_eval = 1 << log2_n
+    h = 2.0 * half_width / n_eval
+    live = max(1, n_eval // (2 * live_frac))  # zero-padded between, as in the scan
+    rng = np.random.default_rng(seed)
+    row = np.zeros(n_eval, dtype=complex)
+    for sl in (slice(0, live), slice(n_eval - live, n_eval)):
+        row[sl] = (rng.standard_normal(live) + 1j * rng.standard_normal(live)) * 10.0**exponent
+    want = np.fft.ifft(row) / h
+    got = np.fft.ifft(row, norm="forward") / (2.0 * half_width)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_scan_buffers_are_bounded_in_bytes():
@@ -485,6 +572,19 @@ class TestOperatorNorm:
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
             estimate_operator_norm(2, (0.0, 0.0), 8.0, 0.5, PROFILE)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"trials": 0}, "trials=0 and x_count=65 must be at least 1"),
+        ({"x_count": 0}, "trials=6 and x_count=0 must be at least 1"),
+        ({"half_width": 0.5}, "no frequency of the grid .* lies in the P_2 shell"),
+    ], ids=["no-trials", "no-x-points", "empty-shell"])
+    def test_rejects_settings_that_leave_nothing_to_scan(self, kwargs, message, monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("a scan ran before the check")
+
+        monkeypatch.setattr(maximal, "_scan", refuse)
+        with pytest.raises(ConfigError, match=message):
+            estimate_operator_norm(2, (0.0, 0.5), 2.0, 0.5, PROFILE, **kwargs)
 
 
 class TestScalingFit:
