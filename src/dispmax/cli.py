@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -247,7 +248,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _build_config(args)
-        return _COMMANDS[args.command](cfg, args)
+        with warnings.catch_warnings():  # a library warning is one stderr line
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

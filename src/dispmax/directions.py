@@ -27,34 +27,36 @@ class DirectionSet:
                                          for a, b in self.components]))
 
 
-def _validate_components(comps) -> tuple:
-    comps = tuple((float(a), float(b)) for a, b in comps)
-    if not comps:
+def _validate_components(a: np.ndarray, b: np.ndarray) -> tuple:
+    if a.size == 0:
         raise ConfigError("direction set must be nonempty")
-    for a, b in comps:
-        if not (-1.0 - 1e-12 <= a and b <= 1.0 + 1e-12):  # NaN fails too
-            raise ConfigError(f"interval [{a}, {b}] escapes [-1, 1] or is not finite")
-        if b < a:
-            raise ConfigError(f"interval [{a}, {b}] is reversed")
-    for (a0, b0), (a1, b1) in zip(comps, comps[1:]):
-        if a1 <= b0:
-            raise ConfigError("components must be sorted and disjoint")
-    return comps
+    escapes = ~((-1.0 - 1e-12 <= a) & (b <= 1.0 + 1e-12))  # NaN escapes too
+    bad = np.flatnonzero(escapes | (b < a))
+    if bad.size:
+        i = bad[0]
+        fault = "escapes [-1, 1] or is not finite" if escapes[i] else "is reversed"
+        raise ConfigError(f"interval [{a[i]}, {b[i]}] {fault}")
+    if np.any(a[1:] <= b[:-1]):
+        raise ConfigError("components must be sorted and disjoint")
+    return tuple(zip(a.tolist(), b.tolist()))
 
 
 def make_points(points) -> DirectionSet:
-    pts = sorted(set(float(p) for p in points))
-    comps = _validate_components((p, p) for p in pts)
-    return DirectionSet(comps)
+    pts = np.array(sorted(set(float(p) for p in points)))
+    return DirectionSet(_validate_components(pts, pts))
 
 
 def make_intervals(intervals) -> DirectionSet:
-    comps = _validate_components(sorted(tuple(iv) for iv in intervals))
-    return DirectionSet(comps)
+    pairs = [(float(a), float(b)) for a, b in sorted(tuple(iv) for iv in intervals)]
+    return DirectionSet(_validate_components(*np.array(pairs).reshape(-1, 2).T))
 
 
 def make_cantor(m: int, r: float, depth: int) -> DirectionSet:
-    """IFS Cantor set in [0, 1]: m equally spaced affine copies at ratio r, depth d."""
+    """IFS Cantor set in [0, 1]: m equally spaced affine copies at ratio r, depth d.
+
+    Each generation is one numpy step.  A parent's pieces lie inside it, in
+    order, so the children of ordered, disjoint parents need no sort.
+    """
     if m < 2:
         raise ConfigError("need at least 2 pieces")
     if not 0.0 < r <= 1.0 / m:
@@ -65,24 +67,16 @@ def make_cantor(m: int, r: float, depth: int) -> DirectionSet:
     # passes the cap, so m**depth is formed only for small depths.
     if depth >= MAX_COUNT.bit_length() or m**depth > MAX_COUNT:
         raise ConfigError(f"depth {depth} gives {m}^{depth} intervals, more than {MAX_COUNT}")
-    comps = [(0.0, 1.0)]
-    gap = (1.0 - r) / (m - 1)  # relative offset between consecutive piece starts
+    a, b = np.array([0.0]), np.array([1.0])
+    offsets = np.arange(m) * ((1.0 - r) / (m - 1))  # relative offset of each piece's start
     for _ in range(depth):
-        nxt = []
-        for a, b in comps:
-            length = b - a
-            for i in range(m):
-                start = a + i * gap * length
-                nxt.append((start, start + r * length))
-        comps = nxt
-    # r = 1/m makes adjacent pieces touch; merge so components stay disjoint
-    merged = []
-    for a, b in sorted(comps):
-        if merged and a <= merged[-1][1] + 1e-15:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-        else:
-            merged.append((a, b))
-    return DirectionSet(_validate_components(merged))
+        length = (b - a)[:, None]
+        start = a[:, None] + offsets * length
+        a, b = start.ravel(), (start + r * length).ravel()
+    # r = 1/m makes adjacent pieces touch; merge so components stay disjoint.
+    # The ends increase, so a piece joins a run iff it touches its left neighbour.
+    ends = np.flatnonzero(a[1:] > b[:-1] + 1e-15)
+    return DirectionSet(_validate_components(a[np.r_[0, ends + 1]], b[np.r_[ends, -1]]))
 
 
 def parse_direction_spec(spec: str) -> DirectionSet:
@@ -125,7 +119,7 @@ def _greedy_cover(comps, width: float) -> tuple:
     """
     # Each component takes at most ceil(length / width) intervals, plus one
     # for the rounding of the running cursor.
-    bound = sum(np.ceil((b - a) / width) + 1.0 for a, b in comps)
+    bound = np.sum(np.ceil(np.diff(comps, axis=1) / width) + 1.0)
     if bound > MAX_COUNT:
         raise RangeError(f"a cover by width-{width:.3g} intervals may take {bound:.3g} "
                          f"of them, more than {MAX_COUNT}")

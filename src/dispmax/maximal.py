@@ -63,6 +63,7 @@ _PHASE_BUDGET = 0.25  # max phase change (radians) per grid step in t, theta, x
 _FFT_BYTES = 1 << 21  # bytes per synthesis buffer; its rows are the time slices per inverse FFT
 _CELLS = 1 << 15  # window values per block of time slices (16 B of temporaries each, 32 B with f(x))
 _TIE_MARGIN = 1e-6  # t*theta/h this near a half-integer takes the per-cell index (see _scan)
+_MAX_ROUNDS = 20  # alternating-maximization rounds per operator-norm estimate
 
 
 @dataclass(frozen=True)
@@ -458,7 +459,6 @@ def estimate_operator_norm(
     seed: int = 0,
     half_width: float = 32.0,
     x_count: int = 65,
-    max_rounds: int = 20,
 ) -> NormEstimate:
     """Lower-bound estimate of || M_Omega P_k ||_{L^2 -> L^q(I)}.
 
@@ -525,7 +525,7 @@ def estimate_operator_norm(
     dx = 2.0 / x_count
     stall = 0
     prev = best_val
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         t_arg = t_grid[res.t_arg]
         th_arg = theta_values[res.theta_arg]
         pos = _cell_index(t_arg * th_arg, res.x, half_width, h) * h - half_width

@@ -433,6 +433,11 @@ class TestCli:
         assert out.splitlines() == [f"H^{s} norm in = 1.10162", f"wrote {path}"] and not err
         assert path.exists()
 
+    def test_library_warning_is_one_line(self, tmp_path, capsys):
+        assert main(["evolve", "--t", "2", "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert err == "warning: |t| = 2 > 1 is outside the nominal time window\n"
+
     @pytest.mark.parametrize("exc, line", [
         (MemoryError("Unable to allocate 8.00 TiB for an array"),
          "numerical failure: Unable to allocate 8.00 TiB for an array\n"),

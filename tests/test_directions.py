@@ -22,6 +22,37 @@ from dispmax.errors import MAX_COUNT, ConfigError, RangeError
 from dispmax.experiments import run_dimension_report
 
 
+def reference_cantor(m, r, depth):
+    """Components of the depth-d Cantor generation, by the nested-loop build.
+
+    The generation and merge loops are the pure-Python ones make_cantor used
+    before it grew its endpoint arrays in numpy; kept as the oracle.
+    """
+    comps = [(0.0, 1.0)]
+    gap = (1.0 - r) / (m - 1)  # relative offset between consecutive piece starts
+    for _ in range(depth):
+        nxt = []
+        for a, b in comps:
+            length = b - a
+            for i in range(m):
+                start = a + i * gap * length
+                nxt.append((start, start + r * length))
+        comps = nxt
+    # r = 1/m makes adjacent pieces touch; merge so components stay disjoint
+    merged = []
+    for a, b in sorted(comps):
+        if merged and a <= merged[-1][1] + 1e-15:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+        else:
+            merged.append((a, b))
+    return tuple(merged)
+
+
+def assert_same_components(ds, expected):
+    assert all(type(v) is float for pair in ds.components for v in pair)
+    assert np.array(ds.components).tobytes() == np.array(expected).tobytes()
+
+
 class TestConstructors:
     def test_points_sorted_and_deduplicated(self):
         ds = make_points([0.5, -0.5, 0.5, 0.0])
@@ -68,6 +99,37 @@ class TestConstructors:
         unit = make_intervals([(0.0, 1.0)])
         for delta in (1.0, 0.3, 1.0 / m**depth, 1e-3):
             assert box_count(ds, delta) == box_count(unit, delta)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 7])
+    @pytest.mark.parametrize("ratio", ["touching", "just-below-touching", "0.1", "0.6/m"])
+    def test_cantor_matches_nested_loop_bit_for_bit(self, m, ratio):
+        r = {"touching": 1.0 / m, "just-below-touching": float(np.nextafter(1.0 / m, 0.0)),
+             "0.1": 0.1, "0.6/m": 0.6 / m}[ratio]
+        for depth in range(7):
+            assert_same_components(make_cantor(m, r, depth), reference_cantor(m, r, depth))
+
+    @pytest.mark.parametrize("spec, args", [
+        ("cantor:2,0.3333333333333333,8", (2, 0.3333333333333333, 8)),  # converge-cantor's set
+        ("cantor:2,0.3,14", (2, 0.3, 14)),
+    ])
+    def test_parsed_cantor_matches_nested_loop_bit_for_bit(self, spec, args):
+        assert_same_components(parse_direction_spec(spec), reference_cantor(*args))
+
+    @pytest.mark.parametrize("build, message", [
+        # the first faulty component is named, even where a later one escapes
+        (lambda: make_intervals([(0.5, 0.2), (0.7, 2.0)]), r"interval \[0.5, 0.2\] is reversed$"),
+        # a component both reversed and escaping is named for the escape
+        (lambda: make_intervals([(3.0, 2.0)]), r"interval \[3.0, 2.0\] escapes \[-1, 1\]"),
+        (lambda: make_points([0.0, float("nan")]), r"interval \[nan, nan\] escapes .* not finite"),
+        (lambda: make_intervals([(0.0, float("nan"))]), r"interval \[0.0, nan\] escapes"),
+        (lambda: make_points([]), "must be nonempty"),
+        (lambda: directions._validate_components(np.array([0.5, 0.0]), np.array([0.6, 0.1])),
+         "must be sorted and disjoint"),
+    ], ids=["reversed-before-escaping", "reversed-and-escaping", "nan-point", "nan-end",
+            "empty", "unsorted"])
+    def test_validation_names_the_first_fault(self, build, message):
+        with pytest.raises(ConfigError, match=message):
+            build()
 
     def test_parse_round_trip(self):
         assert parse_direction_spec("point:0") == make_points([0.0])

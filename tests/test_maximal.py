@@ -545,13 +545,16 @@ class TestOperatorNorm:
         assert est1.value > 0
         assert est1.method in ("randomFamily", "alternatingMax")
 
-    def test_more_trials_do_not_hurt_the_random_stage(self):
-        few = estimate_operator_norm(2, (0.0, 0.0), 2.0, 0.5, PROFILE, trials=2, seed=1, max_rounds=0)
-        many = estimate_operator_norm(2, (0.0, 0.0), 2.0, 0.5, PROFILE, trials=5, seed=1, max_rounds=0)
+    def test_more_trials_do_not_hurt_the_random_stage(self, monkeypatch):
+        monkeypatch.setattr(maximal, "_MAX_ROUNDS", 0)
+        few = estimate_operator_norm(2, (0.0, 0.0), 2.0, 0.5, PROFILE, trials=2, seed=1)
+        many = estimate_operator_norm(2, (0.0, 0.0), 2.0, 0.5, PROFILE, trials=5, seed=1)
         assert many.value >= few.value - 1e-12
 
-    def test_refinement_dominates_random_stage(self):
-        raw = estimate_operator_norm(3, (0.0, 0.0), 2.0, 0.5, PROFILE, trials=2, seed=0, max_rounds=0)
+    def test_refinement_dominates_random_stage(self, monkeypatch):
+        monkeypatch.setattr(maximal, "_MAX_ROUNDS", 0)
+        raw = estimate_operator_norm(3, (0.0, 0.0), 2.0, 0.5, PROFILE, trials=2, seed=0)
+        monkeypatch.undo()
         ref = estimate_operator_norm(3, (0.0, 0.0), 2.0, 0.5, PROFILE, trials=2, seed=0)
         assert ref.value >= raw.value - 1e-12
 
