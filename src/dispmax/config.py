@@ -75,8 +75,9 @@ class ExperimentConfig:
             raise ConfigError(f"samples_per_region={self.samples_per_region} must be at least 1")
         if self.n_grid < 2 or self.n_grid & (self.n_grid - 1):
             raise ConfigError(f"n_grid={self.n_grid} must be a power of two, at least 2")
-        if not 0.0 < self.half_width < float("inf"):
-            raise ConfigError(f"half_width={self.half_width} must be positive and finite")
+        if not 0.0 < 2.0 * self.half_width < float("inf"):
+            raise ConfigError(f"half_width={self.half_width}: the box width 2*half_width "
+                              "must be positive and finite")
         if not 0.0 < self.delta_min < self.delta_max <= 1.0:
             raise ConfigError(
                 f"need 0 < delta_min < delta_max <= 1, got {self.delta_min} and {self.delta_max}"

@@ -23,6 +23,7 @@ table and the Gauss sum's work arrays are allocated once per process.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -133,6 +134,9 @@ class KernelQuery:
 def _shift(w: SpaceTimePoint, wp: SpaceTimePoint) -> float:
     """x - x' + t*theta - t'*theta', the coefficient of xi in the phase."""
     return (w.x - wp.x) + w.t * w.theta - wp.t * wp.theta
+
+
+_REGIONS = ("V1", "V2", "V3")
 
 
 def _region_labels(dx, dt, width):
@@ -303,62 +307,51 @@ class DecayScanReport:
 
 
 def _stationary_pairs(rng, lam, width, profile):
-    """Deterministic (w, w') pairs whose phase is stationary inside supp psi.
+    """Deterministic pairs whose phase is stationary inside supp psi.
 
     The empirical sup of the decay product is attained near stationary
     configurations; sweeping the stationary point across the support makes
     that sup stable across lambda instead of depending on rare random hits.
+    Returns the 6 x n rows (x, x', t, t', theta, theta') of _sample_regions.
     """
-    pairs = []
-    for xi_s in np.linspace(0.55, 1.95, 16):
-        slope = abs(float(profile.phi_prime(lam * xi_s)))
-        if slope == 0.0:
-            continue
-        for dx_target in (0.5, 1.0, 1.8):
-            dt = dx_target / slope
-            if dt > 1.99:
-                continue
-            th, thp = rng.uniform(0, width, 2)
-            w = SpaceTimePoint(-dx_target / 2.0, dt / 2.0, th)
-            wp = SpaceTimePoint(dx_target / 2.0, -dt / 2.0, thp)
-            pairs.append((w, wp))
-    return pairs
+    # Scalar slopes: numpy's array pow rounds unlike its scalar pow.
+    slope = np.array([abs(float(profile.phi_prime(lam * xi_s)))
+                      for xi_s in np.linspace(0.55, 1.95, 16)])
+    dx = np.broadcast_to([0.5, 1.0, 1.8], (16, 3))
+    with np.errstate(divide="ignore"):
+        dt = dx / slope[:, None]
+    # A zero slope gives dt = inf, so this one test skips it too.
+    keep = ~(dt > 1.99)
+    dx, dt = dx[keep], dt[keep]
+    theta = rng.uniform(0, width, (len(dx), 2))
+    return np.vstack([-dx / 2.0, dx / 2.0, dt / 2.0, -dt / 2.0, theta.T])
 
 
 def _sample_regions(rng, lam, sigma, per_region, profile):
-    """Seeded (w, w') pairs from W x W with per-region quotas.
+    """Seeded pairs from W x W with per-region quotas.
 
-    Near-stationary pairs are inserted first (they dominate the sup of the
-    decay product); the remainder of each quota is rejection-sampled.
+    Near-stationary pairs fill the quotas first (they dominate the sup of
+    the decay product); random batches of 4096 pairs fill the rest.  Maps
+    each region to its 6 x per_region rows (x, x', t, t', theta, theta'),
+    in the order the values are drawn.
     """
     width = lam ** (-sigma)
-    quota = {lab: [] for lab in ("V1", "V2", "V3")}
-    for w, wp in _stationary_pairs(rng, lam, width, profile):
-        lab = classify_region(w, wp, lam, sigma)
-        if len(quota[lab]) < per_region:
-            quota[lab].append((w, wp))
-    attempts = 0
-    while any(len(v) < per_region for v in quota.values()):
-        attempts += 1
-        if attempts > 2000:
-            raise DispmaxError(
-                f"region sampling failed to fill the {per_region}-pair quotas at lambda {lam:g}"
-            )
-        m = 4096
-        x, xp = rng.uniform(-1, 1, m), rng.uniform(-1, 1, m)
-        t, tp = rng.uniform(-1, 1, m), rng.uniform(-1, 1, m)
-        th, thp = rng.uniform(0, width, m), rng.uniform(0, width, m)
+    parts = {name: [] for name in _REGIONS}
+    need = dict.fromkeys(_REGIONS, per_region)
+    batches = (np.vstack([rng.uniform(-1, 1, (4, 4096)), rng.uniform(0, width, (2, 4096))])
+               for _ in range(2000))
+    for batch in itertools.chain([_stationary_pairs(rng, lam, width, profile)], batches):
+        x, xp, t, tp = batch[:4]
         lab = _region_labels(np.abs(x - xp), np.abs(t - tp), width)
-        for name in quota:
-            need = per_region - len(quota[name])
-            if need <= 0:
-                continue
-            idx = np.nonzero(lab == name)[0][:need]
-            for i in idx:
-                quota[name].append(
-                    (SpaceTimePoint(x[i], t[i], th[i]), SpaceTimePoint(xp[i], tp[i], thp[i]))
-                )
-    return quota
+        for name in _REGIONS:
+            idx = np.nonzero(lab == name)[0][: need[name]]
+            parts[name].append(batch[:, idx])
+            need[name] -= len(idx)
+        if not any(need.values()):
+            return {name: np.hstack(p) for name, p in parts.items()}
+    raise DispmaxError(
+        f"region sampling failed to fill the {per_region}-pair quotas at lambda {lam:g}"
+    )
 
 
 def decay_bound_scan(
@@ -383,20 +376,19 @@ def decay_bound_scan(
     rng = np.random.default_rng(seed)
     for lam in lam_list:
         quota = _sample_regions(rng, lam, sigma, samples_per_region, profile)
-        for name in ("V1", "V2", "V3"):
-            for w, wp in quota[name]:
-                absk = abs(kernel_value(KernelQuery(w, wp, lam, profile)))
-                dx = abs(w.x - wp.x)
-                dt = abs(w.t - wp.t)
-                if name in ("V1", "V2"):
-                    product = absk * np.sqrt(lam * dx)
-                else:
-                    product = 0.0
-                if name == "V2":
-                    ratio = abs(_shift(w, wp)) / dx
-                    ratio_lo = min(ratio_lo, ratio)
-                    ratio_hi = max(ratio_hi, ratio)
-                rows.append((float(lam), name, dx, dt, absk, float(product)))
+        for name in _REGIONS:
+            x, xp, t, tp, th, thp = quota[name]
+            queries = (KernelQuery(SpaceTimePoint(*w), SpaceTimePoint(*wp), lam, profile)
+                       for w, wp in zip(zip(x, t, th), zip(xp, tp, thp)))
+            absk = np.array([abs(kernel_value(q)) for q in queries])
+            dx, dt = np.abs(x - xp), np.abs(t - tp)
+            product = absk * np.sqrt(lam * dx) if name != "V3" else np.zeros_like(dx)
+            if name == "V2":
+                ratio = np.abs((x - xp) + t * th - tp * thp) / dx  # |_shift| / dx
+                ratio_lo = min(ratio_lo, float(ratio.min()))
+                ratio_hi = max(ratio_hi, float(ratio.max()))
+            rows.extend((float(lam), name, *r)
+                        for r in zip(dx.tolist(), dt.tolist(), absk.tolist(), product.tolist()))
     return DecayScanReport(rows=tuple(rows), v2_ratio_range=(ratio_lo, ratio_hi))
 
 

@@ -80,8 +80,9 @@ class SampledSignal:
         n = len(vals)
         if n < 2 or n & (n - 1):
             raise ConfigError(f"signal length must be a power of two >= 2, got {n}")
-        if not self.half_width > 0:
-            raise ConfigError("half_width must be positive")
+        if not 0.0 < 2.0 * self.half_width < np.inf:
+            raise ConfigError(f"half_width={self.half_width}: the box width 2*half_width "
+                              "must be positive and finite")
 
     @property
     def n(self) -> int:

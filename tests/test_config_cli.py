@@ -296,6 +296,8 @@ class TestCli:
         (["converge", "--seed", "-1"], None),
         (["evolve", "--seed", "-5"], None),
         (["norm-scaling", "--k-min", "2", "--k-max", "3"], None),
+        (["maximal"], {"--config": "half_width = 1e308"}),
+        (["evolve"], {"--config": "half_width = 1e308"}),
     ], ids=["q-out-of-range", "unknown-theta-kind", "theta-outside-range",
             "band-above-bank", "band-negative", "lam-below-2", "t-nan",
             "missing-config-file", "s-negative", "q-below-estimator-range",
@@ -309,7 +311,8 @@ class TestCli:
             "a-nan", "s-inf-evolve", "s-inf-converge", "lambda-max-exp-overflows",
             "lambda-min-exp-overflows", "scale-max-exp-overflows", "lam-inf", "sigma-nan-cover",
             "sigma-nan-kernel-scan", "theta-points-nan", "theta-interval-nan",
-            "seed-negative-converge", "seed-negative-evolve", "two-bands"])
+            "seed-negative-converge", "seed-negative-evolve", "two-bands",
+            "half-width-box-overflows-maximal", "half-width-box-overflows-evolve"])
     def test_config_error_exit_code(self, argv, files, tmp_path, capsys):
         for flag, text in (files or {}).items():
             path = tmp_path / flag.lstrip("-")

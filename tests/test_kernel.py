@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dispmax import kernel
 from dispmax.cli import main
-from dispmax.errors import HypothesisError
+from dispmax.errors import DispmaxError, HypothesisError
 from dispmax.filters import psi
 from dispmax.kernel import (
     KernelQuery,
@@ -312,6 +312,117 @@ class TestPsiSq:
         idx = np.empty(xi.shape, dtype=np.int64)
         assert kernel._psi_sq(xi, out, pos, idx) is out
         assert np.array_equal(out, got)
+
+
+def reference_stationary_pairs(rng, lam, width, profile):
+    """Deterministic (w, w') pairs whose phase is stationary inside supp psi.
+
+    The empirical sup of the decay product is attained near stationary
+    configurations; sweeping the stationary point across the support makes
+    that sup stable across lambda instead of depending on rare random hits.
+    """
+    pairs = []
+    for xi_s in np.linspace(0.55, 1.95, 16):
+        slope = abs(float(profile.phi_prime(lam * xi_s)))
+        if slope == 0.0:
+            continue
+        for dx_target in (0.5, 1.0, 1.8):
+            dt = dx_target / slope
+            if dt > 1.99:
+                continue
+            th, thp = rng.uniform(0, width, 2)
+            w = SpaceTimePoint(-dx_target / 2.0, dt / 2.0, th)
+            wp = SpaceTimePoint(dx_target / 2.0, -dt / 2.0, thp)
+            pairs.append((w, wp))
+    return pairs
+
+
+def reference_sample_regions(rng, lam, sigma, per_region, profile):
+    """Seeded (w, w') pairs from W x W with per-region quotas.
+
+    Near-stationary pairs are inserted first (they dominate the sup of the
+    decay product); the remainder of each quota is rejection-sampled.
+    """
+    width = lam ** (-sigma)
+    quota = {lab: [] for lab in ("V1", "V2", "V3")}
+    for w, wp in reference_stationary_pairs(rng, lam, width, profile):
+        lab = classify_region(w, wp, lam, sigma)
+        if len(quota[lab]) < per_region:
+            quota[lab].append((w, wp))
+    attempts = 0
+    while any(len(v) < per_region for v in quota.values()):
+        attempts += 1
+        if attempts > 2000:
+            raise DispmaxError(
+                f"region sampling failed to fill the {per_region}-pair quotas at lambda {lam:g}"
+            )
+        m = 4096
+        x, xp = rng.uniform(-1, 1, m), rng.uniform(-1, 1, m)
+        t, tp = rng.uniform(-1, 1, m), rng.uniform(-1, 1, m)
+        th, thp = rng.uniform(0, width, m), rng.uniform(0, width, m)
+        lab = kernel._region_labels(np.abs(x - xp), np.abs(t - tp), width)
+        for name in quota:
+            need = per_region - len(quota[name])
+            if need <= 0:
+                continue
+            idx = np.nonzero(lab == name)[0][:need]
+            for i in idx:
+                quota[name].append(
+                    (SpaceTimePoint(x[i], t[i], th[i]), SpaceTimePoint(xp[i], tp[i], thp[i]))
+                )
+    return quota
+
+
+# phi' is 0 up to xi = 9 and at most 0.8 beyond: at lambda = 16 the stationary
+# sweep meets phi' = 0 at xi_s = 0.55, and dx = 1.8 always needs dt > 1.99.
+SLOW = DispersionProfile(
+    phi=lambda xi: 0.4 * np.clip(xi - 9.0, 0.0, 1.0) ** 2 + 0.8 * np.maximum(xi - 10.0, 0.0),
+    phi_prime=lambda xi: 0.8 * np.clip(xi - 9.0, 0.0, 1.0),
+    phi_prime2=lambda xi: np.where((xi > 9.0) & (xi < 10.0), 0.8, 0.0),
+)
+
+
+def sample(sampler, rng, lam, sigma, per_region, profile):
+    """sampler's quotas, or its error message."""
+    try:
+        return sampler(rng, lam, sigma, per_region, profile)
+    except DispmaxError as exc:
+        return str(exc)
+
+
+class TestSampler:
+    """_sample_regions draws the pairs of reference_sample_regions, bit for bit."""
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    @pytest.mark.parametrize("profile", [DispersionProfile.power(a) for a in (1.2, 1.5, 2.0, 3.0)]
+                             + [SLOW], ids=["a1.2", "a1.5", "a2", "a3", "slow"])
+    def test_matches_the_object_sampler(self, profile, sigma):
+        failed = []
+        for per_region in (1, 4, 50):
+            old_rng, new_rng = np.random.default_rng(per_region), np.random.default_rng(per_region)
+            for lam in (2.0**e for e in range(4, 11)):
+                want = sample(reference_sample_regions, old_rng, lam, sigma, per_region, profile)
+                got = sample(kernel._sample_regions, new_rng, lam, sigma, per_region, profile)
+                if isinstance(want, str):
+                    failed.append((per_region, lam))
+                    assert got == want
+                else:
+                    assert list(got) == ["V1", "V2", "V3"]
+                    for name, pairs in want.items():
+                        rows = [(w.x, wp.x, w.t, wp.t, w.theta, wp.theta) for w, wp in pairs]
+                        assert got[name].dtype == np.float64
+                        assert got[name].shape == (6, per_region)
+                        assert got[name].tobytes() == np.array(rows).T.tobytes()
+                assert new_rng.bit_generator.state == old_rng.bit_generator.state
+        # V3 needs |x - x'| < 4/lambda at sigma = 1: 2000 batches hold too few at 2^10
+        assert failed == ([(50, 1024.0)] if sigma == 1.0 else [])
+
+    def test_slow_profile_skips_stationary_pairs(self):
+        rng = np.random.default_rng(0)
+        # 15 slopes of 0.8 and one of 0 at lambda = 16; dx = 1.8 is skipped at both
+        assert kernel._stationary_pairs(rng, 16.0, 0.25, SLOW).shape == (6, 15 * 2)
+        assert kernel._stationary_pairs(rng, 32.0, 0.25, SLOW).shape == (6, 16 * 2)
+        assert len(reference_stationary_pairs(rng, 16.0, 0.25, SLOW)) == 15 * 2
 
 
 class TestSharedRule:

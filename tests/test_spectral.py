@@ -263,6 +263,12 @@ class TestDispersionConditions:
 
 
 class TestSignalCsv:
+    @pytest.mark.parametrize("half_width", [0.0, float("nan"), float("inf"), 1e308])
+    def test_needs_a_finite_box_width(self, half_width):
+        # 2*1e308 overflows: the grid step and every frequency would be inf or nan
+        with pytest.raises(ConfigError, match="2\\*half_width must be positive and finite"):
+            SampledSignal(half_width, np.ones(8))
+
     def test_round_trip(self, tmp_path):
         # evolve at t = 0 writes its input, the seeded data, under a provenance header
         assert main(["evolve", "--t", "0", "--seed", "2", "--out", str(tmp_path)]) == 0
