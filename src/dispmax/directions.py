@@ -23,8 +23,11 @@ class DirectionSet:
 
     def sample(self, per_component: int) -> np.ndarray:
         """Equispaced samples, per_component per interval (its left end if 1)."""
-        return np.unique(np.concatenate([np.linspace(a, b, per_component)
-                                         for a, b in self.components]))
+        a, b = np.array(self.components).T
+        # One zero step makes linspace round every row another way, so zero-step rows go apart.
+        flat = (b - a) / max(per_component - 1, 1) == 0
+        return np.unique(np.concatenate([np.linspace(a[rows], b[rows], per_component, axis=-1)
+                                         for rows in (flat, ~flat)], axis=None))
 
 
 def _validate_components(a: np.ndarray, b: np.ndarray) -> tuple:

@@ -151,12 +151,8 @@ def classify_region(w: SpaceTimePoint, wp: SpaceTimePoint, lam: float, sigma: fl
 
 def _base_panels(intervals):
     """_BASE_SPLIT uniform panels (a, b) per interval, the start of refinement."""
-    a_parts, b_parts = [], []
-    for lo, hi in intervals:
-        edges = np.linspace(lo, hi, _BASE_SPLIT + 1)
-        a_parts.append(edges[:-1])
-        b_parts.append(edges[1:])
-    return np.concatenate(a_parts), np.concatenate(b_parts)
+    edges = np.linspace(*np.array(intervals).T, _BASE_SPLIT + 1, axis=-1)
+    return edges[:, :-1].ravel(), edges[:, 1:].ravel()
 
 
 def _refine_panels(intervals, dphase: Callable):
@@ -250,6 +246,8 @@ def _work_arrays():
 
 def kernel_value(query: KernelQuery, density: int = 1) -> complex:
     """Adaptive Gauss quadrature of the TT* kernel; density=10 is the oracle."""
+    if not (isinstance(density, (int, np.integer)) and density >= 1):
+        raise ConfigError(f"density={density!r} must be an integer of at least 1")
     w, wp, lam, profile = query.w, query.w_prime, query.lam, query.profile
     shift = _shift(w, wp)
     dt = w.t - wp.t
@@ -368,6 +366,8 @@ def decay_bound_scan(
     trivial bound.  Also records the V2 comparability ratio
     |x - x' + t*theta - t'*theta'| / |x - x'|.
     """
+    if samples_per_region < 1:
+        raise ConfigError(f"samples_per_region={samples_per_region} must be at least 1")
     lam_list = list(lam_list)
     if not lam_list or any(b <= a for a, b in zip(lam_list, lam_list[1:])):
         raise ConfigError("lambda list must be nonempty and ascending")

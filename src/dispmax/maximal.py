@@ -86,8 +86,8 @@ def grid_for_band(
     """(t_grid, theta_values): the coarsest scan grid meeting the resolution rule.
 
     This is the only place a scan grid is built, so every scan meets the rule.
-    Raises RangeError where the rule asks for more than MAX_COUNT points in
-    t or in theta.
+    Raises RangeError, before sampling, where the rule asks for more than
+    MAX_COUNT points in t or in theta (summed over theta's components).
     """
     pm = float(np.max(np.abs(profile.phi(np.linspace(0.0, band, 1025)))))
     t_step = _PHASE_BUDGET / pm if pm > 0 else 2.0 * t_range
@@ -98,10 +98,14 @@ def grid_for_band(
         if not steps < MAX_COUNT:
             raise RangeError(f"the resolution rule asks for {steps:.3g} {axis} steps "
                              f"at band {band:g}, more than {MAX_COUNT}")
+    per_component, n_components = int(np.ceil(th_steps)) + 1, len(theta.components)
+    if n_components * per_component > MAX_COUNT:
+        raise RangeError(f"the resolution rule asks for {per_component} theta samples on each of "
+                         f"{n_components} components at band {band:g}, more than {MAX_COUNT}")
     nt = int(np.ceil(t_steps)) + 1
     if nt % 2 == 0:  # odd so that t = 0 is on the grid
         nt += 1
-    return np.linspace(-t_range, t_range, max(nt, 3)), theta.sample(int(np.ceil(th_steps)) + 1)
+    return np.linspace(-t_range, t_range, max(nt, 3)), theta.sample(per_component)
 
 
 def _cell_index(prod, x, half_width, h):
@@ -295,6 +299,8 @@ def _scan(
     The first t, then the first theta in that row, is the same first
     occurrence as an argmax over the flattened (t, theta) pairs.
     """
+    if x_count < 1:
+        raise ConfigError(f"x_count={x_count} must be at least 1")
     subtract = r_levels is not None
     c = forward_transform(f)
     band = c.band_limit()
@@ -439,6 +445,8 @@ def lq_norm(values: np.ndarray, q: float) -> float:
     if not q >= 1.0:
         raise ConfigError("q must be at least 1")
     values = np.abs(np.asarray(values, dtype=float))
+    if values.size == 0:
+        raise ConfigError("the L^q norm needs at least one value")
     dx = 2.0 / len(values)
     return float((np.sum(values**q) * dx) ** (1.0 / q))
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dispmax
-from dispmax import cli, directions
+from dispmax import cli, directions, maximal
 from dispmax.cli import main
 from dispmax.config import (
     ExperimentConfig,
@@ -26,8 +26,9 @@ from dispmax.config import (
 )
 from dispmax.directions import cover_set, make_cantor, make_points
 from dispmax.errors import ConfigError
-from dispmax.kernel import decay_bound_scan
-from dispmax.spectral import DispersionProfile
+from dispmax.kernel import KernelQuery, SpaceTimePoint, decay_bound_scan, kernel_value
+from dispmax.maximal import convergence_scan, lq_norm, maximal_function
+from dispmax.spectral import DispersionProfile, make_sobolev_data
 
 
 class TestParseConfig:
@@ -333,6 +334,44 @@ class TestCli:
             make_points([0.0, np.nan])
         with pytest.raises(ConfigError, match="nonempty"):
             decay_bound_scan(DispersionProfile.power(2.0), 0.5, [])
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda q, f: kernel_value(q, 0), "density=0 must be an integer of at least 1"),
+        (lambda q, f: kernel_value(q, -2), "density=-2 must be"),
+        (lambda q, f: kernel_value(q, 2.5), "density=2.5 must be an integer"),
+        (lambda q, f: maximal_function(f, make_points([0.0]), q.profile, x_count=0),
+         "x_count=0 must be at least 1"),
+        (lambda q, f: maximal_function(f, make_points([0.0]), q.profile, x_count=-3),
+         "x_count=-3 must be at least 1"),
+        (lambda q, f: convergence_scan(f, make_points([0.0]), q.profile, [0.5], x_count=0),
+         "x_count=0 must be at least 1"),
+        (lambda q, f: convergence_scan(f, make_points([0.0]), q.profile, [0.5], x_count=-3),
+         "x_count=-3 must be at least 1"),
+        (lambda q, f: decay_bound_scan(q.profile, 0.5, [16.0], samples_per_region=0),
+         "samples_per_region=0 must be at least 1"),
+        (lambda q, f: lq_norm(np.array([]), 2.0), "needs at least one value"),
+    ], ids=["density-zero", "density-negative", "density-fraction", "maximal-x-count-zero",
+            "maximal-x-count-negative", "converge-x-count-zero", "converge-x-count-negative",
+            "samples-per-region-zero", "lq-norm-empty"])
+    def test_bad_count_raises_config_error(self, call, message):
+        # each function checks the counts it uses, so a library caller gets the CLI's exit-2 error
+        w = SpaceTimePoint(0.0, 0.0, 0.0)
+        q = KernelQuery(w, SpaceTimePoint(0.5, 0.25, 0.0), 16.0, DispersionProfile.power(2.0))
+        with pytest.raises(ConfigError, match=message):
+            call(q, make_sobolev_data(1.0, 0, half_width=8.0, n=16))
+
+    def test_theta_samples_capped_in_total(self, tmp_path, monkeypatch, capsys):
+        # 64 components x 2 samples each = 128 directions, each component's
+        # 2 and the 41 t slices under the cap of 100
+        monkeypatch.setattr(maximal, "MAX_COUNT", 100)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("n_grid = 16\nhalf_width = 8\n")
+        argv = ["converge", "--theta", "cantor:2,0.3333333333333333,6", "--config", str(cfg)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: the resolution rule asks for 2 theta samples on each "
+                       "of 64 components at band 3.14159, more than 100\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", ["--a", "--q", "--sigma", "--s"])
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))

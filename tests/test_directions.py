@@ -48,6 +48,13 @@ def reference_cantor(m, r, depth):
     return tuple(merged)
 
 
+def reference_sample(ds, per_component):
+    """ds.sample by the per-component linspace that DirectionSet.sample used
+    before it took the endpoint arrays in one call; kept as the oracle."""
+    return np.unique(np.concatenate([np.linspace(a, b, per_component)
+                                     for a, b in ds.components]))
+
+
 def assert_same_components(ds, expected):
     assert all(type(v) is float for pair in ds.components for v in pair)
     assert np.array(ds.components).tobytes() == np.array(expected).tobytes()
@@ -138,6 +145,34 @@ class TestConstructors:
         assert parse_direction_spec("cantor:2,0.333333,4") == make_cantor(2, 0.333333, 4)
         with pytest.raises(ValueError):
             parse_direction_spec("blob:1")
+
+
+class TestSample:
+    @pytest.mark.parametrize("per_component", [1, 2, 3, 4, 17, 129])
+    @pytest.mark.parametrize("spec", [
+        "point:0", "point:-0.3", "points:-0.5,0,0.25,0.9", "interval:0,1", "interval:-0.7,0.3",
+        "interval:0.2,0.2", "cantor:2,0.3333333333333333,8", "cantor:3,0.3,4",
+        "cantor:3,0.2,5", "cantor:2,0.3,10",
+        # r = 1/m: the touching pieces merge into [0, 1]
+        "cantor:2,0.5,3", "cantor:3,0.3333333333333333,4", "cantor:4,0.25,3",
+        # pieces of width 1e-17 off 0 round to points; 5e-324 / 3 rounds to a zero step
+        "cantor:2,1e-17,1", "cantor:3,1e-17,2", "cantor:2,5e-324,1",
+    ])
+    def test_matches_per_component_linspace_bit_for_bit(self, spec, per_component):
+        ds = parse_direction_spec(spec)
+        got, want = ds.sample(per_component), reference_sample(ds, per_component)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("intervals", [
+        [(0.0, 0.0), (0.1, 0.7)],
+        [(-0.9, -0.2), (0.3, 0.3), (0.5, 0.8)],
+        [(-1.0, -0.9), (0.0, 5e-324), (0.5, 0.6)],
+    ], ids=["point-then-interval", "point-between-intervals", "zero-step-among-intervals"])
+    @pytest.mark.parametrize("per_component", [1, 2, 3, 4, 17, 129])
+    def test_points_among_intervals_keep_their_rounding(self, intervals, per_component):
+        # one linspace over all rows rounds every row another way once one row has step 0
+        ds = make_intervals(intervals)
+        assert ds.sample(per_component).tobytes() == reference_sample(ds, per_component).tobytes()
 
 
 class TestBoxCount:

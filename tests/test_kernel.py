@@ -425,6 +425,29 @@ class TestSampler:
         assert len(reference_stationary_pairs(rng, 16.0, 0.25, SLOW)) == 15 * 2
 
 
+def reference_base_panels(intervals):
+    """kernel._base_panels by the per-interval loop it used before it took
+    the endpoint arrays in one linspace call; kept as the oracle."""
+    a_parts, b_parts = [], []
+    for lo, hi in intervals:
+        edges = np.linspace(lo, hi, kernel._BASE_SPLIT + 1)
+        a_parts.append(edges[:-1])
+        b_parts.append(edges[1:])
+    return np.concatenate(a_parts), np.concatenate(b_parts)
+
+
+class TestBasePanels:
+    @pytest.mark.parametrize("intervals", [
+        kernel._SUPPORT, kernel._SUPPORT[:1], kernel._SUPPORT[1:],
+        *([(spec.a, spec.b)] for spec, _ in standard_phases()),
+        [(0.1, 0.7)], [(-0.3, 1.9)], [(-1, 2)],
+    ], ids=["support", "support-left", "support-right", "linear", "quadratic-offset",
+            "quadratic-stationary", "inside", "across-zero", "int-ends"])
+    def test_matches_per_interval_loop_bit_for_bit(self, intervals):
+        for got, want in zip(kernel._base_panels(intervals), reference_base_panels(intervals)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestSharedRule:
     def shared(self):
         return kernel._unrefined_rule(1)
