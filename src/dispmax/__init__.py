@@ -13,9 +13,6 @@ from .directions import (
 )
 from .filters import project, psi, psi0, psi_k
 from .kernel import (
-    KernelQuery,
-    SpaceTimePoint,
-    classify_region,
     decay_bound_scan,
     kernel_value,
     standard_phases,

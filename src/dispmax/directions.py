@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MAX_COUNT, ConfigError, RangeError
+from .errors import MAX_COUNT, ConfigError, RangeError, check_lambda
 
 
 @dataclass(frozen=True)
@@ -146,8 +146,7 @@ def box_count(theta: DirectionSet, delta: float) -> int:
 
 def cover_set(theta: DirectionSet, lam: float, sigma: float) -> CoverResult:
     """Greedy minimal cover by closed intervals of width lambda^(-sigma)."""
-    if not 2.0 <= lam < np.inf:
-        raise ConfigError(f"lambda must be finite and at least 2, got {lam}")
+    check_lambda(lam)
     if not 0.25 <= sigma <= 1.0:
         raise ConfigError(f"sigma must lie in [1/4, 1], got {sigma}")
     width = lam ** (-sigma)

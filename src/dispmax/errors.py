@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one size cap."""
+"""Exception types shared across the package, the one size cap and the one lambda range."""
 
 # Most points a scan axis, and intervals a cover or a Cantor set, may hold;
 # a 2^24-slice scan already runs for hours.
@@ -16,6 +16,12 @@ class ConfigError(DispmaxError, ValueError):
     command line turns it into exit 2. It is a ValueError, so callers that
     catch ValueError still catch it.
     """
+
+
+def check_lambda(lam) -> None:
+    """Refuse a frequency scale lambda, of a cover or a kernel, unless 2 <= lambda < inf."""
+    if not 2.0 <= lam < float("inf"):
+        raise ConfigError(f"lambda must be finite and at least 2, got {lam}")
 
 
 class NonconformingProfileError(DispmaxError):

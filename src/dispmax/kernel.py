@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DispmaxError, HypothesisError, QuadratureError
+from .errors import ConfigError, DispmaxError, HypothesisError, QuadratureError, check_lambda
 from .filters import _smooth_step, psi, psi0
 from .spectral import DispersionProfile
 
@@ -112,41 +112,12 @@ def _phi_at(profile: DispersionProfile, lam: float, nodes: np.ndarray,
     return out
 
 
-@dataclass(frozen=True)
-class SpaceTimePoint:
-    x: float
-    t: float
-    theta: float
-
-
-@dataclass(frozen=True)
-class KernelQuery:
-    w: SpaceTimePoint
-    w_prime: SpaceTimePoint
-    lam: float
-    profile: DispersionProfile
-
-    def __post_init__(self):
-        if not self.lam >= 2.0:
-            raise ConfigError("lambda must be >= 2")
-
-
-def _shift(w: SpaceTimePoint, wp: SpaceTimePoint) -> float:
-    """x - x' + t*theta - t'*theta', the coefficient of xi in the phase."""
-    return (w.x - wp.x) + w.t * w.theta - wp.t * wp.theta
-
-
 _REGIONS = ("V1", "V2", "V3")
 
 
 def _region_labels(dx, dt, width):
     """V1 where |x - x'| < 4|t - t'|, else V2 where |x - x'| >= 4*width, else V3."""
     return np.where(dx < 4.0 * dt, "V1", np.where(dx >= 4.0 * width, "V2", "V3"))
-
-
-def classify_region(w: SpaceTimePoint, wp: SpaceTimePoint, lam: float, sigma: float) -> str:
-    """Region label "V1", "V2" or "V3" of the pair (w, w') at scale lambda."""
-    return _region_labels(abs(w.x - wp.x), abs(w.t - wp.t), lam ** (-sigma)).item()
 
 
 def _base_panels(intervals):
@@ -174,15 +145,17 @@ def _refine_panels(intervals, dphase: Callable):
         )
         if (var <= PANEL_PHASE_BUDGET).all():
             return a, b
-        n_sub = np.maximum(1, np.ceil(var / PANEL_PHASE_BUDGET).astype(np.int64))
-        total = int(n_sub.sum())
-        if total > PANEL_LIMIT:
+        n_sub = np.maximum(1.0, np.ceil(var / PANEL_PHASE_BUDGET))
+        # Summed in float (exact for whole counts), before a huge phase can overflow int64.
+        total = n_sub.sum()
+        if not total <= PANEL_LIMIT:
             raise QuadratureError(
                 f"panel budget {PANEL_LIMIT} exceeded while resolving the oscillatory phase"
             )
+        n_sub = n_sub.astype(np.int64)
         width = (b - a) / n_sub
         rep_w = np.repeat(width, n_sub)
-        offsets = np.arange(total) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
+        offsets = np.arange(int(total)) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
         a = np.repeat(a, n_sub) + offsets * rep_w
         b = a + rep_w
     raise QuadratureError("panel refinement failed to converge")
@@ -244,13 +217,16 @@ def _work_arrays():
             np.empty(shape), np.empty(sums), np.empty(sums))
 
 
-def kernel_value(query: KernelQuery, density: int = 1) -> complex:
-    """Adaptive Gauss quadrature of the TT* kernel; density=10 is the oracle."""
+def kernel_value(shift: float, dt: float, lam: float, profile: DispersionProfile,
+                 density: int = 1) -> complex:
+    """Adaptive Gauss quadrature of the TT* kernel; density=10 is the oracle.
+    A pair (w, w') enters only through the phase's coefficients
+    shift = x - x' + t*theta - t'*theta' and dt = t - t'."""
     if not (isinstance(density, (int, np.integer)) and density >= 1):
         raise ConfigError(f"density={density!r} must be an integer of at least 1")
-    w, wp, lam, profile = query.w, query.w_prime, query.lam, query.profile
-    shift = _shift(w, wp)
-    dt = w.t - wp.t
+    if not (np.isfinite(shift) and np.isfinite(dt)):
+        raise ConfigError(f"shift={shift} and dt={dt} must be finite")
+    check_lambda(lam)
 
     def dphase(xi):
         return shift * lam + dt * lam * profile.phi_prime(lam * xi)
@@ -369,6 +345,8 @@ def decay_bound_scan(
     if samples_per_region < 1:
         raise ConfigError(f"samples_per_region={samples_per_region} must be at least 1")
     lam_list = list(lam_list)
+    for lam in lam_list:
+        check_lambda(lam)
     if not lam_list or any(b <= a for a, b in zip(lam_list, lam_list[1:])):
         raise ConfigError("lambda list must be nonempty and ascending")
     rows = []
@@ -378,17 +356,16 @@ def decay_bound_scan(
         quota = _sample_regions(rng, lam, sigma, samples_per_region, profile)
         for name in _REGIONS:
             x, xp, t, tp, th, thp = quota[name]
-            queries = (KernelQuery(SpaceTimePoint(*w), SpaceTimePoint(*wp), lam, profile)
-                       for w, wp in zip(zip(x, t, th), zip(xp, tp, thp)))
-            absk = np.array([abs(kernel_value(q)) for q in queries])
-            dx, dt = np.abs(x - xp), np.abs(t - tp)
+            shift, dt = (x - xp) + t * th - tp * thp, t - tp
+            absk = np.array([abs(kernel_value(s, d, lam, profile)) for s, d in zip(shift, dt)])
+            dx = np.abs(x - xp)
             product = absk * np.sqrt(lam * dx) if name != "V3" else np.zeros_like(dx)
             if name == "V2":
-                ratio = np.abs((x - xp) + t * th - tp * thp) / dx  # |_shift| / dx
+                ratio = np.abs(shift) / dx
                 ratio_lo = min(ratio_lo, float(ratio.min()))
                 ratio_hi = max(ratio_hi, float(ratio.max()))
-            rows.extend((float(lam), name, *r)
-                        for r in zip(dx.tolist(), dt.tolist(), absk.tolist(), product.tolist()))
+            rows.extend((float(lam), name, *r) for r in zip(
+                dx.tolist(), np.abs(dt).tolist(), absk.tolist(), product.tolist()))
     return DecayScanReport(rows=tuple(rows), v2_ratio_range=(ratio_lo, ratio_hi))
 
 

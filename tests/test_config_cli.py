@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dispmax
-from dispmax import cli, directions, maximal
+from dispmax import cli, directions, kernel, maximal
 from dispmax.cli import main
 from dispmax.config import (
     ExperimentConfig,
@@ -26,7 +26,7 @@ from dispmax.config import (
 )
 from dispmax.directions import cover_set, make_cantor, make_points
 from dispmax.errors import ConfigError
-from dispmax.kernel import KernelQuery, SpaceTimePoint, decay_bound_scan, kernel_value
+from dispmax.kernel import decay_bound_scan, kernel_value
 from dispmax.maximal import convergence_scan, lq_norm, maximal_function
 from dispmax.spectral import DispersionProfile, make_sobolev_data
 
@@ -335,30 +335,41 @@ class TestCli:
         with pytest.raises(ConfigError, match="nonempty"):
             decay_bound_scan(DispersionProfile.power(2.0), 0.5, [])
 
+    @pytest.mark.parametrize("lam_list, message", [
+        ([1.0, 16.0], "got 1.0"), ([np.inf], "got inf"), ([16.0, np.nan], "got nan"),
+    ], ids=["below-two", "infinite", "nan-after-a-valid-lambda"])
+    def test_decay_scan_refuses_bad_lambda_before_sampling(self, lam_list, message, monkeypatch):
+        # these sampled for ~0.56 CPU s and failed, or escaped as a numpy OverflowError
+        def refuse(*args):
+            raise AssertionError("pairs were sampled before the lambda check")
+
+        monkeypatch.setattr(kernel, "_sample_regions", refuse)
+        with pytest.raises(ConfigError, match=f"lambda must be finite and at least 2, {message}"):
+            decay_bound_scan(DispersionProfile.power(2.0), 0.5, lam_list)
+
     @pytest.mark.parametrize("call, message", [
-        (lambda q, f: kernel_value(q, 0), "density=0 must be an integer of at least 1"),
-        (lambda q, f: kernel_value(q, -2), "density=-2 must be"),
-        (lambda q, f: kernel_value(q, 2.5), "density=2.5 must be an integer"),
-        (lambda q, f: maximal_function(f, make_points([0.0]), q.profile, x_count=0),
+        (lambda p, f: kernel_value(-0.5, -0.25, 16.0, p, 0),
+         "density=0 must be an integer of at least 1"),
+        (lambda p, f: kernel_value(-0.5, -0.25, 16.0, p, -2), "density=-2 must be"),
+        (lambda p, f: kernel_value(-0.5, -0.25, 16.0, p, 2.5), "density=2.5 must be an integer"),
+        (lambda p, f: maximal_function(f, make_points([0.0]), p, x_count=0),
          "x_count=0 must be at least 1"),
-        (lambda q, f: maximal_function(f, make_points([0.0]), q.profile, x_count=-3),
+        (lambda p, f: maximal_function(f, make_points([0.0]), p, x_count=-3),
          "x_count=-3 must be at least 1"),
-        (lambda q, f: convergence_scan(f, make_points([0.0]), q.profile, [0.5], x_count=0),
+        (lambda p, f: convergence_scan(f, make_points([0.0]), p, [0.5], x_count=0),
          "x_count=0 must be at least 1"),
-        (lambda q, f: convergence_scan(f, make_points([0.0]), q.profile, [0.5], x_count=-3),
+        (lambda p, f: convergence_scan(f, make_points([0.0]), p, [0.5], x_count=-3),
          "x_count=-3 must be at least 1"),
-        (lambda q, f: decay_bound_scan(q.profile, 0.5, [16.0], samples_per_region=0),
+        (lambda p, f: decay_bound_scan(p, 0.5, [16.0], samples_per_region=0),
          "samples_per_region=0 must be at least 1"),
-        (lambda q, f: lq_norm(np.array([]), 2.0), "needs at least one value"),
+        (lambda p, f: lq_norm(np.array([]), 2.0), "needs at least one value"),
     ], ids=["density-zero", "density-negative", "density-fraction", "maximal-x-count-zero",
             "maximal-x-count-negative", "converge-x-count-zero", "converge-x-count-negative",
             "samples-per-region-zero", "lq-norm-empty"])
     def test_bad_count_raises_config_error(self, call, message):
         # each function checks the counts it uses, so a library caller gets the CLI's exit-2 error
-        w = SpaceTimePoint(0.0, 0.0, 0.0)
-        q = KernelQuery(w, SpaceTimePoint(0.5, 0.25, 0.0), 16.0, DispersionProfile.power(2.0))
         with pytest.raises(ConfigError, match=message):
-            call(q, make_sobolev_data(1.0, 0, half_width=8.0, n=16))
+            call(DispersionProfile.power(2.0), make_sobolev_data(1.0, 0, half_width=8.0, n=16))
 
     def test_theta_samples_capped_in_total(self, tmp_path, monkeypatch, capsys):
         # 64 components x 2 samples each = 128 directions, each component's

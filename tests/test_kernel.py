@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -13,17 +15,9 @@ from hypothesis import strategies as st
 
 from dispmax import kernel
 from dispmax.cli import main
-from dispmax.errors import DispmaxError, HypothesisError
+from dispmax.errors import ConfigError, DispmaxError, HypothesisError, QuadratureError
 from dispmax.filters import psi
-from dispmax.kernel import (
-    KernelQuery,
-    PhaseSpec,
-    SpaceTimePoint,
-    classify_region,
-    kernel_value,
-    standard_phases,
-    van_der_corput_check,
-)
+from dispmax.kernel import PhaseSpec, kernel_value, standard_phases, van_der_corput_check
 from dispmax.spectral import DispersionProfile
 from shell_ceiling import psi_sq_mass
 
@@ -31,27 +25,58 @@ PROFILE = DispersionProfile.power(2.0)
 PSI_SQ_MASS = psi_sq_mass()
 
 
+# A space-time point w = (x, t, theta) of the TT* pairs.
+Point = namedtuple("Point", "x t theta")
+
+
 def query(w, wp, lam=4.0, profile=PROFILE):
-    return KernelQuery(w, wp, lam, profile)
+    """kernel_value's arguments for the pair (w, w'): the phase's xi
+    coefficient x - x' + t*theta - t'*theta', then t - t', lambda, profile."""
+    return (w.x - wp.x) + w.t * w.theta - wp.t * wp.theta, w.t - wp.t, lam, profile
 
 
 class TestPhase:
-    def test_hand_value(self):
-        w = SpaceTimePoint(x=0.7, t=0.5, theta=0.4)
-        wp = SpaceTimePoint(x=-0.3, t=0.0, theta=0.9)
-        # the phase's xi coefficient: (0.7 + 0.3) + 0.5*0.4 - 0 = 1.2
-        assert kernel._shift(w, wp) == pytest.approx(1.2, abs=1e-12)
+    def test_hand_value(self, monkeypatch):
+        # (x, x', t, t', theta, theta') = (0.7, -0.3, 0.5, 0, 0.4, 0.9): the
+        # phase's xi coefficient is (0.7 + 0.3) + 0.5*0.4 - 0 = 1.2, and dt = 0.5
+        pair = np.array([[0.7], [-0.3], [0.5], [0.0], [0.4], [0.9]])
+        monkeypatch.setattr(kernel, "_sample_regions",
+                            lambda *args: dict.fromkeys(kernel._REGIONS, pair))
+        calls = []
+        monkeypatch.setattr(kernel, "kernel_value", lambda *args: calls.append(args) or 1.0)
+        report = kernel.decay_bound_scan(PROFILE, 0.5, [16.0], samples_per_region=1)
+        assert [args[2:] for args in calls] == [(16.0, PROFILE)] * 3
+        assert np.allclose([args[:2] for args in calls], [(1.2, 0.5)] * 3, rtol=0, atol=1e-12)
+        # the V2 ratio |shift| / |x - x'| reads the same shift
+        assert np.allclose(report.v2_ratio_range, (1.2, 1.2), rtol=0, atol=1e-12)
+
+
+def region(w, wp, lam, sigma):
+    return kernel._region_labels(abs(w.x - wp.x), abs(w.t - wp.t), lam ** (-sigma)).item()
 
 
 class TestRegions:
     def test_hand_classified_triples(self):
         lam, sigma = 16.0, 0.5  # threshold 4*lam^(-sigma) = 1
-        v1 = (SpaceTimePoint(0.1, 0.9, 0.0), SpaceTimePoint(0.0, 0.0, 0.0))
-        v2 = (SpaceTimePoint(1.0, 0.1, 0.0), SpaceTimePoint(-0.5, 0.0, 0.0))
-        v3 = (SpaceTimePoint(0.5, 0.05, 0.0), SpaceTimePoint(0.0, 0.0, 0.0))
-        assert classify_region(*v1, lam, sigma) == "V1"
-        assert classify_region(*v2, lam, sigma) == "V2"
-        assert classify_region(*v3, lam, sigma) == "V3"
+        v1 = (Point(0.1, 0.9, 0.0), Point(0.0, 0.0, 0.0))
+        v2 = (Point(1.0, 0.1, 0.0), Point(-0.5, 0.0, 0.0))
+        v3 = (Point(0.5, 0.05, 0.0), Point(0.0, 0.0, 0.0))
+        assert region(*v1, lam, sigma) == "V1"
+        assert region(*v2, lam, sigma) == "V2"
+        assert region(*v3, lam, sigma) == "V3"
+
+    @pytest.mark.parametrize("dx, dt, label", [
+        # |x - x'| = 4|t - t'| is not V1; 4 * 0.1 == 0.4 and 4 * 0.375 == 1.5 in floats
+        (0.4, 0.1, "V3"), (np.nextafter(0.4, 0.0), 0.1, "V1"),
+        (1.5, 0.375, "V2"), (np.nextafter(1.5, 0.0), 0.375, "V1"),
+        # |x - x'| = 4*lam^(-sigma) = 1 is V2
+        (1.0, 0.0, "V2"), (np.nextafter(1.0, 0.0), 0.0, "V3"),
+    ])
+    def test_boundaries(self, dx, dt, label):
+        lam, sigma = 16.0, 0.5
+        assert kernel._region_labels(dx, dt, lam ** (-sigma)).item() == label
+        cols = kernel._region_labels(np.array([dx, 0.0]), np.array([dt, 1.0]), lam ** (-sigma))
+        assert cols.tolist() == [label, "V1"]
 
     @given(
         x=st.floats(-1, 1), xp=st.floats(-1, 1),
@@ -61,8 +86,7 @@ class TestRegions:
     @settings(max_examples=200, deadline=None)
     def test_labels_match_definition(self, x, xp, t, tp, lam_exp, sigma):
         lam = 2.0**lam_exp
-        w, wp = SpaceTimePoint(x, t, 0.0), SpaceTimePoint(xp, tp, 0.0)
-        label = classify_region(w, wp, lam, sigma)
+        label = region(Point(x, t, 0.0), Point(xp, tp, 0.0), lam, sigma)
         dx, dt = abs(x - xp), abs(t - tp)
         if dx < 4.0 * dt:
             assert label == "V1"
@@ -74,55 +98,68 @@ class TestRegions:
 
 class TestKernelValue:
     def test_diagonal_equals_cutoff_mass(self):
-        w = SpaceTimePoint(0.3, 0.2, 0.1)
-        k = kernel_value(query(w, w))
+        w = Point(0.3, 0.2, 0.1)
+        k = kernel_value(*query(w, w))
         assert abs(k.imag) < 1e-12
         assert abs(k.real - PSI_SQ_MASS) < 1e-10
 
     def test_hermitian_symmetry(self):
-        w = SpaceTimePoint(0.4, 0.6, 0.05)
-        wp = SpaceTimePoint(-0.2, -0.3, 0.02)
-        k1 = kernel_value(query(w, wp, lam=8.0))
-        k2 = kernel_value(query(wp, w, lam=8.0))
+        w = Point(0.4, 0.6, 0.05)
+        wp = Point(-0.2, -0.3, 0.02)
+        k1 = kernel_value(*query(w, wp, lam=8.0))
+        k2 = kernel_value(*query(wp, w, lam=8.0))
         assert abs(k1 - np.conj(k2)) < 1e-10
 
     def test_trivial_bound(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             x, xp, t, tp = rng.uniform(-1, 1, 4)
-            w, wp = SpaceTimePoint(x, t, 0.0), SpaceTimePoint(xp, tp, 0.0)
-            k = kernel_value(query(w, wp, lam=16.0))
+            k = kernel_value(*query(Point(x, t, 0.0), Point(xp, tp, 0.0), lam=16.0))
             assert abs(k) <= PSI_SQ_MASS * (1 + 1e-9)
 
     def test_oracle_density_agrees(self):
-        w = SpaceTimePoint(0.8, 0.7, 0.1)
-        wp = SpaceTimePoint(-0.6, -0.5, 0.0)
+        w = Point(0.8, 0.7, 0.1)
+        wp = Point(-0.6, -0.5, 0.0)
         q = query(w, wp, lam=64.0)
-        assert abs(kernel_value(q) - kernel_value(q, density=3)) < 1e-8
+        assert abs(kernel_value(*q) - kernel_value(*q, density=3)) < 1e-8
 
     def test_pure_shift_against_dense_trapezoid(self):
         # dt = 0 reduces the kernel to the Fourier transform of psi^2
-        w = SpaceTimePoint(0.5, 0.3, 0.0)
-        wp = SpaceTimePoint(-0.4, 0.3, 0.0)
         lam = 32.0
-        shift = w.x - wp.x
+        shift = 0.9
         xi = np.linspace(-2.0, 2.0, 2**18 + 1)
         exact = np.trapezoid(psi(xi) ** 2 * np.exp(1j * shift * lam * xi), xi)
-        k = kernel_value(query(w, wp, lam=lam))
+        k = kernel_value(shift, 0.0, lam, PROFILE)
         assert abs(k - exact) < 1e-7
 
     def test_rejects_small_lambda(self):
-        w = SpaceTimePoint(0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            KernelQuery(w, w, 1.0, PROFILE)
+        with pytest.raises(ValueError, match="lambda must be finite and at least 2, got 1.0"):
+            kernel_value(0.0, 0.0, 1.0, PROFILE)
+
+    @pytest.mark.parametrize("args, message", [
+        ((np.nan, 0.3, 16.0), "shift=nan and dt=0.3 must be finite"),
+        ((-np.inf, 0.3, 16.0), "shift=-inf and dt=0.3 must be finite"),
+        ((0.5, np.nan, 16.0), "shift=0.5 and dt=nan must be finite"),
+        ((0.5, np.inf, 16.0), "shift=0.5 and dt=inf must be finite"),
+        ((0.5, 0.3, np.inf), "lambda must be finite and at least 2, got inf"),
+        ((0.5, 0.3, np.nan), "lambda must be finite and at least 2, got nan"),
+    ], ids=["shift-nan", "shift-inf", "dt-nan", "dt-inf", "lambda-inf", "lambda-nan"])
+    def test_rejects_non_finite_arguments(self, args, message):
+        # each used to run 64 refinement rounds and end in "failed to converge"
+        with pytest.raises(ConfigError, match=message):
+            kernel_value(*args, PROFILE)
+
+    def test_huge_phase_exceeds_the_budget_before_any_int_cast(self):
+        # a finite shift of 1e300 overflowed the int64 cast of the panel counts
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="panel budget 1000000 exceeded"):
+                kernel_value(1e300, 0.0, 16.0, PROFILE)
 
 
-def reference_gauss_sum(query, density=1):
+def reference_gauss_sum(shift, dt, lam, profile, density=1):
     """kernel_value as first written: fresh arrays per 4096-panel chunk, psi^2
     by whole-array interpolation, Phi evaluated per chunk."""
-    w, wp, lam, profile = query.w, query.w_prime, query.lam, query.profile
-    shift = kernel._shift(w, wp)
-    dt = w.t - wp.t
 
     def dphase(xi):
         return shift * lam + dt * lam * profile.phi_prime(lam * xi)
@@ -177,11 +214,9 @@ def reference_gauss_sum(query, density=1):
     return complex(re_total, im_total)
 
 
-def panel_count(q):
-    shift, dt = kernel._shift(q.w, q.w_prime), q.w.t - q.w_prime.t
-
+def panel_count(shift, dt, lam, profile):
     def dphase(xi):
-        return shift * q.lam + dt * q.lam * q.profile.phi_prime(q.lam * xi)
+        return shift * lam + dt * lam * profile.phi_prime(lam * xi)
 
     return len(kernel._refine_panels(kernel._SUPPORT, dphase)[0])
 
@@ -193,18 +228,18 @@ CUSTOM = DispersionProfile(
 )
 # (w, w'): at lambda = 16 no panel is refined; at lambda = 512 and a = 2 the
 # first pair needs 2621 panels and the second 5390, past one 4096-panel chunk.
-NEAR = (SpaceTimePoint(0.3, 0.2, 0.1), SpaceTimePoint(-0.4, -0.1, 0.05))
-FAR = (SpaceTimePoint(0.3, 0.25, 0.1), SpaceTimePoint(-0.2, -0.25, 0.05))
-LONG = (SpaceTimePoint(0.3, 0.5, 0.1), SpaceTimePoint(-0.2, -0.5, 0.05))
+NEAR = (Point(0.3, 0.2, 0.1), Point(-0.4, -0.1, 0.05))
+FAR = (Point(0.3, 0.25, 0.1), Point(-0.2, -0.25, 0.05))
+LONG = (Point(0.3, 0.5, 0.1), Point(-0.2, -0.5, 0.05))
 
 
 class TestGaussSumBits:
     """kernel_value equals reference_gauss_sum exactly, shared rule or not."""
 
     def check(self, pair, lam, profile, density=1):
-        q = KernelQuery(*pair, lam, profile)
-        assert kernel_value(q, density) == reference_gauss_sum(q, density)
-        return panel_count(q)
+        q = query(*pair, lam, profile)
+        assert kernel_value(*q, density) == reference_gauss_sum(*q, density)
+        return panel_count(*q)
 
     @pytest.mark.parametrize("a", [2.0, 1.2, 1.5])
     def test_unrefined_power(self, a):
@@ -212,7 +247,7 @@ class TestGaussSumBits:
         rng = np.random.default_rng(3)
         for _ in range(5):
             x, xp, t, tp = rng.uniform(-1, 1, 4)
-            pair = (SpaceTimePoint(x, t, 0.01), SpaceTimePoint(xp, tp, 0.02))
+            pair = (Point(x, t, 0.01), Point(xp, tp, 0.02))
             assert self.check(pair, 16.0, prof) == 2 * kernel._BASE_SPLIT
 
     def test_refined_across_a_chunk_and_a_partial_block(self):
@@ -232,11 +267,11 @@ class TestGaussSumBits:
 
     def test_work_arrays_carry_nothing_between_queries(self):
         # kernel_value reuses one set of work arrays for every query
-        near, long = KernelQuery(*NEAR, 512.0, PROFILE), KernelQuery(*LONG, 512.0, PROFILE)
-        first = kernel_value(near)
-        kernel_value(long)
-        kernel_value(KernelQuery(*NEAR, 16.0, PROFILE), 3)
-        assert kernel_value(near) == first
+        near, long = query(*NEAR, 512.0), query(*LONG, 512.0)
+        first = kernel_value(*near)
+        kernel_value(*long)
+        kernel_value(*query(*NEAR, 16.0), 3)
+        assert kernel_value(*near) == first
 
 
 def psi_sq_by_stored_differences(xi):
@@ -331,8 +366,8 @@ def reference_stationary_pairs(rng, lam, width, profile):
             if dt > 1.99:
                 continue
             th, thp = rng.uniform(0, width, 2)
-            w = SpaceTimePoint(-dx_target / 2.0, dt / 2.0, th)
-            wp = SpaceTimePoint(dx_target / 2.0, -dt / 2.0, thp)
+            w = Point(-dx_target / 2.0, dt / 2.0, th)
+            wp = Point(dx_target / 2.0, -dt / 2.0, thp)
             pairs.append((w, wp))
     return pairs
 
@@ -346,7 +381,7 @@ def reference_sample_regions(rng, lam, sigma, per_region, profile):
     width = lam ** (-sigma)
     quota = {lab: [] for lab in ("V1", "V2", "V3")}
     for w, wp in reference_stationary_pairs(rng, lam, width, profile):
-        lab = classify_region(w, wp, lam, sigma)
+        lab = region(w, wp, lam, sigma)
         if len(quota[lab]) < per_region:
             quota[lab].append((w, wp))
     attempts = 0
@@ -368,7 +403,7 @@ def reference_sample_regions(rng, lam, sigma, per_region, profile):
             idx = np.nonzero(lab == name)[0][:need]
             for i in idx:
                 quota[name].append(
-                    (SpaceTimePoint(x[i], t[i], th[i]), SpaceTimePoint(xp[i], tp[i], thp[i]))
+                    (Point(x[i], t[i], th[i]), Point(xp[i], tp[i], thp[i]))
                 )
     return quota
 

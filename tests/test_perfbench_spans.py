@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from dispmax import kernel, maximal
-from dispmax.kernel import KernelQuery, SpaceTimePoint
 from dispmax.spectral import DispersionProfile, make_sobolev_data
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -36,8 +35,9 @@ def test_tracer_wraps_every_layer_it_names(monkeypatch):
         assert kernel._psi_sq is not psi_sq  # spanned on its first call
 
         profile = DispersionProfile.power(2.0)
-        pair = (SpaceTimePoint(0.3, 0.2, 0.1), SpaceTimePoint(-0.4, -0.1, 0.05))
-        kernel.kernel_value(KernelQuery(*pair, 16.0, profile), 3)
+        # (x, t, theta) = (0.3, 0.2, 0.1) and (-0.4, -0.1, 0.05)
+        shift, dt = (0.3 + 0.4) + 0.2 * 0.1 + 0.1 * 0.05, 0.2 + 0.1
+        kernel.kernel_value(shift, dt, 16.0, profile, 3)
 
         f = make_sobolev_data(1.0, 0, half_width=4.0, n=64)
         t_grid, theta_values = np.linspace(-1.0, 1.0, 5), np.array([0.0, 0.1])
