@@ -136,13 +136,16 @@ def _refine_panels(intervals, dphase: Callable):
     a, b = _base_panels(intervals)
     for _ in range(64):
         mid = 0.5 * (a + b)
-        da, dm, db = np.abs(dphase(a)), np.abs(dphase(mid)), np.abs(dphase(b))
         # Simpson estimate of int |phase'| over the panel, floored at the
         # worst-slope bound times half the width so sign changes of phase'
-        # cannot hide variation.
-        var = (b - a) * np.maximum(
-            (da + 4.0 * dm + db) / 6.0, 0.5 * np.maximum(da, np.maximum(dm, db))
-        )
+        # cannot hide variation.  A phase' too large for a float fails below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            da, dm, db = np.abs(dphase(a)), np.abs(dphase(mid)), np.abs(dphase(b))
+            var = (b - a) * np.maximum(
+                (da + 4.0 * dm + db) / 6.0, 0.5 * np.maximum(da, np.maximum(dm, db))
+            )
+        if not np.isfinite(var).all():
+            raise QuadratureError("the phase variation over a panel overflows a float")
         if (var <= PANEL_PHASE_BUDGET).all():
             return a, b
         n_sub = np.maximum(1.0, np.ceil(var / PANEL_PHASE_BUDGET))

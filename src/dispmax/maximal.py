@@ -23,8 +23,8 @@ every x.
   x, and a one-entry memo keeps it, so every scan of one band in
   estimate_operator_norm, and back-to-back scans of one grid, build it
   once.
-- The pass runs per signal.  It synthesizes the time slices with one
-  unnormalized inverse FFT per chunk, then per block builds the values
+- The pass runs per signal, one block at a time.  It synthesizes the
+  block's time slices with one unnormalized inverse FFT, builds the values
   |u/h - f(x)| in convergence mode and |u/h| otherwise over each slice's
   window (in plain mode from |u/h| taken once per lattice column), and
   takes the max over the offsets the slice reaches.  The near-tie pairs,
@@ -60,8 +60,7 @@ from .spectral import (
 )
 
 _PHASE_BUDGET = 0.25  # max phase change (radians) per grid step in t, theta, x
-_FFT_BYTES = 1 << 21  # bytes per synthesis buffer; its rows are the time slices per inverse FFT
-_CELLS = 1 << 15  # window values per block of time slices (16 B of temporaries each, 32 B with f(x))
+_BLOCK_BYTES = 1 << 21  # per block of time slices: its FFT rows (16 B a lattice point), its window values (32 B)
 _TIE_MARGIN = 1e-6  # t*theta/h this near a half-integer takes the per-cell index (see _scan)
 _MAX_ROUNDS = 20  # alternating-maximization rounds per operator-norm estimate
 
@@ -143,16 +142,14 @@ class _ScanPlan:
     blocks has one row per block of time slices: the slices [start, stop),
     the lattice span [s0, s1), the window width, where the block's
     (slices, width) mask of reached offsets starts in reached, and its
-    near-tie pairs [tie_lo, tie_hi).  chunk_blocks[i] is the first block of
-    FFT chunk i, and chunk_blocks[-1] the number of blocks.  Per time slice,
-    lo is the lowest offset of its window and first the flat position of
-    (slice, lo) in its block's span.  Per near-tie pair, in slice order,
-    tie_slice is its time slice and tie_prod its t*theta.  No array has an
-    x axis, so a plan stays small next to the scan's FFT buffers.
+    near-tie pairs [tie_lo, tie_hi).  Per time slice, lo is the lowest
+    offset of its window and first the flat position of (slice, lo) in its
+    block's span.  Per near-tie pair, in slice order, tie_slice is its time
+    slice and tie_prod its t*theta.  No array has an x axis, so a plan stays
+    small next to the scan's FFT buffers.
     """
 
     blocks: np.ndarray
-    chunk_blocks: np.ndarray
     lo: np.ndarray
     first: np.ndarray
     reached: np.ndarray
@@ -160,64 +157,63 @@ class _ScanPlan:
     tie_prod: np.ndarray
 
 
-def _build_plan(t_grid, theta_values, h, x_idx, chunk) -> _ScanPlan:
-    """The _ScanPlan of a grid, lattice step h, x lattice x_idx and FFT chunk size.
+def _build_plan(t_grid, theta_values, h, x_idx, rows) -> _ScanPlan:
+    """The _ScanPlan of a grid, lattice step h, x lattice x_idx and row cap.
 
-    A chunk's blocks hold whole slices and at most _CELLS window values at
-    the chunk's widest window (one slice, if a slice holds more).
+    Each block takes the longest run of the next rows time slices whose
+    windows, at the run's widest, hold at most _BLOCK_BYTES // 32 values
+    (one slice, if a slice holds more).
     """
     x_lo, x_hi = int(x_idx.min()), int(x_idx.max())
     lo_all = np.empty(len(t_grid), dtype=np.int64)
     first_all = np.empty(len(t_grid), dtype=np.int64)
-    blocks, chunk_blocks, reached, tie_slice, tie_prod = [], [], [], [], []
-    n_reached = n_ties = 0
-    for start in range(0, len(t_grid), chunk):
-        chunk_blocks.append(len(blocks))
-        prod_chunk = t_grid[start : start + chunk, None] * theta_values[None, :]
-        offset_chunk, tie_chunk, lo_chunk, widths = _direction_offsets(prod_chunk, h)
-        lo_all[start : start + len(lo_chunk)] = lo_chunk
-        block = max(1, _CELLS // (len(x_idx) * int(widths.max())))
-        for b0 in range(0, len(lo_chunk), block):
-            rows_b = slice(b0, b0 + block)
-            offset, tie, lo = offset_chunk[rows_b], tie_chunk[rows_b], lo_chunk[rows_b]
-            nb, width = len(lo), int(widths[rows_b].max())
-            rows = np.arange(nb)
-            s0, s1 = x_lo + int(lo.min()), x_hi + int(lo.max()) + width
-            first_all[start + b0 : start + b0 + nb] = rows * (s1 - s0) + lo - s0
-            # Near-tie pairs mark a spare column, which is dropped.
-            mask = np.zeros((nb, width + 1), dtype=bool)
-            mask[rows[:, None], np.where(tie, width, offset - lo[:, None])] = True
-            reached.append(mask[:, :width].ravel())
-            ti, tj = np.nonzero(tie)
-            tie_slice.append(start + b0 + ti)
-            tie_prod.append(prod_chunk[b0 + ti, tj])
-            blocks.append((start + b0, start + b0 + nb, s0, s1, width,
-                           n_reached, n_ties, n_ties + len(ti)))
-            n_reached += nb * width
-            n_ties += len(ti)
-    chunk_blocks.append(len(blocks))
-    return _ScanPlan(blocks=np.array(blocks, dtype=np.int64),
-                     chunk_blocks=np.array(chunk_blocks, dtype=np.int64),
-                     lo=lo_all, first=first_all, reached=np.concatenate(reached),
-                     tie_slice=np.concatenate(tie_slice), tie_prod=np.concatenate(tie_prod))
+    blocks, reached, tie_slice, tie_prod = [], [], [], []
+    start = n_reached = n_ties = 0
+    cols = _BLOCK_BYTES // (32 * len(x_idx))  # a block's window values per x
+    while start < len(t_grid):
+        # No more slices fit than the first one's window allows.
+        w0 = _direction_offsets(t_grid[start : start + 1, None] * theta_values[None, :], h)[3][0]
+        prod = t_grid[start : start + min(rows, max(1, cols // w0)), None] * theta_values[None, :]
+        offset, tie, lo, widths = _direction_offsets(prod, h)
+        widest = np.maximum.accumulate(widths)
+        nb = max(1, int(np.count_nonzero(np.arange(1, len(lo) + 1) * widest <= cols)))
+        offset, tie, lo, width = offset[:nb], tie[:nb], lo[:nb], int(widest[nb - 1])
+        stop, rows_b = start + nb, np.arange(nb)
+        lo_all[start:stop] = lo
+        s0, s1 = x_lo + int(lo.min()), x_hi + int(lo.max()) + width
+        first_all[start:stop] = rows_b * (s1 - s0) + lo - s0
+        # Near-tie pairs mark a spare column, which is dropped.
+        mask = np.zeros((nb, width + 1), dtype=bool)
+        mask[rows_b[:, None], np.where(tie, width, offset - lo[:, None])] = True
+        reached.append(mask[:, :width].ravel())
+        ti, tj = np.nonzero(tie)
+        tie_slice.append(start + ti)
+        tie_prod.append(prod[ti, tj])
+        blocks.append((start, stop, s0, s1, width, n_reached, n_ties, n_ties + len(ti)))
+        n_reached += nb * width
+        n_ties += len(ti)
+        start = stop
+    return _ScanPlan(blocks=np.array(blocks, dtype=np.int64), lo=lo_all, first=first_all,
+                     reached=np.concatenate(reached), tie_slice=np.concatenate(tie_slice),
+                     tie_prod=np.concatenate(tie_prod))
 
 
 _plan_memo = {}  # one entry: the plan of the grid scanned last, under its key
 
 
-def _scan_plan(t_grid, theta_values, h, half_width, x_idx, chunk) -> _ScanPlan:
-    """The memoized _ScanPlan, keyed on the grid, the lattice, the block sizes
+def _scan_plan(t_grid, theta_values, h, half_width, x_idx, rows) -> _ScanPlan:
+    """The memoized _ScanPlan, keyed on the grid, the lattice, the block budget
     and the near-tie margin.
 
     Every scan of one band in estimate_operator_norm, and back-to-back scans
     of one grid, share one plan; a scan of another grid replaces it.
     """
-    key = (t_grid.tobytes(), theta_values.tobytes(), h, half_width, x_idx.tobytes(), chunk,
-           _CELLS, _TIE_MARGIN)
+    key = (t_grid.tobytes(), theta_values.tobytes(), h, half_width, x_idx.tobytes(), rows,
+           _BLOCK_BYTES, _TIE_MARGIN)
     plan = _plan_memo.get(key)
     if plan is None:
         _plan_memo.clear()
-        plan = _plan_memo[key] = _build_plan(t_grid, theta_values, h, x_idx, chunk)
+        plan = _plan_memo[key] = _build_plan(t_grid, theta_values, h, x_idx, rows)
     return plan
 
 
@@ -235,14 +231,16 @@ def _scan(
     |u(x+t*theta, t) - f(x)| and level_max holds the per-x maxima
     restricted to |t| <= r for each level.
 
-    Time slices go through the inverse FFT in chunks of at most _FFT_BYTES
-    (max(1, _FFT_BYTES // (16 * n_eval)) rows), in two buffers allocated
-    once per scan: a zero-padded input whose live slices [0, n/2) and
-    [n_eval - n/2, n_eval) are overwritten per chunk (the padding between
-    them stays zero), and the FFT output.  In convergence mode f(x) is
-    first synthesized from row 0 of the padded input, with the unit
-    multiplier of t = 0.  No bit depends on the chunk size:
-    the e^{it Phi} recurrence is one chain, and the FFT transforms each row alone.
+    The pass is one loop over the plan's blocks of time slices.  A block
+    holds at most max(1, _BLOCK_BYTES // (16 * n_eval)) slices, the rows of
+    its one inverse FFT, in two buffers allocated once per scan: a
+    zero-padded input whose live slices [0, n/2) and [n_eval - n/2, n_eval)
+    are overwritten per block (the padding between them stays zero), and
+    the FFT output.  In convergence mode f(x) is first synthesized from row
+    0 of the padded input, with the unit multiplier of t = 0.  No bit
+    depends on where a block starts: the e^{it Phi} recurrence is one chain
+    carried across blocks, the FFT transforms each row alone, and a max or
+    a first-occurrence argmax does not depend on the partition.
 
     The FFT runs unnormalized (norm="forward"), and the scan divides each
     value it reads by 2*half_width, where the normalized FFT scales the
@@ -275,9 +273,10 @@ def _scan(
     [lo(t), lo(t) + width) of offsets around each x: |u/h - f(x)| in
     convergence mode, |u/h| otherwise.  The window holds every offset of
     the slice, and one more on each side of a near-tie pair's.  The block
-    holds whole slices and at most _CELLS window values (one slice, if a
-    slice holds more).  Its lattice span is wrapped around the periodic box
-    once, on its column indices, so no cell takes an index modulo n_eval.
+    holds at most _BLOCK_BYTES // 32 window values (one slice, if a slice
+    holds more), of 16 B of temporaries each, 32 B with f(x).  Its lattice
+    span is wrapped around the periodic box once, on its column indices, so
+    no cell takes an index modulo n_eval.
     What depends on the grid alone (offsets, windows, reached masks,
     near-tie pairs, blocks and spans) is the _ScanPlan, built once per grid;
     the pass per signal reads it.  In plain mode the pass takes |u/h| once
@@ -335,74 +334,69 @@ def _scan(
     dt = t_grid[1] - t_grid[0] if len(t_grid) > 1 else 0.0
     step_mult = np.exp(1j * dt * phi)
 
-    chunk = min(len(t_grid), max(1, _FFT_BYTES // (16 * n_eval)))
-    plan = _scan_plan(t_grid, theta_values, h, half_width, x_idx, chunk)
-    coeff = np.empty((chunk, n), dtype=complex)
-    padded = np.zeros((chunk, n_eval), dtype=complex)
-    fields = np.empty((chunk, n_eval), dtype=complex)
+    rows = min(len(t_grid), max(1, _BLOCK_BYTES // (16 * n_eval)))
+    plan = _scan_plan(t_grid, theta_values, h, half_width, x_idx, rows)
+    coeff = np.empty((rows, n), dtype=complex)
+    padded = np.zeros((rows, n_eval), dtype=complex)
+    fields = np.empty((rows, n_eval), dtype=complex)
     if subtract:  # f(x), the field at t = 0, from row 0 of the padded input
         padded[0, n_eval - half :], padded[0, :half] = adj[:half], adj[half:]
         f0 = np.fft.ifft(padded[0], norm="forward")[x_idx % n_eval] / scale
     x_pos = np.arange(x_count)
     # The lattice column of (offset - lo, x) relative to lo, for the widest window.
     window_cols = np.arange(plan.blocks[:, 4].max())[:, None] + x_idx
-    blocks, chunk_blocks = plan.blocks.tolist(), plan.chunk_blocks.tolist()
 
     coeff_rows = list(coeff)
-    for ci, start in enumerate(range(0, len(t_grid), chunk)):
-        m = min(chunk, len(t_grid) - start)
+    for start, stop, s0, s1, width, r0, tie_lo, tie_hi in plan.blocks.tolist():
+        nb = stop - start
         coeff[0] = cur
-        for i in range(1, m):
+        for i in range(1, nb):
             np.multiply(coeff_rows[i - 1], step_mult, out=coeff_rows[i])
-        cur = coeff[m - 1] * step_mult
-        np.multiply(coeff[:m, :half], adj[:half], out=padded[:m, n_eval - half :])
-        np.multiply(coeff[:m, half:], adj[half:], out=padded[:m, :half])
-        np.fft.ifft(padded[:m], axis=1, norm="forward", out=fields[:m])
+        cur = coeff[nb - 1] * step_mult
+        np.multiply(coeff[:nb, :half], adj[:half], out=padded[:nb, n_eval - half :])
+        np.multiply(coeff[:nb, half:], adj[half:], out=padded[:nb, :half])
+        np.fft.ifft(padded[:nb], axis=1, norm="forward", out=fields[:nb])
+        lo = plan.lo[start:stop]
 
-        for b_start, b_stop, s0, s1, width, r0, tie_lo, tie_hi in \
-                blocks[chunk_blocks[ci] : chunk_blocks[ci + 1]]:
-            b0, nb = b_start - start, b_stop - b_start
-            lo = plan.lo[b_start:b_stop]
+        # The block's lattice span [s0, s1), wrapped around the periodic box, as u/h.
+        span = np.take(fields[:nb], np.arange(s0, s1), axis=1, mode="wrap")
+        span /= scale
 
-            # The block's lattice span [s0, s1), wrapped around the periodic box, as u/h.
-            span = np.take(fields[b0 : b0 + nb], np.arange(s0, s1), axis=1, mode="wrap")
-            span /= scale
+        # The window values per (t, offset - lo, x): they depend on x
+        # through the lattice point, and through f(x) in convergence mode.
+        cols = plan.first[start:stop, None, None] + window_cols[:width]
+        if subtract:
+            g = span.take(cols)
+            g -= f0
+            vals = np.abs(g)
+        else:
+            vals = np.abs(span).take(cols)
 
-            # The window values per (t, offset - lo, x): they depend on x
-            # through the lattice point, and through f(x) in convergence mode.
-            cols = plan.first[b_start:b_stop, None, None] + window_cols[:width]
-            if subtract:
-                g = span.take(cols)
-                g -= f0
-                vals = np.abs(g)
-            else:
-                vals = np.abs(span).take(cols)
+        reached = plan.reached[r0 : r0 + nb * width].reshape(nb, width, 1)
+        tmax = vals.max(axis=1, where=reached, initial=-1.0)
+        if tie_hi > tie_lo:
+            ti = plan.tie_slice[tie_lo:tie_hi] - start
+            idx = _cell_index(plan.tie_prod[tie_lo:tie_hi, None], x_snap, half_width, h)
+            np.maximum.at(tmax, ti, vals[ti[:, None], idx - x_idx - lo[ti][:, None], x_pos])
 
-            reached = plan.reached[r0 : r0 + nb * width].reshape(nb, width, 1)
-            tmax = vals.max(axis=1, where=reached, initial=-1.0)
-            if tie_hi > tie_lo:
-                ti = plan.tie_slice[tie_lo:tie_hi] - b_start
-                idx = _cell_index(plan.tie_prod[tie_lo:tie_hi, None], x_snap, half_width, h)
-                np.maximum.at(tmax, ti, vals[ti[:, None], idx - x_idx - lo[ti][:, None], x_pos])
+        arg_t = tmax.argmax(axis=0)
+        cand = tmax[arg_t, x_pos]
+        upd = np.flatnonzero(cand > best)
+        if len(upd):
+            tu = arg_t[upd]
+            prod = t_grid[start + tu, None] * theta_values[None, :]
+            idx = _cell_index(prod, x_snap[upd, None], half_width, h)
+            w = idx - (x_idx[upd] + lo[tu])[:, None]
+            best[upd] = cand[upd]
+            best_t[upd] = start + tu
+            best_th[upd] = vals[tu[:, None], w, upd[:, None]].argmax(axis=1)
 
-            arg_t = tmax.argmax(axis=0)
-            cand = tmax[arg_t, x_pos]
-            upd = np.flatnonzero(cand > best)
-            if len(upd):
-                tu = arg_t[upd]
-                prod = t_grid[b_start + tu, None] * theta_values[None, :]
-                idx = _cell_index(prod, x_snap[upd, None], half_width, h)
-                w = idx - (x_idx[upd] + lo[tu])[:, None]
-                best[upd] = cand[upd]
-                best_t[upd] = b_start + tu
-                best_th[upd] = vals[tu[:, None], w, upd[:, None]].argmax(axis=1)
-
-            if subtract:
-                abs_t = np.abs(t_grid[b_start:b_stop])
-                for li, r in enumerate(r_levels):
-                    sel = abs_t <= r * (1 + 1e-12)
-                    if sel.any():
-                        level_max[li] = np.maximum(level_max[li], tmax[sel].max(axis=0))
+        if subtract:
+            abs_t = np.abs(t_grid[start:stop])
+            for li, r in enumerate(r_levels):
+                sel = abs_t <= r * (1 + 1e-12)
+                if sel.any():
+                    level_max[li] = np.maximum(level_max[li], tmax[sel].max(axis=0))
 
     return MaximalResult(x=x_snap, values=best, t_arg=best_t, theta_arg=best_th,
                          lattice_step=h, level_max=level_max)
@@ -442,8 +436,8 @@ def convergence_scan(
 
 def lq_norm(values: np.ndarray, q: float) -> float:
     """Riemann-sum L^q norm over I = (-1, 1) on a uniform grid."""
-    if not q >= 1.0:
-        raise ConfigError("q must be at least 1")
+    if not 1.0 <= q < np.inf:
+        raise ConfigError(f"q={q} must be finite and at least 1")
     values = np.abs(np.asarray(values, dtype=float))
     if values.size == 0:
         raise ConfigError("the L^q norm needs at least one value")

@@ -37,8 +37,8 @@ COMMANDS = {
     "kernel-scan": ["kernel-scan"],
     "kernel-scan-a1.5": ["kernel-scan", "--a", "1.5"],
     "converge": ["converge", "--theta", f"cantor:{CANTOR},4"],
-    # 203 directions on a 2048-point lattice: each 2 MiB chunk of the scan
-    # (64 rows) spans several gather blocks, and the last chunk is partial
+    # 203 directions on a 2048-point lattice: the windows, not the 64-row
+    # FFT cap of the 2 MiB budget, bound the scan's blocks (3 to 64 slices)
     "maximal-interval": ["maximal", "--theta", "interval:-1,1"],
     "converge-interval": ["converge", "--theta", "interval:-1,1"],
     "converge-point": ["converge", "--theta", "point:0.9"],

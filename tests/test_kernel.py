@@ -156,6 +156,14 @@ class TestKernelValue:
             with pytest.raises(QuadratureError, match="panel budget 1000000 exceeded"):
                 kernel_value(1e300, 0.0, 16.0, PROFILE)
 
+    def test_phase_overflow_fails_without_a_warning(self):
+        # at lambda = 1e200, dt * lam * Phi'(lam * xi) overflows to inf; the
+        # overflow warned before the budget check failed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="phase variation over a panel overflows"):
+                kernel_value(0.5, 0.3, 1e200, PROFILE)
+
 
 def reference_gauss_sum(shift, dt, lam, profile, density=1):
     """kernel_value as first written: fresh arrays per 4096-panel chunk, psi^2

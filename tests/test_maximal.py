@@ -244,19 +244,38 @@ def assert_matches_reference(res, want, r_levels):
         assert np.array_equal(res.level_max, level_max)
 
 
+def block_plan(half_width, t_grid, theta_values, h, x_count=65):
+    """(row cap, plan) of a scan grid at the current _BLOCK_BYTES, as _scan builds them."""
+    rows = min(len(t_grid), max(1, maximal._BLOCK_BYTES // (16 * round(2.0 * half_width / h))))
+    x_idx = snapped_x(half_width, h, x_count)[0]
+    return rows, maximal._build_plan(t_grid, theta_values, h, x_idx, rows)
+
+
 class TestScanMatchesReference:
-    """The chunked, blocked scan reproduces the reference bit for bit, with
-    FFT chunks of one row, of three rows and of the default byte budget, and
-    whether it builds its plan or takes it from the memo."""
+    """The blocked scan reproduces the reference bit for bit, with blocks of
+    one slice, of three FFT rows, of one widest window and of the default
+    byte budget, and whether it builds its plan or takes it from the memo."""
 
     def check(self, f, theta_values, t_grid, r_levels=None, x_count=65):
         want = reference_scan(f, theta_values, t_grid, PROFILE, x_count, r_levels)
-        n_eval = round(2.0 * f.half_width / want[-1])
-        for budget in (1, 3 * 16 * n_eval, maximal._FFT_BYTES):
+        h = want[-1]
+        n_eval = round(2.0 * f.half_width / h)
+        width = maximal._direction_offsets(t_grid[:, None] * theta_values[None, :], h)[3].max()
+        window_budget = 32 * x_count * int(width)  # one widest window a block
+        for budget in (1, 3 * 16 * n_eval, window_budget, maximal._BLOCK_BYTES):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(maximal, "_FFT_BYTES", budget)
+                mp.setattr(maximal, "_BLOCK_BYTES", budget)
                 res = _scan(f, theta_values, t_grid, PROFILE, x_count, r_levels=r_levels)
+                rows, plan = block_plan(f.half_width, t_grid, theta_values, h, x_count)
             assert_matches_reference(res, want, r_levels)
+            slices, widths = plan.blocks[:, 1] - plan.blocks[:, 0], plan.blocks[:, 4]
+            assert slices.max() <= rows
+            assert np.all((32 * x_count * slices * widths <= budget) | (slices == 1))
+            if budget == window_budget:
+                # a block holding a widest window is one slice, below a row
+                # cap of two or more exactly when x_count * width >= n_eval
+                assert np.all(slices[widths == width] == 1)
+                assert (rows > 1) == (x_count * width >= n_eval)
         return res
 
     @pytest.mark.parametrize("levels", [None, [0.75, 0.3]], ids=["plain", "levels"])
@@ -272,13 +291,13 @@ class TestScanMatchesReference:
         assert forward_transform(f2).band_limit() == band
         t_grid, theta_values = grid_for_band(band, PROFILE, make_intervals([(-0.5, 1.0)]),
                                              t_range=1.0 if levels is None else levels[0])
-        # (signal, x_count, FFT budget, plan builds after the scan)
-        steps = [(f1, 65, maximal._FFT_BYTES, 1), (f2, 65, maximal._FFT_BYTES, 1),
-                 (narrow, 65, maximal._FFT_BYTES, 2), (f1, 33, maximal._FFT_BYTES, 3),
+        # (signal, x_count, block budget, plan builds after the scan)
+        steps = [(f1, 65, maximal._BLOCK_BYTES, 1), (f2, 65, maximal._BLOCK_BYTES, 1),
+                 (narrow, 65, maximal._BLOCK_BYTES, 2), (f1, 33, maximal._BLOCK_BYTES, 3),
                  (f1, 33, 3 * 16 * 1024, 4), (f2, 33, 3 * 16 * 1024, 4)]
         for f, x_count, budget, n_builds in steps:
             want = reference_scan(f, theta_values, t_grid, PROFILE, x_count, r_levels)
-            monkeypatch.setattr(maximal, "_FFT_BYTES", budget)
+            monkeypatch.setattr(maximal, "_BLOCK_BYTES", budget)
             res = _scan(f, theta_values, t_grid, PROFILE, x_count, r_levels=r_levels)
             assert_matches_reference(res, want, r_levels)
             assert len(builds) == n_builds
@@ -295,11 +314,13 @@ class TestScanMatchesReference:
         t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), PROFILE,
                                              make_intervals([(-1.0, 1.0)]))
         h = self.check(f, theta_values, t_grid).lattice_step
-        chunk = min(len(t_grid), maximal._FFT_BYTES // (16 * round(24.0 / h)))  # 128 rows
-        assert len(t_grid) % chunk != 0  # the last chunk is partial
-        width = maximal._direction_offsets(t_grid[:, None] * theta_values[None, :], h)[3]
-        rows_per_block = maximal._CELLS // (65 * width.max())
-        assert 1 <= rows_per_block < chunk
+        rows, plan = block_plan(12.0, t_grid, theta_values, h)
+        assert rows == 128
+        slices, widths = plan.blocks[:, 1] - plan.blocks[:, 0], plan.blocks[:, 4]
+        # the windows cut every block below the row cap, and the last block
+        # is partial: the grid ends where its windows leave room for a slice
+        assert len(slices) > 2 and slices.max() < rows
+        assert 32 * 65 * (slices[-1] + 1) * widths[-1] <= maximal._BLOCK_BYTES
 
     def test_convergence_levels(self):
         f = make_sobolev_data(1.0, 9, half_width=12.0, n=256)  # h is not a power of two
@@ -379,16 +400,16 @@ def test_plan_of_the_largest_criterion_4_grid_is_small():
     assert (len(t_grid), len(theta_values)) == (32769, 33)
     h = 2.0 * half_width / n_eval
     x_idx, _ = snapped_x(half_width, h, x_count)
-    chunk = maximal._FFT_BYTES // (16 * n_eval)
-    plan = maximal._build_plan(t_grid, theta_values, h, x_idx, chunk)
+    rows = maximal._BLOCK_BYTES // (16 * n_eval)
+    plan = maximal._build_plan(t_grid, theta_values, h, x_idx, rows)
     arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
     assert sum(a.nbytes for a in arrays) < 2 * 2**20
-    # every axis counts time slices, blocks, chunks, near-tie pairs or window
+    # every axis counts time slices, blocks, near-tie pairs or window
     # offsets, none x points
     start, stop, width = plan.blocks[:, 0], plan.blocks[:, 1], plan.blocks[:, 4]
     assert plan.blocks.shape == (len(plan.blocks), 8)
-    assert np.array_equal(start[1:], stop[:-1]) and stop[-1] == len(t_grid)
-    assert plan.chunk_blocks.shape == (-(-len(t_grid) // chunk) + 1,)
+    assert start[0] == 0 and np.array_equal(start[1:], stop[:-1]) and stop[-1] == len(t_grid)
+    assert np.all(stop - start <= rows)  # no block over the FFT row cap
     assert plan.lo.shape == plan.first.shape == (len(t_grid),)
     assert plan.reached.shape == (np.sum((stop - start) * width),)
     assert plan.tie_slice.shape == plan.tie_prod.shape == (plan.blocks[-1, 7],)
@@ -427,7 +448,7 @@ def test_scan_buffers_are_bounded_in_bytes():
     finally:
         tracemalloc.stop()
     assert round(2.0 * f.half_width / res.lattice_step) >= 2**16
-    assert peak < 2 * maximal._FFT_BYTES + 2**21
+    assert peak < 2 * maximal._BLOCK_BYTES + 2**21
 
 
 def snapped_x(half_width, h, x_count=65):
@@ -535,6 +556,12 @@ class TestLqNorm:
     def test_rejects_small_q(self):
         with pytest.raises(ValueError):
             lq_norm(np.ones(4), 0.5)
+
+    @pytest.mark.parametrize("q", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite_q(self, q):
+        # q = inf passed the check and returned (sum * dx) ** 0 = 1.0 for any data
+        with pytest.raises(ConfigError, match="must be finite and at least 1"):
+            lq_norm(np.array([0.5, 3.0]), q)
 
 
 class TestOperatorNorm:
