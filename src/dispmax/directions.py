@@ -2,35 +2,40 @@
 
 A direction set is one of: a finite point list, a disjoint union of closed
 intervals, or a finite-depth iterated-function-system Cantor set (m pieces,
-contraction ratio r, expanded to its depth-d interval generation).  All
-counting and covering reduces to a greedy left-to-right sweep over the
-component intervals, which is optimal for covering a union of intervals on
-the line.
+contraction ratio r, expanded to its depth-d interval generation), stored as
+one read-only (n, 2) array of sorted, disjoint component endpoints.  All
+counting and covering reduces to a greedy left-to-right sweep, which is
+optimal for covering a union of intervals on the line; it steps from cover
+interval to cover interval, bisecting past the components each one covers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import bisect
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_COUNT, ConfigError, RangeError, check_lambda
+from .errors import MAX_COUNT, ConfigError, RangeError, check_lambda, check_sigma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionSet:
-    components: tuple  # sorted (a, b) closed intervals; points have a == b
+    components: np.ndarray  # read-only (n, 2) float64: sorted closed (a, b) rows; points have a == b
+
+    def __eq__(self, other):
+        return isinstance(other, DirectionSet) and np.array_equal(self.components, other.components)
 
     def sample(self, per_component: int) -> np.ndarray:
         """Equispaced samples, per_component per interval (its left end if 1)."""
-        a, b = np.array(self.components).T
+        a, b = self.components.T
         # One zero step makes linspace round every row another way, so zero-step rows go apart.
         flat = (b - a) / max(per_component - 1, 1) == 0
         return np.unique(np.concatenate([np.linspace(a[rows], b[rows], per_component, axis=-1)
                                          for rows in (flat, ~flat)], axis=None))
 
 
-def _validate_components(a: np.ndarray, b: np.ndarray) -> tuple:
+def _validate_components(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.size == 0:
         raise ConfigError("direction set must be nonempty")
     escapes = ~((-1.0 - 1e-12 <= a) & (b <= 1.0 + 1e-12))  # NaN escapes too
@@ -41,7 +46,9 @@ def _validate_components(a: np.ndarray, b: np.ndarray) -> tuple:
         raise ConfigError(f"interval [{a[i]}, {b[i]}] {fault}")
     if np.any(a[1:] <= b[:-1]):
         raise ConfigError("components must be sorted and disjoint")
-    return tuple(zip(a.tolist(), b.tolist()))
+    comps = np.column_stack((a, b))
+    comps.flags.writeable = False
+    return comps
 
 
 def make_points(points) -> DirectionSet:
@@ -107,18 +114,19 @@ def parse_direction_spec(spec: str) -> DirectionSet:
 class CoverResult:
     intervals: tuple  # closed (left, right) covering intervals, left to right
     width: float
-    count: int = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "count", len(self.intervals))
+    @property
+    def count(self) -> int:
+        return len(self.intervals)
 
 
-def _greedy_cover(comps, width: float) -> tuple:
+def _greedy_cover(comps: np.ndarray, width: float) -> tuple:
     """Minimal cover of a union of intervals by closed width-`width` intervals.
 
-    Each cover interval starts at the leftmost point not yet covered; on the
-    line this greedy sweep is optimal.  Raises RangeError, before building
-    any interval, where the count may pass MAX_COUNT.
+    Each cover interval starts at the leftmost point not yet covered, which a
+    bisection of the increasing component ends finds; on the line this greedy
+    sweep is optimal.  Raises RangeError, before building any interval, where
+    the count may pass MAX_COUNT.
     """
     # Each component takes at most ceil(length / width) intervals, plus one
     # for the rounding of the running cursor.
@@ -127,13 +135,13 @@ def _greedy_cover(comps, width: float) -> tuple:
         raise RangeError(f"a cover by width-{width:.3g} intervals may take {bound:.3g} "
                          f"of them, more than {MAX_COUNT}")
     tol = width * 1e-9
+    starts, ends = comps.T.tolist()
     cover = []
-    cursor = -np.inf  # everything <= cursor is covered
-    for a, b in comps:
-        while b > cursor + tol:
-            start = max(a, cursor)
-            cover.append((start, start + width))
-            cursor = start + width
+    cursor, i = -np.inf, 0  # everything <= cursor is covered
+    while (i := bisect.bisect_right(ends, cursor + tol, i)) < len(ends):
+        start = max(starts[i], cursor)
+        cursor = start + width
+        cover.append((start, cursor))
     return tuple(cover)
 
 
@@ -147,8 +155,7 @@ def box_count(theta: DirectionSet, delta: float) -> int:
 def cover_set(theta: DirectionSet, lam: float, sigma: float) -> CoverResult:
     """Greedy minimal cover by closed intervals of width lambda^(-sigma)."""
     check_lambda(lam)
-    if not 0.25 <= sigma <= 1.0:
-        raise ConfigError(f"sigma must lie in [1/4, 1], got {sigma}")
+    check_sigma(sigma)
     width = lam ** (-sigma)
     return CoverResult(_greedy_cover(theta.components, width), width)
 

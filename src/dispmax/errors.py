@@ -1,4 +1,4 @@
-"""Exception types shared across the package, the one size cap and the one lambda range."""
+"""Exception types shared across the package, the one size cap and the lambda and sigma ranges."""
 
 # Most points a scan axis, and intervals a cover or a Cantor set, may hold;
 # a 2^24-slice scan already runs for hours.
@@ -22,6 +22,12 @@ def check_lambda(lam) -> None:
     """Refuse a frequency scale lambda, of a cover or a kernel, unless 2 <= lambda < inf."""
     if not 2.0 <= lam < float("inf"):
         raise ConfigError(f"lambda must be finite and at least 2, got {lam}")
+
+
+def check_sigma(sigma) -> None:
+    """Refuse a cover exponent sigma, of a cover or a kernel scan, outside [1/4, 1]."""
+    if not 0.25 <= sigma <= 1.0:
+        raise ConfigError(f"sigma must lie in [1/4, 1], got {sigma}")
 
 
 class NonconformingProfileError(DispmaxError):

@@ -29,7 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DispmaxError, HypothesisError, QuadratureError, check_lambda
+from .errors import (ConfigError, DispmaxError, HypothesisError, QuadratureError, check_lambda,
+                     check_sigma)
 from .filters import _smooth_step, psi, psi0
 from .spectral import DispersionProfile
 
@@ -347,6 +348,7 @@ def decay_bound_scan(
     """
     if samples_per_region < 1:
         raise ConfigError(f"samples_per_region={samples_per_region} must be at least 1")
+    check_sigma(sigma)
     lam_list = list(lam_list)
     for lam in lam_list:
         check_lambda(lam)

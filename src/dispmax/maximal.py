@@ -88,9 +88,11 @@ def grid_for_band(
     Raises RangeError, before sampling, where the rule asks for more than
     MAX_COUNT points in t or in theta (summed over theta's components).
     """
+    if not 0.0 < t_range < np.inf:
+        raise ConfigError(f"t_range must lie in (0, inf), got {t_range}")
     pm = float(np.max(np.abs(profile.phi(np.linspace(0.0, band, 1025)))))
     t_step = _PHASE_BUDGET / pm if pm > 0 else 2.0 * t_range
-    widest = max(b - a for a, b in theta.components)
+    widest = np.diff(theta.components, axis=1).max()
     th_step = _PHASE_BUDGET / band if band > 0 else np.inf
     t_steps, th_steps = 2.0 * t_range / t_step, widest / th_step
     for axis, steps in (("t", t_steps), ("theta", th_steps)):
@@ -474,7 +476,7 @@ def estimate_operator_norm(
         raise ConfigError(f"trials={trials} and x_count={x_count} must be at least 1")
     lo, hi = float(omega[0]), float(omega[1])
     width = hi - lo
-    if width > 2.0 ** (-sigma * k) * (1 + 1e-9):
+    if not width <= 2.0 ** (-sigma * k) * (1 + 1e-9):  # NaN sigma fails too
         raise ConfigError(
             f"interval width {width:g} violates the hypothesis |Omega| <= 2^(-sigma*k) = {2.0 ** (-sigma * k):g}"
         )
@@ -562,6 +564,6 @@ def fit_scaling_exponent(pairs) -> tuple[float, float, float]:
         raise ConfigError("need at least 3 (k, value) pairs")
     ks = np.array([p[0] for p in pairs], dtype=float)
     vals = np.array([p[1] for p in pairs], dtype=float)
-    if np.any(vals <= 0):
-        raise ConfigError("values must be positive")
+    if not np.all((0 < vals) & (vals < np.inf)):  # NaN fails both
+        raise ConfigError("values must be finite and positive")
     return _fit_line(ks, np.log2(vals))

@@ -347,6 +347,16 @@ class TestCli:
         with pytest.raises(ConfigError, match=f"lambda must be finite and at least 2, {message}"):
             decay_bound_scan(DispersionProfile.power(2.0), 0.5, lam_list)
 
+    @pytest.mark.parametrize("sigma", [np.nan, 0.2, 1.5, np.inf])
+    def test_decay_scan_refuses_bad_sigma_before_sampling(self, sigma, monkeypatch):
+        # a NaN sigma escaped from the sampler as numpy's OverflowError
+        def refuse(*args):
+            raise AssertionError("pairs were sampled before the sigma check")
+
+        monkeypatch.setattr(kernel, "_sample_regions", refuse)
+        with pytest.raises(ConfigError, match=rf"sigma must lie in \[1/4, 1\], got {sigma}"):
+            decay_bound_scan(DispersionProfile.power(2.0), sigma, [16.0])
+
     @pytest.mark.parametrize("call, message", [
         (lambda p, f: kernel_value(-0.5, -0.25, 16.0, p, 0),
          "density=0 must be an integer of at least 1"),

@@ -52,18 +52,42 @@ def reference_sample(ds, per_component):
     """ds.sample by the per-component linspace that DirectionSet.sample used
     before it took the endpoint arrays in one call; kept as the oracle."""
     return np.unique(np.concatenate([np.linspace(a, b, per_component)
-                                     for a, b in ds.components]))
+                                     for a, b in ds.components.tolist()]))
+
+
+def reference_cover(ds, width):
+    """The cover by the nested sweep over every component, as _greedy_cover
+    ran it before it bisected past covered components; kept as the oracle."""
+    tol = width * 1e-9
+    cover = []
+    cursor = -np.inf  # everything <= cursor is covered
+    for a, b in ds.components.tolist():
+        while b > cursor + tol:
+            start = max(a, cursor)
+            cover.append((start, start + width))
+            cursor = start + width
+    return tuple(cover)
 
 
 def assert_same_components(ds, expected):
-    assert all(type(v) is float for pair in ds.components for v in pair)
-    assert np.array(ds.components).tobytes() == np.array(expected).tobytes()
+    assert ds.components.dtype == np.float64 and ds.components.shape == (len(expected), 2)
+    assert ds.components.tobytes() == np.array(expected).tobytes()
 
 
 class TestConstructors:
     def test_points_sorted_and_deduplicated(self):
         ds = make_points([0.5, -0.5, 0.5, 0.0])
-        assert ds.components == ((-0.5, -0.5), (0.0, 0.0), (0.5, 0.5))
+        assert_same_components(ds, [(-0.5, -0.5), (0.0, 0.0), (0.5, 0.5)])
+
+    @pytest.mark.parametrize("spec", ["point:0", "points:-0.5,0,0.25", "interval:-0.7,0.3",
+                                      "cantor:2,0.3,5", "cantor:3,0.3333333333333333,4"])
+    def test_components_are_a_read_only_endpoint_array(self, spec):
+        comps = parse_direction_spec(spec).components
+        assert comps.dtype == np.float64 and comps.ndim == 2 and comps.shape[1] == 2
+        with pytest.raises(ValueError, match="read-only"):
+            comps[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            comps[:] = 0.0
 
     def test_rejects_escaping_sets(self):
         with pytest.raises(ValueError):
@@ -102,7 +126,7 @@ class TestConstructors:
     def test_touching_cantor_pieces_merge_into_one_interval(self, m, depth):
         # r = 1/m: each generation's pieces touch, so the set is [0, 1] itself
         ds = make_cantor(m, 1.0 / m, depth)
-        assert ds.components == ((0.0, 1.0),)
+        assert_same_components(ds, [(0.0, 1.0)])
         unit = make_intervals([(0.0, 1.0)])
         for delta in (1.0, 0.3, 1.0 / m**depth, 1e-3):
             assert box_count(ds, delta) == box_count(unit, delta)
@@ -143,6 +167,9 @@ class TestConstructors:
         assert parse_direction_spec("points:0,0.5,1") == make_points([0.0, 0.5, 1.0])
         assert parse_direction_spec("interval:0,1") == make_intervals([(0.0, 1.0)])
         assert parse_direction_spec("cantor:2,0.333333,4") == make_cantor(2, 0.333333, 4)
+        assert parse_direction_spec("point:0") != make_points([0.5])
+        assert parse_direction_spec("point:0") != make_points([0.0, 0.5])
+        assert parse_direction_spec("point:0") != (0.0, 0.0)
         with pytest.raises(ValueError):
             parse_direction_spec("blob:1")
 
@@ -301,3 +328,87 @@ class TestCover:
             assert any(lo - tol <= s <= hi + tol for lo, hi in res.intervals)
         for lo, hi in res.intervals:
             assert hi - lo <= res.width * (1 + 1e-12)
+
+
+@st.composite
+def disjoint_components(draw):
+    """Sorted, disjoint closed intervals in [-1, 1], points among them."""
+    ends = sorted(draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40, unique=True)))
+    comps, i = [], 0
+    while i < len(ends):
+        if i + 1 < len(ends) and draw(st.booleans()):
+            comps.append((ends[i], ends[i + 1]))
+            i += 2
+        else:
+            comps.append((ends[i], ends[i]))
+            i += 1
+    return make_intervals(comps)
+
+
+def cover_bytes(intervals):
+    return np.array(intervals, dtype=float).reshape(-1, 2).tobytes()
+
+
+def assert_cover_matches_nested_sweep(ds, width):
+    want = reference_cover(ds, width)
+    assert cover_bytes(directions._greedy_cover(ds.components, width)) == cover_bytes(want)
+    if width <= 2.0:
+        assert box_count(ds, width) == len(want)
+
+
+class TestCoverMatchesNestedSweep:
+    """_greedy_cover, box_count and cover_set against reference_cover, bit for bit."""
+
+    @given(ds=disjoint_components(), width=st.floats(1e-4, 4.0),
+           lam=st.floats(2.0, 1e4), sigma=st.floats(0.25, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_sets_and_widths(self, ds, width, lam, sigma):
+        assert_cover_matches_nested_sweep(ds, width)
+        res = cover_set(ds, lam, sigma)
+        assert cover_bytes(res.intervals) == cover_bytes(reference_cover(ds, lam**-sigma))
+
+    @pytest.mark.parametrize("ds", [
+        make_intervals([(-0.9, -0.6), (-0.5, -0.1), (0.2, 0.25), (0.7, 1.0)]),
+        make_cantor(3, 0.2, 3), make_cantor(2, 0.3, 4),
+    ], ids=["intervals", "cantor:3,0.2,3", "cantor:2,0.3,4"])
+    def test_widths_equal_to_gaps_and_lengths(self, ds):
+        a, b = ds.components.T
+        for width in np.unique(np.concatenate([b - a, a[1:] - b[:-1], b[1:] - a[:-1]])):
+            if width > 0:
+                assert_cover_matches_nested_sweep(ds, float(width))
+
+    def test_cursor_within_tol_of_a_component_end(self):
+        # [0, 0.25] takes three width-0.1 intervals, so the cursor stops at
+        # 0.1 + 0.1 + 0.1; a component ending at or below edge is covered
+        width = 0.1
+        tol = width * 1e-9
+        cursor = 0.0 + width + width + width
+        edge = cursor + tol
+        ends = [cursor + k * tol for k in (-2.0, -1.0, -0.5, 0.0, 0.5, 2.0)]
+        for end in ends + [np.nextafter(edge, -1.0), edge, np.nextafter(edge, 2.0)]:
+            # the next component, which the bisection may skip
+            ds = make_intervals([(0.0, 0.25), (0.26, end), (0.5, 0.6)])
+            assert_cover_matches_nested_sweep(ds, width)
+            # the component the cursor is in
+            assert_cover_matches_nested_sweep(make_intervals([(0.0, end), (0.5, 0.6)]), width)
+
+    @given(seed=st.integers(0, 2**31), n=st.integers(1, 200), width=st.floats(1e-4, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_point_sets(self, seed, n, width):
+        pts = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        assert_cover_matches_nested_sweep(make_points(pts), width)
+
+    @pytest.mark.parametrize("m, depth", [(2, 3), (3, 5), (7, 3)])
+    def test_touching_cantor_pieces(self, m, depth):
+        for r in (1.0 / m, float(np.nextafter(1.0 / m, 0.0))):
+            ds = make_cantor(m, r, depth)
+            for width in (1.0, 0.3, 1.0 / m**depth, 1e-3):
+                assert_cover_matches_nested_sweep(ds, width)
+
+    def test_deep_cantor(self):
+        ds = parse_direction_spec("cantor:2,0.3,12")
+        for delta, _ in directions.dimension_table(ds, 1e-4, 1e-1):
+            assert_cover_matches_nested_sweep(ds, delta)
+        for lam, sigma in ((16.0, 0.5), (1024.0, 1.0), (2.0**20, 1.0), (2.0**20, 0.25)):
+            res = cover_set(ds, lam, sigma)
+            assert cover_bytes(res.intervals) == cover_bytes(reference_cover(ds, lam**-sigma))

@@ -70,6 +70,12 @@ class TestGridForBand:
         for got, want in zip(by_interval, by_point):
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("t_range", [-1.0, 0.0, -0.0, np.nan, np.inf])
+    def test_refuses_empty_or_reversed_t_range(self, t_range):
+        # -1 gave the reversed grid [1, 0, -1] and 0 gave [0, 0, 0]
+        with pytest.raises(ConfigError, match=f"t_range must lie in \\(0, inf\\), got {t_range}"):
+            grid_for_band(4.0, PROFILE, make_points([0.0]), t_range=t_range)
+
     def test_largest_grid_is_allowed(self):
         # a=2 at band 2^10 (k=10) asks for about 8.4e6 t steps, under the cap
         t_grid, _ = grid_for_band(2.0**10, PROFILE, make_points([0.0]))
@@ -595,9 +601,11 @@ class TestOperatorNorm:
         ceiling = shell_ceiling(k, 2.0, half_width)
         assert 0.0 < est.value <= ceiling * (1 + 1e-9)
 
-    def test_rejects_wide_interval(self):
-        with pytest.raises(ValueError):
-            estimate_operator_norm(4, (0.0, 0.5), 2.0, 0.5, PROFILE)
+    @pytest.mark.parametrize("k, sigma", [(4, 0.5), (2, np.nan)], ids=["wide", "nan-sigma"])
+    def test_rejects_wide_interval(self, k, sigma):
+        # a NaN sigma made the width check compare False, and the estimate ran
+        with pytest.raises(ConfigError, match="violates the hypothesis"):
+            estimate_operator_norm(k, (0.0, 0.5), 2.0, sigma, PROFILE, trials=1)
 
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
@@ -636,9 +644,9 @@ class TestScalingFit:
         with pytest.raises(ValueError):
             fit_scaling_exponent([(1, 1.0), (2, 2.0)])
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_needs_positive_values(self, bad):
-        with pytest.raises(ConfigError, match="values must be positive"):
+        with pytest.raises(ConfigError, match="values must be finite and positive"):
             fit_scaling_exponent([(1, 1.0), (2, bad), (3, 2.0)])
 
 
