@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .directions import DirectionSet, parse_direction_spec
-from .errors import ConfigError
+from .errors import ConfigError, check_half_width, check_seed
 from .spectral import DispersionProfile
 
 __version__ = "0.1.0"
@@ -67,17 +67,14 @@ class ExperimentConfig:
         self.profile  # DispersionProfile.power checks a
         if not 0.0 < self.s < float("inf"):
             raise ConfigError(f"s={self.s} must be positive and finite")
-        if self.seed < 0:
-            raise ConfigError(f"seed={self.seed} must be nonnegative")
+        check_seed(self.seed)
         if self.trials < 1 or self.x_count < 1:
             raise ConfigError(f"trials={self.trials} and x_count={self.x_count} must be at least 1")
         if self.samples_per_region < 1:
             raise ConfigError(f"samples_per_region={self.samples_per_region} must be at least 1")
         if self.n_grid < 2 or self.n_grid & (self.n_grid - 1):
             raise ConfigError(f"n_grid={self.n_grid} must be a power of two, at least 2")
-        if not 0.0 < 2.0 * self.half_width < float("inf"):
-            raise ConfigError(f"half_width={self.half_width}: the box width 2*half_width "
-                              "must be positive and finite")
+        check_half_width(self.half_width)
         if not 0.0 < self.delta_min < self.delta_max <= 1.0:
             raise ConfigError(
                 f"need 0 < delta_min < delta_max <= 1, got {self.delta_min} and {self.delta_max}"

@@ -3,10 +3,10 @@
 A direction set is one of: a finite point list, a disjoint union of closed
 intervals, or a finite-depth iterated-function-system Cantor set (m pieces,
 contraction ratio r, expanded to its depth-d interval generation), stored as
-one read-only (n, 2) array of sorted, disjoint component endpoints.  All
-counting and covering reduces to a greedy left-to-right sweep, which is
-optimal for covering a union of intervals on the line; it steps from cover
-interval to cover interval, bisecting past the components each one covers.
+one read-only (n, 2) array of sorted, disjoint component endpoints; its
+constructor, the one check of a set, refuses anything else and freezes a copy.
+All counting and covering is one greedy left-to-right sweep, optimal on the
+line, from cover interval to cover interval, bisecting past covered components.
 """
 
 from __future__ import annotations
@@ -16,12 +16,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_COUNT, ConfigError, RangeError, check_lambda, check_sigma
+from .errors import MAX_COUNT, ConfigError, RangeError, check_integers, check_lambda, check_sigma
 
 
 @dataclass(frozen=True, eq=False)
 class DirectionSet:
     components: np.ndarray  # read-only (n, 2) float64: sorted closed (a, b) rows; points have a == b
+
+    def __post_init__(self):
+        try:  # ragged pairs and text fail here
+            comps = np.array(self.components, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"components must be (a, b) pairs of numbers: {exc}") from exc
+        if comps.size == 0:
+            raise ConfigError("direction set must be nonempty")
+        if comps.shape[1:] != (2,):
+            raise ConfigError(f"components must be (a, b) pairs, got shape {comps.shape}")
+        a, b = comps.T
+        escapes = ~((-1.0 - 1e-12 <= a) & (b <= 1.0 + 1e-12))  # NaN escapes too
+        i = np.argmax(escapes | (b < a))  # the first faulty component, or 0
+        if escapes[i] or b[i] < a[i]:
+            fault = "escapes [-1, 1] or is not finite" if escapes[i] else "is reversed"
+            raise ConfigError(f"interval [{a[i]}, {b[i]}] {fault}")
+        if np.any(a[1:] <= b[:-1]):
+            raise ConfigError("components must be sorted and disjoint")
+        comps.flags.writeable = False
+        object.__setattr__(self, "components", comps)
 
     def __eq__(self, other):
         return isinstance(other, DirectionSet) and np.array_equal(self.components, other.components)
@@ -35,30 +55,13 @@ class DirectionSet:
                                          for rows in (flat, ~flat)], axis=None))
 
 
-def _validate_components(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.size == 0:
-        raise ConfigError("direction set must be nonempty")
-    escapes = ~((-1.0 - 1e-12 <= a) & (b <= 1.0 + 1e-12))  # NaN escapes too
-    bad = np.flatnonzero(escapes | (b < a))
-    if bad.size:
-        i = bad[0]
-        fault = "escapes [-1, 1] or is not finite" if escapes[i] else "is reversed"
-        raise ConfigError(f"interval [{a[i]}, {b[i]}] {fault}")
-    if np.any(a[1:] <= b[:-1]):
-        raise ConfigError("components must be sorted and disjoint")
-    comps = np.column_stack((a, b))
-    comps.flags.writeable = False
-    return comps
-
-
 def make_points(points) -> DirectionSet:
     pts = np.array(sorted(set(float(p) for p in points)))
-    return DirectionSet(_validate_components(pts, pts))
+    return DirectionSet(np.column_stack((pts, pts)))
 
 
 def make_intervals(intervals) -> DirectionSet:
-    pairs = [(float(a), float(b)) for a, b in sorted(tuple(iv) for iv in intervals)]
-    return DirectionSet(_validate_components(*np.array(pairs).reshape(-1, 2).T))
+    return DirectionSet([(float(a), float(b)) for a, b in sorted(tuple(iv) for iv in intervals)])
 
 
 def make_cantor(m: int, r: float, depth: int) -> DirectionSet:
@@ -67,6 +70,7 @@ def make_cantor(m: int, r: float, depth: int) -> DirectionSet:
     Each generation is one numpy step.  A parent's pieces lie inside it, in
     order, so the children of ordered, disjoint parents need no sort.
     """
+    check_integers(m=m, depth=depth)
     if m < 2:
         raise ConfigError("need at least 2 pieces")
     if not 0.0 < r <= 1.0 / m:
@@ -86,7 +90,7 @@ def make_cantor(m: int, r: float, depth: int) -> DirectionSet:
     # r = 1/m makes adjacent pieces touch; merge so components stay disjoint.
     # The ends increase, so a piece joins a run iff it touches its left neighbour.
     ends = np.flatnonzero(a[1:] > b[:-1] + 1e-15)
-    return DirectionSet(_validate_components(a[np.r_[0, ends + 1]], b[np.r_[ends, -1]]))
+    return DirectionSet(np.column_stack((a[np.r_[0, ends + 1]], b[np.r_[ends, -1]])))
 
 
 def parse_direction_spec(spec: str) -> DirectionSet:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, the one size cap and the lambda and sigma ranges."""
+"""Exception types shared across the package, the one size cap, and the argument checks
+that more than one function shares: lambda, sigma, box half-width, seed and integer counts."""
+
+from numbers import Integral
 
 # Most points a scan axis, and intervals a cover or a Cantor set, may hold;
 # a 2^24-slice scan already runs for hours.
@@ -28,6 +31,27 @@ def check_sigma(sigma) -> None:
     """Refuse a cover exponent sigma, of a cover or a kernel scan, outside [1/4, 1]."""
     if not 0.25 <= sigma <= 1.0:
         raise ConfigError(f"sigma must lie in [1/4, 1], got {sigma}")
+
+
+def check_half_width(half_width) -> None:
+    """Refuse a box half-width L, of a signal or of the data a function builds, unless
+    the box width 2L is positive and finite."""
+    if not 0.0 < 2.0 * half_width < float("inf"):
+        raise ConfigError(f"half_width={half_width}: the box width 2*half_width "
+                          "must be positive and finite")
+
+
+def check_seed(seed) -> None:
+    """Refuse a generator seed unless it is a nonnegative integer."""
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise ConfigError(f"seed={seed!r} must be a nonnegative integer")
+
+
+def check_integers(**counts) -> None:
+    """Refuse, by name, each count that is not an integer (a float, NaN included)."""
+    for name, value in counts.items():
+        if not isinstance(value, Integral):
+            raise ConfigError(f"{name}={value!r} must be an integer")
 
 
 class NonconformingProfileError(DispmaxError):

@@ -29,8 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ConfigError, DispmaxError, HypothesisError, QuadratureError, check_lambda,
-                     check_sigma)
+from .errors import (ConfigError, DispmaxError, HypothesisError, QuadratureError, check_integers,
+                     check_lambda, check_seed, check_sigma)
 from .filters import _smooth_step, psi, psi0
 from .spectral import DispersionProfile
 
@@ -226,7 +226,8 @@ def kernel_value(shift: float, dt: float, lam: float, profile: DispersionProfile
     """Adaptive Gauss quadrature of the TT* kernel; density=10 is the oracle.
     A pair (w, w') enters only through the phase's coefficients
     shift = x - x' + t*theta - t'*theta' and dt = t - t'."""
-    if not (isinstance(density, (int, np.integer)) and density >= 1):
+    check_integers(density=density)
+    if density < 1:
         raise ConfigError(f"density={density!r} must be an integer of at least 1")
     if not (np.isfinite(shift) and np.isfinite(dt)):
         raise ConfigError(f"shift={shift} and dt={dt} must be finite")
@@ -346,8 +347,10 @@ def decay_bound_scan(
     trivial bound.  Also records the V2 comparability ratio
     |x - x' + t*theta - t'*theta'| / |x - x'|.
     """
+    check_integers(samples_per_region=samples_per_region)
     if samples_per_region < 1:
         raise ConfigError(f"samples_per_region={samples_per_region} must be at least 1")
+    check_seed(seed)
     check_sigma(sigma)
     lam_list = list(lam_list)
     for lam in lam_list:

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .directions import DirectionSet, _fit_line, make_intervals
-from .errors import MAX_COUNT, ConfigError, RangeError
+from .errors import MAX_COUNT, ConfigError, RangeError, check_half_width, check_integers, check_seed
 from .filters import project, psi_k
 from .spectral import (
     DispersionProfile,
@@ -90,6 +90,8 @@ def grid_for_band(
     """
     if not 0.0 < t_range < np.inf:
         raise ConfigError(f"t_range must lie in (0, inf), got {t_range}")
+    if not 0.0 <= band < np.inf:  # a zero signal has band 0
+        raise ConfigError(f"band must lie in [0, inf), got {band}")
     pm = float(np.max(np.abs(profile.phi(np.linspace(0.0, band, 1025)))))
     t_step = _PHASE_BUDGET / pm if pm > 0 else 2.0 * t_range
     widest = np.diff(theta.components, axis=1).max()
@@ -300,8 +302,6 @@ def _scan(
     The first t, then the first theta in that row, is the same first
     occurrence as an argmax over the flattened (t, theta) pairs.
     """
-    if x_count < 1:
-        raise ConfigError(f"x_count={x_count} must be at least 1")
     subtract = r_levels is not None
     c = forward_transform(f)
     band = c.band_limit()
@@ -404,6 +404,13 @@ def _scan(
                          lattice_step=h, level_max=level_max)
 
 
+def _check_x_count(x_count) -> None:
+    """Refuse an x_count that is not an integer of at least 1, before the grid is built."""
+    check_integers(x_count=x_count)
+    if x_count < 1:
+        raise ConfigError(f"x_count={x_count} must be at least 1")
+
+
 def maximal_function(
     f: SampledSignal,
     theta: DirectionSet,
@@ -411,6 +418,7 @@ def maximal_function(
     x_count: int = 65,
 ) -> MaximalResult:
     """Per-x supremum of |S_t f(x + t*theta)| over the grid for f's band limit."""
+    _check_x_count(x_count)
     t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), profile, theta)
     return _scan(f, theta_values, t_grid, profile, x_count)
 
@@ -428,6 +436,7 @@ def convergence_scan(
     suprema are monotone in r by construction.  Returns (levels, sup_matrix)
     with sup_matrix of shape (n_levels, x_count).
     """
+    _check_x_count(x_count)
     r_levels = np.sort(np.asarray(r_levels, dtype=float))[::-1]
     if not (r_levels.size and r_levels[0] <= 1.0 and r_levels[-1] > 0.0):  # NaN lands first
         raise ConfigError("scales must lie in (0, 1] and be nonempty")
@@ -472,8 +481,11 @@ def estimate_operator_norm(
     """
     if not 2.0 <= q <= 4.0:
         raise ConfigError(f"q={q} outside [2, 4], the range of the norm estimator")
+    check_integers(trials=trials, x_count=x_count)
     if trials < 1 or x_count < 1:
         raise ConfigError(f"trials={trials} and x_count={x_count} must be at least 1")
+    check_seed(seed)
+    check_half_width(half_width)
     lo, hi = float(omega[0]), float(omega[1])
     width = hi - lo
     if not width <= 2.0 ** (-sigma * k) * (1 + 1e-9):  # NaN sigma fails too
@@ -564,6 +576,8 @@ def fit_scaling_exponent(pairs) -> tuple[float, float, float]:
         raise ConfigError("need at least 3 (k, value) pairs")
     ks = np.array([p[0] for p in pairs], dtype=float)
     vals = np.array([p[1] for p in pairs], dtype=float)
+    if not np.all(np.isfinite(ks)):
+        raise ConfigError("k values must be finite")
     if not np.all((0 < vals) & (vals < np.inf)):  # NaN fails both
         raise ConfigError("values must be finite and positive")
     return _fit_line(ks, np.log2(vals))

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NonconformingProfileError, RangeError
+from .errors import ConfigError, NonconformingProfileError, RangeError, check_half_width, check_seed
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,7 @@ class SampledSignal:
         n = len(vals)
         if n < 2 or n & (n - 1):
             raise ConfigError(f"signal length must be a power of two >= 2, got {n}")
-        if not 0.0 < 2.0 * self.half_width < np.inf:
-            raise ConfigError(f"half_width={self.half_width}: the box width 2*half_width "
-                              "must be positive and finite")
+        check_half_width(self.half_width)
 
     @property
     def n(self) -> int:
@@ -183,6 +181,8 @@ def sobolev_norm(f: SampledSignal, s: float) -> float:
     eps * max|c| per coefficient, above 1e-6 of the sum: the norm then
     measures that noise, not f.
     """
+    if not -np.inf < s < np.inf:
+        raise ConfigError(f"s={s} must be finite")
     c = forward_transform(f)
     xi = c.frequencies
     mags = np.abs(c.coeffs)
@@ -211,6 +211,8 @@ def make_sobolev_data(s: float, seed: int, half_width: float = 32.0, n: int = 10
     """
     if not s > 0:
         raise ConfigError("s must be positive")
+    check_seed(seed)
+    check_half_width(half_width)
     rng = np.random.default_rng(seed)
     xi = (np.pi / half_width) * np.arange(-n // 2, n // 2)
     mag = (1.0 + xi * xi) ** (-(s + 0.51) / 2.0)

@@ -27,7 +27,7 @@ from dispmax.config import (
 from dispmax.directions import cover_set, make_cantor, make_points
 from dispmax.errors import ConfigError
 from dispmax.kernel import decay_bound_scan, kernel_value
-from dispmax.maximal import convergence_scan, lq_norm, maximal_function
+from dispmax.maximal import convergence_scan, estimate_operator_norm, lq_norm, maximal_function
 from dispmax.spectral import DispersionProfile, make_sobolev_data
 
 
@@ -373,13 +373,58 @@ class TestCli:
         (lambda p, f: decay_bound_scan(p, 0.5, [16.0], samples_per_region=0),
          "samples_per_region=0 must be at least 1"),
         (lambda p, f: lq_norm(np.array([]), 2.0), "needs at least one value"),
+        # each of these raised TypeError
+        (lambda p, f: maximal_function(f, make_points([0.0]), p, x_count=2.5),
+         "^x_count=2.5 must be an integer$"),
+        # a band whose grid the resolution rule refuses: the count is checked first
+        (lambda p, f: convergence_scan(make_sobolev_data(1.0, 0, half_width=1.0, n=16384),
+                                       make_points([0.0]), p, [0.5], x_count=2.5),
+         "^x_count=2.5 must be an integer$"),
+        (lambda p, f: estimate_operator_norm(2, (0.0, 0.5), 2.0, 0.5, p, trials=1.5),
+         "^trials=1.5 must be an integer$"),
+        (lambda p, f: decay_bound_scan(p, 0.5, [16.0], samples_per_region=1.5),
+         "^samples_per_region=1.5 must be an integer$"),
+        (lambda p, f: make_cantor(2, 0.3, 1.5), "^depth=1.5 must be an integer$"),
+        # reported as an escaping interval
+        (lambda p, f: make_cantor(2.5, 0.3, 2), "^m=2.5 must be an integer$"),
     ], ids=["density-zero", "density-negative", "density-fraction", "maximal-x-count-zero",
             "maximal-x-count-negative", "converge-x-count-zero", "converge-x-count-negative",
-            "samples-per-region-zero", "lq-norm-empty"])
+            "samples-per-region-zero", "lq-norm-empty", "maximal-x-count-fraction",
+            "converge-x-count-fraction-before-grid", "norm-trials-fraction", "samples-per-region-fraction", "cantor-depth-fraction",
+            "cantor-m-fraction"])
     def test_bad_count_raises_config_error(self, call, message):
         # each function checks the counts it uses, so a library caller gets the CLI's exit-2 error
         with pytest.raises(ConfigError, match=message):
             call(DispersionProfile.power(2.0), make_sobolev_data(1.0, 0, half_width=8.0, n=16))
+
+    @pytest.mark.parametrize("call, message", [
+        # numpy's "expected non-negative integer" ValueError
+        (lambda p: make_sobolev_data(1.0, -1), "^seed=-1 must be a nonnegative integer$"),
+        (lambda p: estimate_operator_norm(2, (0.0, 0.5), 2.0, 0.5, p, trials=1, seed=-1),
+         "^seed=-1 must be a nonnegative integer$"),
+        (lambda p: decay_bound_scan(p, 0.5, [16.0], 1, seed=-1),
+         "^seed=-1 must be a nonnegative integer$"),
+        # ZeroDivisionError
+        (lambda p: make_sobolev_data(1.0, 0, half_width=0.0, n=16),
+         r"^half_width=0.0: the box width 2\*half_width must be positive and finite$"),
+    ] + [
+        # OverflowError, ZeroDivisionError, numpy's "Maximum allowed dimension exceeded",
+        # and a warning before "half_width=nan is too small"
+        (lambda p, h=h: estimate_operator_norm(2, (0.0, 0.5), 2.0, 0.5, p, trials=1, half_width=h),
+         rf"^half_width={h}: the box width 2\*half_width must be positive and finite$")
+        for h in (-1.0, 0.0, float("inf"), float("nan"))
+    ], ids=["sobolev-data-seed", "norm-seed", "decay-scan-seed", "sobolev-data-half-width",
+            "norm-half-width-negative", "norm-half-width-zero", "norm-half-width-inf",
+            "norm-half-width-nan"])
+    def test_bad_seed_or_half_width_raises_config_error_before_any_work(self, call, message,
+                                                                       monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work began before the argument check")
+
+        for module, name in ((np.random, "default_rng"), (maximal, "_scan")):
+            monkeypatch.setattr(module, name, refuse)
+        with pytest.raises(ConfigError, match=message):
+            call(DispersionProfile.power(2.0))
 
     def test_theta_samples_capped_in_total(self, tmp_path, monkeypatch, capsys):
         # 64 components x 2 samples each = 128 directions, each component's

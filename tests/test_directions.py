@@ -1,5 +1,6 @@
 """Tests for direction sets, box counting, dimension fits, and covers."""
 
+import dataclasses
 import time
 import tracemalloc
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from dispmax import directions
 from dispmax.config import ExperimentConfig
 from dispmax.directions import (
+    DirectionSet,
     box_count,
     cover_set,
     make_cantor,
@@ -154,13 +156,57 @@ class TestConstructors:
         (lambda: make_points([0.0, float("nan")]), r"interval \[nan, nan\] escapes .* not finite"),
         (lambda: make_intervals([(0.0, float("nan"))]), r"interval \[0.0, nan\] escapes"),
         (lambda: make_points([]), "must be nonempty"),
-        (lambda: directions._validate_components(np.array([0.5, 0.0]), np.array([0.6, 0.1])),
+        (lambda: DirectionSet(np.array([[0.5, 0.6], [0.0, 0.1]])), "must be sorted and disjoint"),
+        # the constructor is the one check: a reversed interval was stored unchecked
+        # and sampled as [0.2, 0.35, 0.5]
+        (lambda: DirectionSet(((0.5, 0.2),)), r"^interval \[0.5, 0.2\] is reversed$"),
+        (lambda: DirectionSet(((0.0, 0.5), (0.7, 1.5))),
+         r"^interval \[0.7, 1.5\] escapes \[-1, 1\] or is not finite$"),
+        (lambda: DirectionSet(((0.0, float("inf")),)), r"^interval \[0.0, inf\] escapes"),
+        (lambda: DirectionSet(()), "^direction set must be nonempty$"),
+        (lambda: DirectionSet(np.empty((0, 2))), "^direction set must be nonempty$"),
+        (lambda: DirectionSet([0.1, 0.2, 0.3]),
+         r"^components must be \(a, b\) pairs, got shape \(3,\)$"),
+        # not read as three pairs
+        (lambda: DirectionSet(np.zeros((2, 3))),
+         r"^components must be \(a, b\) pairs, got shape \(2, 3\)$"),
+        (lambda: DirectionSet(np.zeros((2, 2, 1))), r"got shape \(2, 2, 1\)$"),
+        (lambda: DirectionSet(0.5), r"got shape \(\)$"),
+        (lambda: DirectionSet([(0.0, 0.1), (0.5,)]), r"^components must be \(a, b\) pairs of numbers: "),
+        (lambda: DirectionSet([("a", "b")]), r"^components must be \(a, b\) pairs of numbers: "),
+        # dataclasses.replace runs the constructor's check again
+        (lambda: dataclasses.replace(make_points([0.0]), components=((0.5, 0.2),)), "is reversed$"),
+        (lambda: dataclasses.replace(make_points([0.0]), components=((0.0, 0.5), (0.4, 0.6))),
          "must be sorted and disjoint"),
+        (lambda: dataclasses.replace(make_points([0.0]), components=[0.1, 0.2]), "got shape"),
     ], ids=["reversed-before-escaping", "reversed-and-escaping", "nan-point", "nan-end",
-            "empty", "unsorted"])
+            "empty", "unsorted", "constructor-reversed", "constructor-escaping",
+            "constructor-infinite", "constructor-empty", "constructor-empty-array",
+            "constructor-flat", "constructor-three-columns", "constructor-three-axes",
+            "constructor-scalar", "constructor-ragged", "constructor-text", "replace-reversed",
+            "replace-overlapping", "replace-flat"])
     def test_validation_names_the_first_fault(self, build, message):
         with pytest.raises(ConfigError, match=message):
             build()
+
+    @pytest.mark.parametrize("components", [
+        ((-0.5, -0.2), (0.1, 0.7)),
+        [[-0.5, -0.2], [0.1, 0.7]],
+        np.array([[-0.5, -0.2], [0.1, 0.7]]),
+    ], ids=["tuple-of-pairs", "list", "array"])
+    def test_constructor_takes_pairs_as_the_builders_do(self, components):
+        # a tuple of pairs raised AttributeError from sample: the constructor stored it as given
+        ds = DirectionSet(components)
+        assert_same_components(ds, make_intervals([(-0.5, -0.2), (0.1, 0.7)]).components.tolist())
+        assert ds == make_intervals([(0.1, 0.7), (-0.5, -0.2)])
+        assert ds.sample(3).tobytes() == reference_sample(ds, 3).tobytes()
+
+    def test_constructor_copies_and_freezes(self):
+        given = np.array([[0.0, 0.5]])
+        ds = DirectionSet(given)
+        assert given.flags.writeable and not ds.components.flags.writeable
+        given[0, 1] = 0.25  # the caller's array stays its own
+        assert ds.components.tolist() == [[0.0, 0.5]]
 
     def test_parse_round_trip(self):
         assert parse_direction_spec("point:0") == make_points([0.0])

@@ -76,6 +76,12 @@ class TestGridForBand:
         with pytest.raises(ConfigError, match=f"t_range must lie in \\(0, inf\\), got {t_range}"):
             grid_for_band(4.0, PROFILE, make_points([0.0]), t_range=t_range)
 
+    @pytest.mark.parametrize("band", [-1.0, -np.inf, np.nan, np.inf])
+    def test_refuses_negative_or_non_finite_band(self, band):
+        # NaN gave the grid [-1, 0, 1] and -1 a 9-slice grid; band 0, a zero signal's, stays legal
+        with pytest.raises(ConfigError, match=f"^band must lie in \\[0, inf\\), got {band}$"):
+            grid_for_band(band, PROFILE, make_points([0.0]))
+
     def test_largest_grid_is_allowed(self):
         # a=2 at band 2^10 (k=10) asks for about 8.4e6 t steps, under the cap
         t_grid, _ = grid_for_band(2.0**10, PROFILE, make_points([0.0]))
@@ -644,10 +650,16 @@ class TestScalingFit:
         with pytest.raises(ValueError):
             fit_scaling_exponent([(1, 1.0), (2, 2.0)])
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
-    def test_needs_positive_values(self, bad):
-        with pytest.raises(ConfigError, match="values must be finite and positive"):
-            fit_scaling_exponent([(1, 1.0), (2, bad), (3, 2.0)])
+    @pytest.mark.parametrize("pairs, message", [
+        *(([(1, 1.0), (2, bad), (3, 2.0)], "values must be finite and positive")
+          for bad in (0.0, -1.0, np.nan, np.inf, -np.inf)),
+        # a NaN k printed LAPACK "illegal value" lines, then raised LinAlgError
+        *(([(bad, 1.0), (2, 2.0), (3, 3.0)], "^k values must be finite$")
+          for bad in (np.nan, np.inf, -np.inf)),
+    ], ids=["0.0", "-1.0", "nan", "inf", "-inf", "k-nan", "k-inf", "k--inf"])
+    def test_needs_positive_values(self, pairs, message):
+        with pytest.raises(ConfigError, match=message):
+            fit_scaling_exponent(pairs)
 
 
 class TestLowFrequency:

@@ -171,6 +171,12 @@ class TestSobolevNorm:
         with pytest.raises(RangeError, match="overflows"):
             sobolev_norm(f, 150.0)
 
+    @pytest.mark.parametrize("s", [float("nan"), float("inf"), -float("inf")])
+    def test_needs_a_finite_order(self, s):
+        # a NaN order was reported as "the H^nan norm overflows"
+        with pytest.raises(ConfigError, match=f"^s={s} must be finite$"):
+            sobolev_norm(random_signal(5), s)
+
     def test_noise_floor_raises(self):
         # H^15 data on 512 points: near |xi| = 25 the coefficients are
         # rounding noise, about 1e-16, which (1+xi^2)^15 lifts above the data
