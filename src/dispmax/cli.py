@@ -215,32 +215,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output directory (default: $DISPMAX_OUT or .)")
-        p.add_argument("--a", type=float, help="dispersion exponent, Phi = |xi|^a")
-        p.add_argument("--q", type=float)
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--theta", help="direction set: point:0 | points:.. | interval:a,b | cantor:m,r,d")
-        p.add_argument("--k-min", dest="k_min", type=int)
-        p.add_argument("--k-max", dest="k_max", type=int)
-        p.add_argument("--s", type=float, help="Sobolev order for generated data")
-        return p
+    # The options every subcommand takes.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key=value config file")
+    common.add_argument("--seed", type=int)
+    common.add_argument("--out", help="output directory (default: $DISPMAX_OUT or .)")
+    common.add_argument("--a", type=float, help="dispersion exponent, Phi = |xi|^a")
+    common.add_argument("--q", type=float)
+    common.add_argument("--sigma", type=float)
+    common.add_argument("--theta", help="direction set: point:0 | points:.. | interval:a,b | cantor:m,r,d")
+    common.add_argument("--k-min", dest="k_min", type=int)
+    common.add_argument("--k-max", dest="k_max", type=int)
+    common.add_argument("--s", type=float, help="Sobolev order for generated data")
 
-    common(sub.add_parser("check", help="condition and invariant self-test"))
-    p = common(sub.add_parser("evolve", help="apply the propagator to a signal"))
+    def add(name, summary):
+        return sub.add_parser(name, help=summary, parents=[common])
+
+    add("check", "condition and invariant self-test")
+    p = add("evolve", "apply the propagator to a signal")
     p.add_argument("--t", type=float, default=0.25)
     p.add_argument("--input", help="signal CSV (x,re,im); generated data if omitted")
-    common(sub.add_parser("dim", help="box-counting dimension report"))
-    p = common(sub.add_parser("cover", help="lambda^-sigma interval cover of theta"))
+    add("dim", "box-counting dimension report")
+    p = add("cover", "lambda^-sigma interval cover of theta")
     p.add_argument("--lam", type=float, default=16.0)
-    p = common(sub.add_parser("maximal", help="directional maximal function on the grid"))
+    p = add("maximal", "directional maximal function on the grid")
     p.add_argument("--input", help="signal CSV (x,re,im); generated data if omitted")
     p.add_argument("--band", type=int, help="apply the dyadic projection P_band first")
-    common(sub.add_parser("norm-scaling", help="operator-norm growth experiment"))
-    common(sub.add_parser("kernel-scan", help="kernel decay and lemma-ratio scan"))
-    common(sub.add_parser("converge", help="pointwise-convergence error scan"))
+    add("norm-scaling", "operator-norm growth experiment")
+    add("kernel-scan", "kernel decay and lemma-ratio scan")
+    add("converge", "pointwise-convergence error scan")
     return parser
 
 

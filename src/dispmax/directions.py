@@ -19,19 +19,25 @@ import numpy as np
 from .errors import MAX_COUNT, ConfigError, RangeError, check_integers, check_lambda, check_sigma
 
 
+def _endpoint_pairs(components) -> np.ndarray:
+    """A float64 (n, 2) copy of components, n >= 1, else ConfigError."""
+    try:  # ragged pairs and text fail here
+        comps = np.array(components, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"components must be (a, b) pairs of numbers: {exc}") from exc
+    if comps.size == 0:
+        raise ConfigError("direction set must be nonempty")
+    if comps.shape[1:] != (2,):
+        raise ConfigError(f"components must be (a, b) pairs, got shape {comps.shape}")
+    return comps
+
+
 @dataclass(frozen=True, eq=False)
 class DirectionSet:
     components: np.ndarray  # read-only (n, 2) float64: sorted closed (a, b) rows; points have a == b
 
     def __post_init__(self):
-        try:  # ragged pairs and text fail here
-            comps = np.array(self.components, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"components must be (a, b) pairs of numbers: {exc}") from exc
-        if comps.size == 0:
-            raise ConfigError("direction set must be nonempty")
-        if comps.shape[1:] != (2,):
-            raise ConfigError(f"components must be (a, b) pairs, got shape {comps.shape}")
+        comps = _endpoint_pairs(self.components)
         a, b = comps.T
         escapes = ~((-1.0 - 1e-12 <= a) & (b <= 1.0 + 1e-12))  # NaN escapes too
         i = np.argmax(escapes | (b < a))  # the first faulty component, or 0
@@ -61,7 +67,9 @@ def make_points(points) -> DirectionSet:
 
 
 def make_intervals(intervals) -> DirectionSet:
-    return DirectionSet([(float(a), float(b)) for a, b in sorted(tuple(iv) for iv in intervals)])
+    """The union of closed intervals given as (a, b) pairs, in any order."""
+    comps = _endpoint_pairs(list(intervals))
+    return DirectionSet(comps[np.lexsort((comps[:, 1], comps[:, 0]))])
 
 
 def make_cantor(m: int, r: float, depth: int) -> DirectionSet:

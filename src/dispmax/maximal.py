@@ -24,12 +24,17 @@ every x.
   estimate_operator_norm, and back-to-back scans of one grid, build it
   once.
 - The pass runs per signal, one block at a time.  It synthesizes the
-  block's time slices with one unnormalized inverse FFT, builds the values
-  |u/h - f(x)| in convergence mode and |u/h| otherwise over each slice's
-  window (in plain mode from |u/h| taken once per lattice column), and
-  takes the max over the offsets the slice reaches.  The near-tie pairs,
-  and the theta argmax of a row that beats the best so far, use the
-  per-cell index.
+  block's time slices with one unnormalized inverse FFT, reads the block's
+  lattice span in place in the FFT rows (a copy only where the span wraps
+  around the periodic box), builds the values |u/h - f(x)| in convergence
+  mode and |u/h| otherwise over each slice's window (in plain mode from
+  |u/h| taken once per lattice column), and takes the max over the offsets
+  the slice reaches.  The near-tie pairs use the per-cell index.
+- Plain mode then keeps the per-x (t, theta) argmax, whose theta re-reads
+  the row of a new best by the per-cell index.  Convergence mode keeps only
+  the per-level maxima, which is all its caller reads: one max per distinct
+  level count among a block's slices, folded into the levels that count
+  covers.
 
 Every value goes through the elementwise steps a cell would, so the output
 bits are those of a cell-by-cell scan.
@@ -69,8 +74,9 @@ _MAX_ROUNDS = 20  # alternating-maximization rounds per operator-norm estimate
 class MaximalResult:
     x: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-    t_arg: np.ndarray = field(repr=False)
-    theta_arg: np.ndarray = field(repr=False)
+    # the (t, theta) grid indices attaining values; None for a convergence scan
+    t_arg: np.ndarray | None = field(repr=False)
+    theta_arg: np.ndarray | None = field(repr=False)
     lattice_step: float
     # (n_levels, x_count) maxima over |t| <= r, for a scan given r_levels
     level_max: np.ndarray | None = field(default=None, repr=False)
@@ -229,11 +235,14 @@ def _scan(
     x_count: int,
     r_levels: np.ndarray | None = None,
 ) -> MaximalResult:
-    """Shared sweep over (t, theta); returns per-x maxima with argmax data.
+    """Shared sweep over (t, theta); returns per-x maxima, in plain mode with argmax data.
 
     Given r_levels (descending), the scanned quantity is
     |u(x+t*theta, t) - f(x)| and level_max holds the per-x maxima
-    restricted to |t| <= r for each level.
+    restricted to |t| <= r for each level.  values is then level_max[0],
+    the max over the whole grid when t_grid lies in [-r_levels[0],
+    r_levels[0]] as convergence_scan builds it, and t_arg and theta_arg are
+    None: no argmax is taken.
 
     The pass is one loop over the plan's blocks of time slices.  A block
     holds at most max(1, _BLOCK_BYTES // (16 * n_eval)) slices, the rows of
@@ -279,8 +288,11 @@ def _scan(
     the slice, and one more on each side of a near-tie pair's.  The block
     holds at most _BLOCK_BYTES // 32 window values (one slice, if a slice
     holds more), of 16 B of temporaries each, 32 B with f(x).  Its lattice
-    span is wrapped around the periodic box once, on its column indices, so
-    no cell takes an index modulo n_eval.
+    span [s0, s1) is read in place where it lies inside [0, n_eval): a view
+    of the FFT rows, divided by 2*half_width in place, whose window values
+    are gathered from the rows by flat position.  Only a span that wraps
+    around the periodic box is copied, once, with its column indices taken
+    modulo n_eval; either way no cell takes an index modulo n_eval.
     What depends on the grid alone (offsets, windows, reached masks,
     near-tie pairs, blocks and spans) is the _ScanPlan, built once per grid;
     the pass per signal reads it.  In plain mode the pass takes |u/h| once
@@ -290,9 +302,14 @@ def _scan(
     - tmax is the max of the window values at the offsets in D(t), off
       near-tie pairs (a masked max), raised by the values the near-tie
       pairs read;
-    - the first t of the block attaining the max of tmax is the candidate;
-      where it beats the best so far, the theta argmax re-reads that one
-      row's cells by _cell_index and takes the first theta attaining it.
+    - in plain mode, the first t of the block attaining the max of tmax is
+      the candidate; where it beats the best so far, the theta argmax
+      re-reads that one row's cells by _cell_index and takes the first
+      theta attaining it;
+    - in convergence mode, levels [0, count) hold a time slice, count being
+      the number of levels r with |t| <= r, found once per scan; per block,
+      one max of tmax over the slices of each distinct count (one count
+      for nearly every block) is folded into level_max[:count].
 
     The result is bit for bit that of a scan that gathers u at every cell
     and computes |u/h - f(x)| there: every window value goes through the
@@ -300,7 +317,9 @@ def _scan(
     subtract f(x), abs), each cell's value is the window value at its
     index, and a max does not depend on the order it visits its values.
     The first t, then the first theta in that row, is the same first
-    occurrence as an argmax over the flattened (t, theta) pairs.
+    occurrence as an argmax over the flattened (t, theta) pairs.  Dividing
+    a span in place or in a copy, and folding a level's maxima per count
+    rather than per level, apply the same operations to the same values.
     """
     subtract = r_levels is not None
     c = forward_transform(f)
@@ -327,10 +346,13 @@ def _scan(
         raise RangeError(f"a scan lattice of step {h:g} over |x| <= {half_width:g} is too fine "
                          "for exact float index arithmetic")
 
-    best = np.full(x_count, -1.0)
-    best_t = np.zeros(x_count, dtype=np.int64)
-    best_th = np.zeros(x_count, dtype=np.int64)
-    level_max = np.zeros((len(r_levels), x_count)) if subtract else None
+    if subtract:  # levels [0, held) hold a time slice: |t| <= r for the first held r
+        level_max = np.zeros((len(r_levels), x_count))
+        held_all = np.count_nonzero(np.abs(t_grid)[:, None] <= r_levels * (1 + 1e-12), axis=1)
+    else:
+        best = np.full(x_count, -1.0)
+        best_t = np.zeros(x_count, dtype=np.int64)
+        best_th = np.zeros(x_count, dtype=np.int64)
 
     cur = np.exp(1j * t_grid[0] * phi)
     dt = t_grid[1] - t_grid[0] if len(t_grid) > 1 else 0.0
@@ -360,19 +382,26 @@ def _scan(
         np.fft.ifft(padded[:nb], axis=1, norm="forward", out=fields[:nb])
         lo = plan.lo[start:stop]
 
-        # The block's lattice span [s0, s1), wrapped around the periodic box, as u/h.
-        span = np.take(fields[:nb], np.arange(s0, s1), axis=1, mode="wrap")
+        # The block's lattice span [s0, s1) as u/h: in place in the FFT rows,
+        # or a copy where it wraps around the periodic box.
+        in_place = 0 <= s0 and s1 <= n_eval
+        if in_place:
+            span = fields[:nb, s0:s1]
+        else:
+            span = np.take(fields[:nb], np.arange(s0, s1), axis=1, mode="wrap")
         span /= scale
 
         # The window values per (t, offset - lo, x): they depend on x
         # through the lattice point, and through f(x) in convergence mode.
-        cols = plan.first[start:stop, None, None] + window_cols[:width]
+        first = plan.first[start:stop]
         if subtract:
-            g = span.take(cols)
+            if in_place:  # the span's flat positions in the FFT rows
+                first = first + s0 + np.arange(nb) * (n_eval - (s1 - s0))
+            g = (fields[:nb] if in_place else span).take(first[:, None, None] + window_cols[:width])
             g -= f0
             vals = np.abs(g)
         else:
-            vals = np.abs(span).take(cols)
+            vals = np.abs(span).take(first[:, None, None] + window_cols[:width])
 
         reached = plan.reached[r0 : r0 + nb * width].reshape(nb, width, 1)
         tmax = vals.max(axis=1, where=reached, initial=-1.0)
@@ -380,6 +409,14 @@ def _scan(
             ti = plan.tie_slice[tie_lo:tie_hi] - start
             idx = _cell_index(plan.tie_prod[tie_lo:tie_hi, None], x_snap, half_width, h)
             np.maximum.at(tmax, ti, vals[ti[:, None], idx - x_idx - lo[ti][:, None], x_pos])
+
+        if subtract:
+            # One max per distinct level count among the block's slices.
+            held = held_all[start:stop]
+            for count in set(held.tolist()) - {0}:
+                top = tmax[held == count].max(axis=0)
+                np.maximum(level_max[:count], top, out=level_max[:count])
+            continue
 
         arg_t = tmax.argmax(axis=0)
         cand = tmax[arg_t, x_pos]
@@ -393,15 +430,10 @@ def _scan(
             best_t[upd] = start + tu
             best_th[upd] = vals[tu[:, None], w, upd[:, None]].argmax(axis=1)
 
-        if subtract:
-            abs_t = np.abs(t_grid[start:stop])
-            for li, r in enumerate(r_levels):
-                sel = abs_t <= r * (1 + 1e-12)
-                if sel.any():
-                    level_max[li] = np.maximum(level_max[li], tmax[sel].max(axis=0))
-
-    return MaximalResult(x=x_snap, values=best, t_arg=best_t, theta_arg=best_th,
-                         lattice_step=h, level_max=level_max)
+    if subtract:
+        return MaximalResult(x=x_snap, values=level_max[0], t_arg=None, theta_arg=None,
+                             lattice_step=h, level_max=level_max)
+    return MaximalResult(x=x_snap, values=best, t_arg=best_t, theta_arg=best_th, lattice_step=h)
 
 
 def _check_x_count(x_count) -> None:

@@ -161,6 +161,21 @@ class TestResultTable:
 
 
 class TestCli:
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_every_command_parses_every_common_option(self, command):
+        common = {"config": "c.cfg", "seed": 3, "out": "o", "a": 1.5, "q": 3.0, "sigma": 0.4,
+                  "theta": "cantor:2,0.3,4", "k_min": 1, "k_max": 5, "s": 0.7}
+        argv = [command]
+        for dest, value in common.items():
+            argv += ["--" + dest.replace("_", "-"), str(value)]
+        args = vars(cli.build_parser().parse_args(argv))
+        assert args.pop("command") == command
+        assert {dest: args.pop(dest) for dest in common} == common
+        bare = vars(cli.build_parser().parse_args([command]))
+        assert {dest: bare[dest] for dest in common} == dict.fromkeys(common)
+        # what is left are the command's own options, at their defaults
+        assert args == {dest: bare[dest] for dest in args}
+
     def test_check_succeeds(self, capsys):
         assert main(["check"]) == 0
         assert "check: ok" in capsys.readouterr().out

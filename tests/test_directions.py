@@ -174,6 +174,11 @@ class TestConstructors:
         (lambda: DirectionSet(0.5), r"got shape \(\)$"),
         (lambda: DirectionSet([(0.0, 0.1), (0.5,)]), r"^components must be \(a, b\) pairs of numbers: "),
         (lambda: DirectionSet([("a", "b")]), r"^components must be \(a, b\) pairs of numbers: "),
+        # make_intervals refuses what is not (a, b) pairs before it sorts
+        (lambda: make_intervals([(0.1, 0.2, 0.3)]),
+         r"^components must be \(a, b\) pairs, got shape \(1, 3\)$"),
+        (lambda: make_intervals([0.1]), r"^components must be \(a, b\) pairs, got shape \(1,\)$"),
+        (lambda: make_intervals([(0.2,)]), r"^components must be \(a, b\) pairs, got shape \(1, 1\)$"),
         # dataclasses.replace runs the constructor's check again
         (lambda: dataclasses.replace(make_points([0.0]), components=((0.5, 0.2),)), "is reversed$"),
         (lambda: dataclasses.replace(make_points([0.0]), components=((0.0, 0.5), (0.4, 0.6))),
@@ -183,7 +188,8 @@ class TestConstructors:
             "empty", "unsorted", "constructor-reversed", "constructor-escaping",
             "constructor-infinite", "constructor-empty", "constructor-empty-array",
             "constructor-flat", "constructor-three-columns", "constructor-three-axes",
-            "constructor-scalar", "constructor-ragged", "constructor-text", "replace-reversed",
+            "constructor-scalar", "constructor-ragged", "constructor-text", "intervals-triple",
+            "intervals-flat", "intervals-single", "replace-reversed",
             "replace-overlapping", "replace-flat"])
     def test_validation_names_the_first_fault(self, build, message):
         with pytest.raises(ConfigError, match=message):

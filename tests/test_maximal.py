@@ -244,16 +244,26 @@ def reference_scan(f, theta_values, t_grid, profile, x_count, r_levels=None):
 
 
 def assert_matches_reference(res, want, r_levels):
-    """res, a MaximalResult, is bit for bit the reference_scan output want."""
+    """res, a MaximalResult, is bit for bit the reference_scan output want.
+
+    A convergence scan produces no argmax, so there only the maxima compare.
+    """
     values, t_arg, theta_arg, level_max, h = want
     assert np.array_equal(res.values, values)
-    assert np.array_equal(res.t_arg, t_arg)
-    assert np.array_equal(res.theta_arg, theta_arg)
     assert res.lattice_step == h
     if r_levels is None:
+        assert np.array_equal(res.t_arg, t_arg)
+        assert np.array_equal(res.theta_arg, theta_arg)
         assert res.level_max is None
     else:
+        assert res.t_arg is None and res.theta_arg is None
         assert np.array_equal(res.level_max, level_max)
+        assert np.array_equal(res.values, res.level_max[0])
+
+
+def levels_held(t_grid, r_levels):
+    """Per time slice, how many levels r hold it (|t| <= r, with _scan's slack)."""
+    return np.count_nonzero(np.abs(t_grid)[:, None] <= r_levels * (1 + 1e-12), axis=1)
 
 
 def block_plan(half_width, t_grid, theta_values, h, x_count=65):
@@ -340,7 +350,26 @@ class TestScanMatchesReference:
         levels = np.array([0.5, 0.25, 0.1])
         t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), PROFILE, theta,
                                              t_range=0.5)
-        self.check(f, theta_values, t_grid, r_levels=levels)
+        h = self.check(f, theta_values, t_grid, r_levels=levels).lattice_step
+        # at the default budget each edge |t| = 0.25, 0.1 falls inside a block,
+        # whose slices then hold two level counts
+        held = levels_held(t_grid, levels)
+        _, plan = block_plan(f.half_width, t_grid, theta_values, h)
+        counts = [len(set(held[a:b].tolist())) for a, b in plan.blocks[:, :2].tolist()]
+        assert max(counts) == 2 and counts.count(2) == 4
+
+    def test_level_holding_only_the_t0_slice(self):
+        f = band_limited(11, half_width=12.0)
+        t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), PROFILE,
+                                             make_cantor(2, 1.0 / 3.0, 4), t_range=0.5)
+        levels = np.array([0.5, 0.125, 0.25 * (t_grid[1] - t_grid[0])])
+        h = self.check(f, theta_values, t_grid, r_levels=levels).lattice_step
+        held = levels_held(t_grid, levels)
+        assert np.array_equal(np.flatnonzero(held == 3), [len(t_grid) // 2])
+        # the default block around t = 0 holds three counts, count 2 on both sides of it
+        _, plan = block_plan(f.half_width, t_grid, theta_values, h)
+        (a, b), = [(a, b) for a, b in plan.blocks[:, :2].tolist() if a <= len(t_grid) // 2 < b]
+        assert set(held[a:b].tolist()) == {1, 2, 3}
 
     def test_ties_take_the_first_pair(self):
         f = SampledSignal(8.0, np.zeros(64, dtype=complex))
@@ -390,6 +419,24 @@ class TestScanMatchesReference:
         t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), PROFILE,
                                              make_points([0.9]), t_range=0.5)
         self.check(f, theta_values, t_grid, r_levels=np.array([0.5, 0.25, 0.0625]))
+
+
+def test_tie_free_convergence_scan_takes_no_cell_index(monkeypatch):
+    # a convergence scan takes no argmax, so off near ties it never takes
+    # the per-cell index; a plain scan re-reads its argmax rows with it
+    calls = []
+    cell_index = maximal._cell_index
+    monkeypatch.setattr(maximal, "_cell_index", lambda *a: calls.append(a) or cell_index(*a))
+    f = band_limited(11, half_width=12.0)
+    t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), PROFILE,
+                                         make_cantor(2, 1.0 / 3.0, 4), t_range=0.5)
+    h = _scan(f, theta_values, t_grid, PROFILE, 65).lattice_step
+    assert calls
+    assert not maximal._direction_offsets(t_grid[:, None] * theta_values[None, :], h)[1].any()
+    calls.clear()
+    res = _scan(f, theta_values, t_grid, PROFILE, 65, r_levels=np.array([0.5, 0.125]))
+    assert calls == []
+    assert np.array_equal(res.values, res.level_max[0])
 
 
 def test_norm_estimate_builds_one_plan_per_grid(monkeypatch):
