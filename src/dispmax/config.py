@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .directions import DirectionSet, parse_direction_spec
-from .errors import ConfigError, check_half_width, check_seed
+from .errors import ConfigError, check_half_width, check_power_of_two, check_seed
 from .spectral import DispersionProfile
 
 __version__ = "0.1.0"
@@ -72,8 +72,7 @@ class ExperimentConfig:
             raise ConfigError(f"trials={self.trials} and x_count={self.x_count} must be at least 1")
         if self.samples_per_region < 1:
             raise ConfigError(f"samples_per_region={self.samples_per_region} must be at least 1")
-        if self.n_grid < 2 or self.n_grid & (self.n_grid - 1):
-            raise ConfigError(f"n_grid={self.n_grid} must be a power of two, at least 2")
+        check_power_of_two(n_grid=self.n_grid)
         check_half_width(self.half_width)
         if not 0.0 < self.delta_min < self.delta_max <= 1.0:
             raise ConfigError(

@@ -1,5 +1,6 @@
 """Exception types shared across the package, the one size cap, and the argument checks
-that more than one function shares: lambda, sigma, box half-width, seed and integer counts."""
+that more than one function shares: lambda, sigma, box half-width, seed, integer counts
+and power-of-two grid sizes."""
 
 from numbers import Integral
 
@@ -52,6 +53,14 @@ def check_integers(**counts) -> None:
     for name, value in counts.items():
         if not isinstance(value, Integral):
             raise ConfigError(f"{name}={value!r} must be an integer")
+
+
+def check_power_of_two(**counts) -> None:
+    """Refuse, by name, each count that is not an integer power of two, at least 2."""
+    check_integers(**counts)
+    for name, value in counts.items():
+        if value < 2 or value & (value - 1):
+            raise ConfigError(f"{name}={value} must be a power of two, at least 2")
 
 
 class NonconformingProfileError(DispmaxError):

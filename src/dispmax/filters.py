@@ -11,14 +11,14 @@ Then
     psi_k(xi)  = psi(xi / 2^(k-1))
     psi0 + sum_{k=1..K} psi_k = theta(xi / 2^(K-1)) = 1 on |xi| <= 2^(K-1).
 
-psi_k takes 1 <= k <= MAX_BAND and project 0 <= k <= MAX_BAND.
+psi_k takes an integer 1 <= k <= MAX_BAND and project an integer 0 <= k <= MAX_BAND.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import AliasingError, ConfigError
+from .errors import AliasingError, ConfigError, check_integers
 from .spectral import SampledSignal, forward_transform, inverse_transform, SpectralCoefficients
 
 MAX_BAND = 30  # highest band index; a grid resolving the shell |xi| ~ 2^k has ~2^k points
@@ -40,6 +40,7 @@ def _theta(xi):
 
 
 def _check_band(k: int, lowest: int) -> None:
+    check_integers(k=k)
     if not lowest <= k <= MAX_BAND:
         raise ConfigError(f"band index {k} outside [{lowest}, {MAX_BAND}]")
 

@@ -10,12 +10,13 @@ resolution rule:
     theta-step <= (1/4) / band,
     lattice    <= (1/4) / band.
 
-The scan does only the work it reads, and it splits into a plan and a pass.
-A cell's lattice index splits into an x part and a direction part:
-x_idx + rint(t*theta/h), exactly, unless t*theta/h lies within a
-rounding-error margin of a half-integer (see _scan for the bound).  So a
-time slice's directions reach only a few distinct offsets, the same for
-every x.
+The scan does only the work it reads, in a plan, one pass and a reduction,
+and its output bits are those of a cell-by-cell scan: every value goes
+through the elementwise steps a cell would.  A cell's lattice index splits
+into an x part and a direction part: x_idx + rint(t*theta/h), exactly,
+unless t*theta/h lies within a rounding-error margin of a half-integer
+(see _blocks for the bound).  So a time slice's directions reach only a
+few distinct offsets, the same for every x.
 
 - The plan (_ScanPlan) depends on the grid alone: per time slice its
   window of offsets and the offsets it reaches, the rare near-tie pairs,
@@ -23,21 +24,18 @@ every x.
   x, and a one-entry memo keeps it, so every scan of one band in
   estimate_operator_norm, and back-to-back scans of one grid, build it
   once.
-- The pass runs per signal, one block at a time.  It synthesizes the
-  block's time slices with one unnormalized inverse FFT, reads the block's
-  lattice span in place in the FFT rows (a copy only where the span wraps
-  around the periodic box), builds the values |u/h - f(x)| in convergence
-  mode and |u/h| otherwise over each slice's window (in plain mode from
-  |u/h| taken once per lattice column), and takes the max over the offsets
-  the slice reaches.  The near-tie pairs use the per-cell index.
-- Plain mode then keeps the per-x (t, theta) argmax, whose theta re-reads
-  the row of a new best by the per-cell index.  Convergence mode keeps only
-  the per-level maxima, which is all its caller reads: one max per distinct
-  level count among a block's slices, folded into the levels that count
-  covers.
-
-Every value goes through the elementwise steps a cell would, so the output
-bits are those of a cell-by-cell scan.
+- The pass (_blocks) runs per signal and yields one block at a time.  It
+  synthesizes the block's time slices with one unnormalized inverse FFT,
+  reads the block's lattice span in place in the FFT rows (a copy only
+  where the span wraps around the periodic box), builds the values
+  |u/h - f(x)| in convergence mode and |u/h| otherwise over each slice's
+  window, and takes the max over the offsets the slice reaches.  The
+  near-tie pairs use the per-cell index.
+- One of two reductions folds the blocks.  Plain mode's (_argmax) keeps
+  the per-x (t, theta) argmax, whose theta re-reads the row of a new best
+  by the per-cell index.  Convergence mode's (_level_max) keeps only the
+  per-level maxima, which is all its caller reads.  Another per-x
+  quantity is another reduction over the same blocks.
 
 Operator-norm estimates are witnessed by a concrete f, produced either by
 random shell data or by an alternating maximization (fix the per-x argmax,
@@ -54,7 +52,7 @@ import numpy as np
 
 from .directions import DirectionSet, _fit_line, make_intervals
 from .errors import MAX_COUNT, ConfigError, RangeError, check_half_width, check_integers, check_seed
-from .filters import project, psi_k
+from .filters import _check_band, project, psi_k
 from .spectral import (
     DispersionProfile,
     SampledSignal,
@@ -66,7 +64,7 @@ from .spectral import (
 
 _PHASE_BUDGET = 0.25  # max phase change (radians) per grid step in t, theta, x
 _BLOCK_BYTES = 1 << 21  # per block of time slices: its FFT rows (16 B a lattice point), its window values (32 B)
-_TIE_MARGIN = 1e-6  # t*theta/h this near a half-integer takes the per-cell index (see _scan)
+_TIE_MARGIN = 1e-6  # t*theta/h this near a half-integer takes the per-cell index (see _blocks)
 _MAX_ROUNDS = 20  # alternating-maximization rounds per operator-norm estimate
 
 
@@ -132,7 +130,7 @@ def _direction_offsets(prod, h):
     """(offset, near_tie, lo, width) of the (t, theta) pairs, given prod = t*theta.
 
     offset = rint(t*theta/h) per pair.  Off a near tie, cell (t, x, theta)
-    reads lattice index x_idx + offset for every x (see _scan); a near-tie
+    reads lattice index x_idx + offset for every x (see _blocks); a near-tie
     pair's t*theta/h lies within _TIE_MARGIN of a half-integer, and its cells
     take _cell_index, which lands one either side of offset.  Per time slice
     the window [lo, lo + width) of offsets holds both.
@@ -147,7 +145,7 @@ def _direction_offsets(prod, h):
 
 @dataclass(frozen=True)
 class _ScanPlan:
-    """What a scan reads that depends on its grid alone (see _scan).
+    """What a scan reads that depends on its grid alone (see _blocks).
 
     blocks has one row per block of time slices: the slices [start, stop),
     the lattice span [s0, s1), the window width, where the block's
@@ -244,18 +242,60 @@ def _scan(
     r_levels[0]] as convergence_scan builds it, and t_arg and theta_arg are
     None: no argmax is taken.
 
-    The pass is one loop over the plan's blocks of time slices.  A block
-    holds at most max(1, _BLOCK_BYTES // (16 * n_eval)) slices, the rows of
-    its one inverse FFT, in two buffers allocated once per scan: a
+    _scan sets up the lattice: the coarsest step h = 2*half_width/n_eval,
+    n_eval a power of two, meeting the resolution rule, and the x points
+    snapped to it; it refuses one too fine for exact float index arithmetic
+    (see _blocks).  The pass, _blocks, yields the blocks of time slices, and
+    one reduction folds them: _argmax in plain mode, _level_max given
+    r_levels.  The result is bit for bit that of a scan that computes
+    |u/h - f(x)| at every cell: see each function for its step.
+    """
+    c = forward_transform(f)
+    band = c.band_limit()
+    half_width = f.half_width
+    step_target = _PHASE_BUDGET / band if band > 0 else f.grid_step
+    n_eval = f.n
+    while 2.0 * half_width / n_eval > step_target:
+        n_eval *= 2
+    h = 2.0 * half_width / n_eval
+    phi = np.asarray(profile.phi(c.frequencies), dtype=float)
+
+    ideal = -1.0 + (np.arange(x_count) + 0.5) * (2.0 / x_count)
+    x_idx = np.round((ideal + half_width) / h).astype(np.int64)
+    x_snap = x_idx * h - half_width
+
+    reach = np.max(np.abs(t_grid)) * np.max(np.abs(theta_values))
+    if (np.max(np.abs(x_snap)) + half_width + reach) / h + 1 >= 2.0**30:
+        raise RangeError(f"a scan lattice of step {h:g} over |x| <= {half_width:g} is too fine "
+                         "for exact float index arithmetic")
+
+    blocks = _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, r_levels is not None)
+    if r_levels is None:
+        values, t_arg, theta_arg = _argmax(blocks, t_grid, theta_values, half_width, h, x_idx, x_snap)
+        return MaximalResult(x=x_snap, values=values, t_arg=t_arg, theta_arg=theta_arg, lattice_step=h)
+    level_max = _level_max(blocks, t_grid, r_levels, x_count)
+    return MaximalResult(x=x_snap, values=level_max[0], t_arg=None, theta_arg=None,
+                         lattice_step=h, level_max=level_max)
+
+
+def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract):
+    """Yield (start, lo, vals, tmax) per block of the plan's time slices: _scan's pass.
+
+    c = forward_transform(f) and phi is Phi at its frequencies.  Per block,
+    start is its first slice, lo its slices' plan.lo, vals[t, offset - lo(t),
+    x] the window values (|u/h - f(x)| if subtract, else |u/h|) and
+    tmax[t, x] their max over the cells of (t, x).
+
+    A block holds at most max(1, _BLOCK_BYTES // (16 * n_eval)) slices, the
+    rows of its one inverse FFT, in two buffers allocated once per scan: a
     zero-padded input whose live slices [0, n/2) and [n_eval - n/2, n_eval)
     are overwritten per block (the padding between them stays zero), and
-    the FFT output.  In convergence mode f(x) is first synthesized from row
-    0 of the padded input, with the unit multiplier of t = 0.  No bit
-    depends on where a block starts: the e^{it Phi} recurrence is one chain
-    carried across blocks, the FFT transforms each row alone, and a max or
-    a first-occurrence argmax does not depend on the partition.
+    the FFT output.  If subtract, f(x) is first synthesized from row 0 of
+    the padded input, with the unit multiplier of t = 0.  No bit depends on
+    where a block starts: the e^{it Phi} recurrence is one chain carried
+    across blocks, and the FFT transforms each row alone.
 
-    The FFT runs unnormalized (norm="forward"), and the scan divides each
+    The FFT runs unnormalized (norm="forward"), and the pass divides each
     value it reads by 2*half_width, where the normalized FFT scales the
     whole row by 1/n_eval in a pass of its own and the value is then
     divided by h.  The bits agree.  n_eval is a power of two, so the
@@ -276,83 +316,35 @@ def _scan(
     number involved, M < (max|x| + half_width + max|t*theta|) / h + 1.  So
     the two index values differ by less than 7 * 2^-53 * M, about 1e-10
     for the lattices the scans use, and _TIE_MARGIN = 1e-6 lies far above
-    that (the scan refuses M >= 2^30, where the bound reaches 1e-6) and far
+    that (_scan refuses M >= 2^30, where the bound reaches 1e-6) and far
     below 1/2.  Off the margin the two round alike, so the offset does not
     depend on x.  On it, rint rounds half to even and the index depends on
     the parity of x_idx: such near-tie pairs take the per-cell expression.
 
     So per time slice only the distinct offsets D(t) of its directions are
-    read.  Each block of time slices builds the values of the window
-    [lo(t), lo(t) + width) of offsets around each x: |u/h - f(x)| in
-    convergence mode, |u/h| otherwise.  The window holds every offset of
-    the slice, and one more on each side of a near-tie pair's.  The block
+    read.  Each block builds the values of the window [lo(t), lo(t) +
+    width) of offsets around each x, which holds every offset of the
+    slice, and one more on each side of a near-tie pair's.  The block
     holds at most _BLOCK_BYTES // 32 window values (one slice, if a slice
     holds more), of 16 B of temporaries each, 32 B with f(x).  Its lattice
     span [s0, s1) is read in place where it lies inside [0, n_eval): a view
     of the FFT rows, divided by 2*half_width in place, whose window values
     are gathered from the rows by flat position.  Only a span that wraps
     around the periodic box is copied, once, with its column indices taken
-    modulo n_eval; either way no cell takes an index modulo n_eval.
-    What depends on the grid alone (offsets, windows, reached masks,
-    near-tie pairs, blocks and spans) is the _ScanPlan, built once per grid;
-    the pass per signal reads it.  In plain mode the pass takes |u/h| once
-    per lattice column of the span and gathers the window values from
-    those.  Then, per (t, x):
+    modulo n_eval; either way no cell takes an index modulo n_eval.  Without
+    subtract the pass takes |u/h| once per lattice column of the span and
+    gathers the window values from those.  tmax is the max of the window
+    values at the offsets in D(t), off near-tie pairs (a masked max), raised
+    by the values the near-tie pairs read.
 
-    - tmax is the max of the window values at the offsets in D(t), off
-      near-tie pairs (a masked max), raised by the values the near-tie
-      pairs read;
-    - in plain mode, the first t of the block attaining the max of tmax is
-      the candidate; where it beats the best so far, the theta argmax
-      re-reads that one row's cells by _cell_index and takes the first
-      theta attaining it;
-    - in convergence mode, levels [0, count) hold a time slice, count being
-      the number of levels r with |t| <= r, found once per scan; per block,
-      one max of tmax over the slices of each distinct count (one count
-      for nearly every block) is folded into level_max[:count].
-
-    The result is bit for bit that of a scan that gathers u at every cell
-    and computes |u/h - f(x)| there: every window value goes through the
-    same elementwise operations in the same order (gather, divide by h,
-    subtract f(x), abs), each cell's value is the window value at its
-    index, and a max does not depend on the order it visits its values.
-    The first t, then the first theta in that row, is the same first
-    occurrence as an argmax over the flattened (t, theta) pairs.  Dividing
-    a span in place or in a copy, and folding a level's maxima per count
-    rather than per level, apply the same operations to the same values.
+    Every window value goes through a cell's elementwise operations in the
+    same order (gather, divide by h, subtract f(x), abs), in place or in a
+    copy, and each cell's value is the window value at its index.
     """
-    subtract = r_levels is not None
-    c = forward_transform(f)
-    band = c.band_limit()
-    half_width = f.half_width
-    step_target = _PHASE_BUDGET / band if band > 0 else f.grid_step
-    n_eval = f.n
-    while 2.0 * half_width / n_eval > step_target:
-        n_eval *= 2
-    h = 2.0 * half_width / n_eval
-    scale = 2.0 * half_width  # n_eval * h, see above
-
-    n = f.n
+    half_width, n = c.half_width, c.n
     half = n // 2
+    scale = 2.0 * half_width  # n_eval * h, see above
     adj = _alternating_sign(n) * c.coeffs
-    phi = np.asarray(profile.phi(c.frequencies), dtype=float)
-
-    ideal = -1.0 + (np.arange(x_count) + 0.5) * (2.0 / x_count)
-    x_idx = np.round((ideal + half_width) / h).astype(np.int64)
-    x_snap = x_idx * h - half_width
-
-    reach = np.max(np.abs(t_grid)) * np.max(np.abs(theta_values))
-    if (np.max(np.abs(x_snap)) + half_width + reach) / h + 1 >= 2.0**30:
-        raise RangeError(f"a scan lattice of step {h:g} over |x| <= {half_width:g} is too fine "
-                         "for exact float index arithmetic")
-
-    if subtract:  # levels [0, held) hold a time slice: |t| <= r for the first held r
-        level_max = np.zeros((len(r_levels), x_count))
-        held_all = np.count_nonzero(np.abs(t_grid)[:, None] <= r_levels * (1 + 1e-12), axis=1)
-    else:
-        best = np.full(x_count, -1.0)
-        best_t = np.zeros(x_count, dtype=np.int64)
-        best_th = np.zeros(x_count, dtype=np.int64)
 
     cur = np.exp(1j * t_grid[0] * phi)
     dt = t_grid[1] - t_grid[0] if len(t_grid) > 1 else 0.0
@@ -366,7 +358,7 @@ def _scan(
     if subtract:  # f(x), the field at t = 0, from row 0 of the padded input
         padded[0, n_eval - half :], padded[0, :half] = adj[:half], adj[half:]
         f0 = np.fft.ifft(padded[0], norm="forward")[x_idx % n_eval] / scale
-    x_pos = np.arange(x_count)
+    x_pos = np.arange(len(x_idx))
     # The lattice column of (offset - lo, x) relative to lo, for the widest window.
     window_cols = np.arange(plan.blocks[:, 4].max())[:, None] + x_idx
 
@@ -392,7 +384,7 @@ def _scan(
         span /= scale
 
         # The window values per (t, offset - lo, x): they depend on x
-        # through the lattice point, and through f(x) in convergence mode.
+        # through the lattice point, and through f(x) if subtract.
         first = plan.first[start:stop]
         if subtract:
             if in_place:  # the span's flat positions in the FFT rows
@@ -409,15 +401,24 @@ def _scan(
             ti = plan.tie_slice[tie_lo:tie_hi] - start
             idx = _cell_index(plan.tie_prod[tie_lo:tie_hi, None], x_snap, half_width, h)
             np.maximum.at(tmax, ti, vals[ti[:, None], idx - x_idx - lo[ti][:, None], x_pos])
+        yield start, lo, vals, tmax
 
-        if subtract:
-            # One max per distinct level count among the block's slices.
-            held = held_all[start:stop]
-            for count in set(held.tolist()) - {0}:
-                top = tmax[held == count].max(axis=0)
-                np.maximum(level_max[:count], top, out=level_max[:count])
-            continue
 
+def _argmax(blocks, t_grid, theta_values, half_width, h, x_idx, x_snap):
+    """(values, t_arg, theta_arg): per x, the blocks' max and the first (t, theta) attaining it.
+
+    Per block, the first t attaining the max of tmax is the candidate; where
+    it beats the best so far, the theta argmax re-reads that one row's cells
+    by _cell_index and takes the first theta attaining it.  A later block
+    replaces the best only where it is larger, so the first t, then the
+    first theta in that row, is the same first occurrence as an argmax over
+    the flattened (t, theta) pairs, wherever the blocks start.
+    """
+    x_pos = np.arange(len(x_idx))
+    best = np.full(len(x_idx), -1.0)
+    best_t = np.zeros(len(x_idx), dtype=np.int64)
+    best_th = np.zeros(len(x_idx), dtype=np.int64)
+    for start, lo, vals, tmax in blocks:
         arg_t = tmax.argmax(axis=0)
         cand = tmax[arg_t, x_pos]
         upd = np.flatnonzero(cand > best)
@@ -429,11 +430,27 @@ def _scan(
             best[upd] = cand[upd]
             best_t[upd] = start + tu
             best_th[upd] = vals[tu[:, None], w, upd[:, None]].argmax(axis=1)
+    return best, best_t, best_th
 
-    if subtract:
-        return MaximalResult(x=x_snap, values=level_max[0], t_arg=None, theta_arg=None,
-                             lattice_step=h, level_max=level_max)
-    return MaximalResult(x=x_snap, values=best, t_arg=best_t, theta_arg=best_th, lattice_step=h)
+
+def _level_max(blocks, t_grid, r_levels, x_count):
+    """(len(r_levels), x_count): per level r, the per-x max of the blocks' tmax over |t| <= r.
+
+    Levels [0, count) hold a time slice, count being the number of levels r
+    with |t| <= r, found once per scan.  Per block, one max of tmax over
+    the slices of each distinct count (one count for nearly every block) is
+    folded into level_max[:count].  A max does not depend on the order it
+    visits its values, so folding per block and per count, rather than per
+    level, gives the bits of one max per level over its slices.
+    """
+    level_max = np.zeros((len(r_levels), x_count))
+    held_all = np.count_nonzero(np.abs(t_grid)[:, None] <= r_levels * (1 + 1e-12), axis=1)
+    for start, _, _, tmax in blocks:
+        held = held_all[start : start + len(tmax)]
+        for count in set(held.tolist()) - {0}:
+            top = tmax[held == count].max(axis=0)
+            np.maximum(level_max[:count], top, out=level_max[:count])
+    return level_max
 
 
 def _check_x_count(x_count) -> None:
@@ -513,6 +530,9 @@ def estimate_operator_norm(
     """
     if not 2.0 <= q <= 4.0:
         raise ConfigError(f"q={q} outside [2, 4], the range of the norm estimator")
+    _check_band(k, 1)
+    if np.shape(omega) != (2,):
+        raise ConfigError(f"omega={omega!r} must be one interval (lo, hi)")
     check_integers(trials=trials, x_count=x_count)
     if trials < 1 or x_count < 1:
         raise ConfigError(f"trials={trials} and x_count={x_count} must be at least 1")

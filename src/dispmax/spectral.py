@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NonconformingProfileError, RangeError, check_half_width, check_seed
+from .errors import (ConfigError, NonconformingProfileError, RangeError, check_half_width,
+                     check_power_of_two, check_seed)
 
 
 @dataclass(frozen=True)
@@ -213,6 +214,7 @@ def make_sobolev_data(s: float, seed: int, half_width: float = 32.0, n: int = 10
         raise ConfigError("s must be positive")
     check_seed(seed)
     check_half_width(half_width)
+    check_power_of_two(n=n)
     rng = np.random.default_rng(seed)
     xi = (np.pi / half_width) * np.arange(-n // 2, n // 2)
     mag = (1.0 + xi * xi) ** (-(s + 0.51) / 2.0)

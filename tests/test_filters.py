@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispmax.errors import AliasingError
+from dispmax.errors import AliasingError, ConfigError
 from dispmax.filters import MAX_BAND, project, psi, psi0, psi_k
 from dispmax.spectral import (
     DispersionProfile,
@@ -107,6 +107,15 @@ class TestProjections:
         project(f, 3)
         with pytest.raises(AliasingError, match=r"k=4 reaches \|xi\|=16"):
             project(f, 4)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, np.nan], ids=["half", "float", "nan"])
+    def test_band_index_is_an_integer(self, k):
+        # psi_k(2.5, .) and project(f, 2.5) ran on the shell 2^1.5 <= |xi| ~ 2^2.5,
+        # which no dyadic partition holds
+        with pytest.raises(ConfigError, match="must be an integer"):
+            psi_k(k, np.linspace(-8.0, 8.0, 17))
+        with pytest.raises(ConfigError, match="must be an integer"):
+            project(band_limited_signal(3), k)
 
     @given(seed=st.integers(0, 2**31), k=st.integers(0, 5), t=st.floats(-1.0, 1.0))
     @settings(max_examples=20, deadline=None)

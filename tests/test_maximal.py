@@ -273,10 +273,22 @@ def block_plan(half_width, t_grid, theta_values, h, x_count=65):
     return rows, maximal._build_plan(t_grid, theta_values, h, x_idx, rows)
 
 
+def level_fold_of_plain_pass(f, theta_values, t_grid, h, x_count):
+    """_level_max at the one level r = max|t| over the blocks of f's plain-mode pass."""
+    c = forward_transform(f)
+    phi = np.asarray(PROFILE.phi(c.frequencies), dtype=float)
+    x_idx, x_snap = snapped_x(f.half_width, h, x_count)
+    n_eval = round(2.0 * f.half_width / h)
+    blocks = maximal._blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, False)
+    return maximal._level_max(blocks, t_grid, np.array([np.abs(t_grid).max()]), x_count)[0]
+
+
 class TestScanMatchesReference:
     """The blocked scan reproduces the reference bit for bit, with blocks of
     one slice, of three FFT rows, of one widest window and of the default
-    byte budget, and whether it builds its plan or takes it from the memo."""
+    byte budget, and whether it builds its plan or takes it from the memo.
+    In plain mode the level fold over the same pass gives the argmax's
+    values, bit for bit: both reductions read one pass."""
 
     def check(self, f, theta_values, t_grid, r_levels=None, x_count=65):
         want = reference_scan(f, theta_values, t_grid, PROFILE, x_count, r_levels)
@@ -289,7 +301,11 @@ class TestScanMatchesReference:
                 mp.setattr(maximal, "_BLOCK_BYTES", budget)
                 res = _scan(f, theta_values, t_grid, PROFILE, x_count, r_levels=r_levels)
                 rows, plan = block_plan(f.half_width, t_grid, theta_values, h, x_count)
+                if r_levels is None:
+                    folded = level_fold_of_plain_pass(f, theta_values, t_grid, h, x_count)
             assert_matches_reference(res, want, r_levels)
+            if r_levels is None:
+                assert folded.tobytes() == res.values.tobytes()
             slices, widths = plan.blocks[:, 1] - plan.blocks[:, 0], plan.blocks[:, 4]
             assert slices.max() <= rows
             assert np.all((32 * x_count * slices * widths <= budget) | (slices == 1))
@@ -663,6 +679,23 @@ class TestOperatorNorm:
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
             estimate_operator_norm(2, (0.0, 0.0), 8.0, 0.5, PROFILE)
+
+    @pytest.mark.parametrize("k, omega, message", [
+        (2.5, (0.0, 0.4), "k=2.5 must be an integer"),
+        (31, (0.0, 0.0), r"band index 31 outside \[1, 30\]"),
+        (0, (0.0, 0.4), r"band index 0 outside \[1, 30\]"),
+        (2, (0.0, 0.4, 9), r"omega=\(0.0, 0.4, 9\) must be one interval"),
+        (2, (0.0,), r"omega=\(0.0,\) must be one interval"),
+    ], ids=["half-band", "band-31", "band-0", "triple", "single"])
+    def test_rejects_band_and_interval_before_the_grid(self, k, omega, message, monkeypatch):
+        # k=2.5 returned 0.9173 on a non-dyadic shell, k=31 raised RangeError
+        # from the grid, and a triple omega returned 0.7632 on its first two
+        def refuse(*args, **kw):
+            raise AssertionError("the grid was built before the check")
+
+        monkeypatch.setattr(maximal, "grid_for_band", refuse)
+        with pytest.raises(ConfigError, match=message):
+            estimate_operator_norm(k, omega, 2.0, 0.5, PROFILE, trials=1)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"trials": 0}, "trials=0 and x_count=65 must be at least 1"),

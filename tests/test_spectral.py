@@ -229,6 +229,12 @@ class TestMakeSobolevData:
         with pytest.raises(RangeError, match="underflows"):
             make_sobolev_data(400.0, 7)
 
+    @pytest.mark.parametrize("n", [0, 1, 3, 96, 2.0, np.nan])
+    def test_grid_size_is_a_power_of_two(self, n):
+        # n=0 raised numpy's zero-size-array ValueError and n=2.0 a TypeError
+        with pytest.raises(ConfigError, match=r"^n=.* must be (an integer|a power of two, at least 2)$"):
+            make_sobolev_data(1.0, 7, n=n)
+
 
 class TestDispersionConditions:
     def test_quadratic_profile_constants(self):
