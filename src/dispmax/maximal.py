@@ -36,6 +36,15 @@ few distinct offsets, the same for every x.
   by the per-cell index.  Convergence mode's (_level_max) keeps only the
   per-level maxima, which is all its caller reads.  Another per-x
   quantity is another reduction over the same blocks.
+- Plain mode runs the pass twice over one plan.  A complex64 screen
+  transforms every slice, and its reduction (_near_max) keeps each slice
+  whose screened max at some x lies within a margin M of the screened max
+  there; the complex128 pass then transforms the kept slices only.  M is
+  twice the sum of the two passes' a-priori error bounds
+  (_screen_margin), so every slice left out lies strictly below the max
+  at every x, and the output keeps every bit.  Convergence mode keeps its
+  one complex128 pass: its small-r maxima of |u/h - f(x)| lie far below
+  any useful margin.
 
 Operator-norm estimates are witnessed by a concrete f, produced either by
 random shell data or by an alternating maximization (fix the per-x argmax,
@@ -249,6 +258,16 @@ def _scan(
     one reduction folds them: _argmax in plain mode, _level_max given
     r_levels.  The result is bit for bit that of a scan that computes
     |u/h - f(x)| at every cell: see each function for its step.
+
+    Plain mode runs the pass twice over one plan: the complex64 screen,
+    folded by _near_max into the mask of time slices within _screen_margin
+    of the screened max at some x, then the complex128 pass on the kept
+    slices only, folded by _argmax.  values, t_arg and theta_arg keep every
+    bit (see _screen_margin).  Data that is zero, non-finite, or beyond
+    2^+-960 in size gets no margin, and every slice is certified.
+    Convergence mode is not screened: its small-r maxima of |u/h - f(x)|
+    lie far below a margin of the size of |u/h|, so the screen would keep
+    nearly every slice.
     """
     c = forward_transform(f)
     band = c.band_limit()
@@ -269,7 +288,12 @@ def _scan(
         raise RangeError(f"a scan lattice of step {h:g} over |x| <= {half_width:g} is too fine "
                          "for exact float index arithmetic")
 
-    blocks = _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, r_levels is not None)
+    grid = (c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap)
+    margin = None if r_levels is not None else _screen_margin(c.coeffs, n_eval, half_width)
+    keep = None
+    if margin is not None:
+        keep = _near_max(_blocks(*grid, False, dtype=np.complex64), len(t_grid), margin)
+    blocks = _blocks(*grid, r_levels is not None, keep=keep)
     if r_levels is None:
         values, t_arg, theta_arg = _argmax(blocks, t_grid, theta_values, half_width, h, x_idx, x_snap)
         return MaximalResult(x=x_snap, values=values, t_arg=t_arg, theta_arg=theta_arg, lattice_step=h)
@@ -278,13 +302,15 @@ def _scan(
                          lattice_step=h, level_max=level_max)
 
 
-def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract):
-    """Yield (start, lo, vals, tmax) per block of the plan's time slices: _scan's pass.
+def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract,
+            dtype=complex, keep=None):
+    """Yield (slices, lo, vals, tmax) per block of the plan's time slices: _scan's pass.
 
     c = forward_transform(f) and phi is Phi at its frequencies.  Per block,
-    start is its first slice, lo its slices' plan.lo, vals[t, offset - lo(t),
-    x] the window values (|u/h - f(x)| if subtract, else |u/h|) and
-    tmax[t, x] their max over the cells of (t, x).
+    slices holds the indices of the time slices it transforms (all of the
+    block's, or the kept ones), lo their plan.lo, vals[i, offset - lo[i], x]
+    the window values of slice slices[i] (|u/h - f(x)| if subtract, else
+    |u/h|) and tmax[i, x] their max over the cells of (slices[i], x).
 
     A block holds at most max(1, _BLOCK_BYTES // (16 * n_eval)) slices, the
     rows of its one inverse FFT, in two buffers allocated once per scan: a
@@ -292,8 +318,12 @@ def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract):
     are overwritten per block (the padding between them stays zero), and
     the FFT output.  If subtract, f(x) is first synthesized from row 0 of
     the padded input, with the unit multiplier of t = 0.  No bit depends on
-    where a block starts: the e^{it Phi} recurrence is one chain carried
-    across blocks, and the FFT transforms each row alone.
+    where a block starts, nor on which of its slices are transformed: the
+    e^{it Phi} recurrence is one chain carried across blocks, stepped
+    through every slice, and the FFT transforms each row alone.  Given
+    keep, a mask over the time slices, the block transforms only the rows
+    of its kept slices, packed at the top of the buffers, and a block
+    without one yields nothing.
 
     The FFT runs unnormalized (norm="forward"), and the pass divides each
     value it reads by 2*half_width, where the normalized FFT scales the
@@ -305,6 +335,17 @@ def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract):
     ways round the same real number, once.  This needs every value, and
     every value over n_eval, to stay a normal float (above 2^-1022, below
     2^1024); data from 1e-200 to 1e200 stays far inside.
+
+    With dtype=np.complex64 the pass is _scan's screen, in plain mode only.
+    The padded rows, computed in complex128 as above, are multiplied by
+    gain = 2^-e, max|adj| = m * 2^e with m in [1/2, 1), an exact power of
+    two, and rounded once to complex64; so every entry lies below 1 and
+    float32 neither overflows nor loses more than 2^-149 to subnormals.
+    The FFT takes numpy's default norm, which scales by the exact 1/n_eval:
+    norm="forward" on complex64 runs about 6 times slower in numpy 2.4
+    (90 against 14 us a row at n_eval 4096).  vals stays in those float32
+    units; tmax is rescaled to u/h in float64, by n_eval / (gain *
+    2*half_width).  _screen_margin bounds its error.
 
     Cell (t, x, theta) reads lattice index rint((x + t*theta + half_width) / h)
     modulo n_eval (_cell_index).  With x = x_idx*h - half_width that index is
@@ -345,6 +386,11 @@ def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract):
     half = n // 2
     scale = 2.0 * half_width  # n_eval * h, see above
     adj = _alternating_sign(n) * c.coeffs
+    screen = np.dtype(dtype) == np.complex64
+    if screen:
+        gain = 2.0 ** -np.frexp(np.max(np.abs(adj)))[1]
+        adj = adj * gain
+        unit = n_eval / gain / scale
 
     cur = np.exp(1j * t_grid[0] * phi)
     dt = t_grid[1] - t_grid[0] if len(t_grid) > 1 else 0.0
@@ -353,8 +399,8 @@ def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract):
     rows = min(len(t_grid), max(1, _BLOCK_BYTES // (16 * n_eval)))
     plan = _scan_plan(t_grid, theta_values, h, half_width, x_idx, rows)
     coeff = np.empty((rows, n), dtype=complex)
-    padded = np.zeros((rows, n_eval), dtype=complex)
-    fields = np.empty((rows, n_eval), dtype=complex)
+    padded = np.zeros((rows, n_eval), dtype=dtype)
+    fields = np.empty((rows, n_eval), dtype=dtype)
     if subtract:  # f(x), the field at t = 0, from row 0 of the padded input
         padded[0, n_eval - half :], padded[0, :half] = adj[:half], adj[half:]
         f0 = np.fft.ifft(padded[0], norm="forward")[x_idx % n_eval] / scale
@@ -369,39 +415,126 @@ def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract):
         for i in range(1, nb):
             np.multiply(coeff_rows[i - 1], step_mult, out=coeff_rows[i])
         cur = coeff[nb - 1] * step_mult
-        np.multiply(coeff[:nb, :half], adj[:half], out=padded[:nb, n_eval - half :])
-        np.multiply(coeff[:nb, half:], adj[half:], out=padded[:nb, :half])
-        np.fft.ifft(padded[:nb], axis=1, norm="forward", out=fields[:nb])
-        lo = plan.lo[start:stop]
+        # The block rows transformed: all of them (a view), or the kept ones.
+        if keep is None:
+            kept, sel = np.arange(nb), slice(nb)
+        else:
+            kept = sel = np.flatnonzero(keep[start:stop])
+            if not len(kept):
+                continue
+        m = len(kept)
+        np.multiply(coeff[sel, :half], adj[:half], out=padded[:m, n_eval - half :])
+        np.multiply(coeff[sel, half:], adj[half:], out=padded[:m, :half])
+        if screen:
+            np.fft.ifft(padded[:m], axis=1, out=fields[:m])
+        else:
+            np.fft.ifft(padded[:m], axis=1, norm="forward", out=fields[:m])
+        lo = plan.lo[start:stop][sel]
 
-        # The block's lattice span [s0, s1) as u/h: in place in the FFT rows,
-        # or a copy where it wraps around the periodic box.
+        # The block's lattice span [s0, s1) as u/h (the screen keeps its FFT's
+        # units): in place in the FFT rows, or a copy where it wraps around
+        # the periodic box.
         in_place = 0 <= s0 and s1 <= n_eval
         if in_place:
-            span = fields[:nb, s0:s1]
+            span = fields[:m, s0:s1]
         else:
-            span = np.take(fields[:nb], np.arange(s0, s1), axis=1, mode="wrap")
-        span /= scale
+            span = np.take(fields[:m], np.arange(s0, s1), axis=1, mode="wrap")
+        if not screen:
+            span /= scale
 
         # The window values per (t, offset - lo, x): they depend on x
-        # through the lattice point, and through f(x) if subtract.
-        first = plan.first[start:stop]
+        # through the lattice point, and through f(x) if subtract.  Row i
+        # of the span holds block row kept[i].
+        first = plan.first[start:stop][sel] - (kept - np.arange(m)) * (s1 - s0)
         if subtract:
             if in_place:  # the span's flat positions in the FFT rows
-                first = first + s0 + np.arange(nb) * (n_eval - (s1 - s0))
-            g = (fields[:nb] if in_place else span).take(first[:, None, None] + window_cols[:width])
+                first = first + s0 + np.arange(m) * (n_eval - (s1 - s0))
+            g = (fields[:m] if in_place else span).take(first[:, None, None] + window_cols[:width])
             g -= f0
             vals = np.abs(g)
         else:
             vals = np.abs(span).take(first[:, None, None] + window_cols[:width])
 
-        reached = plan.reached[r0 : r0 + nb * width].reshape(nb, width, 1)
+        reached = plan.reached[r0 : r0 + nb * width].reshape(nb, width, 1)[sel]
         tmax = vals.max(axis=1, where=reached, initial=-1.0)
         if tie_hi > tie_lo:
             ti = plan.tie_slice[tie_lo:tie_hi] - start
-            idx = _cell_index(plan.tie_prod[tie_lo:tie_hi, None], x_snap, half_width, h)
+            prod = plan.tie_prod[tie_lo:tie_hi, None]
+            if keep is not None:  # the kept slices' pairs, by their rows in the span
+                on = keep[start + ti]
+                ti, prod = np.searchsorted(kept, ti[on]), prod[on]
+            idx = _cell_index(prod, x_snap, half_width, h)
             np.maximum.at(tmax, ti, vals[ti[:, None], idx - x_idx - lo[ti][:, None], x_pos])
-        yield start, lo, vals, tmax
+        if screen:
+            tmax = unit * tmax.astype(float)
+        yield start + kept, lo, vals, tmax
+
+
+def _screen_margin(coeffs, n_eval, half_width):
+    """The screen's margin M, in units of u/h, for a signal of coefficients coeffs; None
+    for coefficients that are all zero, not finite, or beyond 2^+-960 in size.
+
+    Each slice's screened max and its complex128 max lie within the pointwise
+    error bound e(u) = rho(u) * sqrt(n_eval) * ||adj||_2 / (2*half_width) of
+    the exact max, with u the unit roundoff: 2^-24 for the screen, 2^-53
+    for the certify pass.  Here adj's rows P = e^{itPhi} * adj have the exact
+    inverse DFT y, so |y_j| <= sqrt(n_eval) * ||P||_2 and ||y||_2 =
+    sqrt(n_eval) * ||P||_2, and the passes compute |y_j| / (2*half_width).
+
+        rho(u) = 2 * (L eta / (1 - L eta) + 2u),  eta = u + gamma_4 (sqrt 2 + u),
+        gamma_4 = 4u / (1 - 4u),  L = log2(n_eval).
+
+    L eta / (1 - L eta) is the normwise bound of a radix-2 FFT whose
+    twiddle factors are off by at most u (Higham 2002, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 24.2), and a
+    pointwise error is at most the normwise one.  2u is the rounding of
+    the input to float32 and of abs (for the certify pass, of the division
+    by 2*half_width and of abs).  The factor 2 covers pocketfft's radix-4
+    passes and, with room to spare, the rest: |e^{itPhi}| drifts by under
+    2^-25 over MAX_COUNT recurrence steps, float32 subnormals lose at most
+    2^-149 an entry of size up to 1, and the float64 rescaling of the
+    screened maxima, the norm and the threshold each round once.  At
+    n_eval = 4096, rho(2^-24) is 164 units of 2^-24.
+
+    M = 2 * (e(2^-24) + e(2^-53)).  If a slice's screened max at x lies
+    below the screened max there minus M, its complex128 max lies below
+    the complex128 max at x minus M - 2 (e(2^-24) + e(2^-53)) = 0: strictly
+    below.
+    """
+    top = np.max(np.abs(coeffs))
+    if not 2.0**-960 <= top <= 2.0**960:  # NaN fails too
+        return None
+    unit_scale = 2.0 ** -np.frexp(top)[1]
+    norm = np.linalg.norm(coeffs * unit_scale) / unit_scale
+    steps = np.log2(n_eval)
+
+    def rho(u):
+        eta = u + 4.0 * u / (1.0 - 4.0 * u) * (np.sqrt(2.0) + u)
+        return 2.0 * (steps * eta / (1.0 - steps * eta) + 2.0 * u)
+
+    return 2.0 * (rho(2.0**-24) + rho(2.0**-53)) * np.sqrt(n_eval) * norm / (2.0 * half_width)
+
+
+def _near_max(blocks, n_slices, margin):
+    """Mask of the time slices whose tmax lies within margin of the per-x max at some x.
+
+    The reduction of _scan's screen.  A slice within margin of the final max
+    is within margin of the running max, which is no larger; so each block
+    keeps, as candidates, only its slices within margin of the running max
+    at some x, and the final max then filters the candidates.  Ties of the
+    max are kept (>=).
+    """
+    top = None
+    cand_slices, cand_tmax = [], []
+    for slices, _, _, tmax in blocks:
+        top = tmax.max(axis=0) if top is None else np.maximum(top, tmax.max(axis=0))
+        near = (tmax >= top - margin).any(axis=1)
+        cand_slices.append(slices[near])
+        cand_tmax.append(tmax[near])
+    keep = np.zeros(n_slices, dtype=bool)
+    slices, tmax = np.concatenate(cand_slices), np.concatenate(cand_tmax)
+    keep[slices[(tmax >= top - margin).any(axis=1)]] = True
+    return keep
 
 
 def _argmax(blocks, t_grid, theta_values, half_width, h, x_idx, x_snap):
@@ -412,23 +545,25 @@ def _argmax(blocks, t_grid, theta_values, half_width, h, x_idx, x_snap):
     by _cell_index and takes the first theta attaining it.  A later block
     replaces the best only where it is larger, so the first t, then the
     first theta in that row, is the same first occurrence as an argmax over
-    the flattened (t, theta) pairs, wherever the blocks start.
+    the flattened (t, theta) pairs, wherever the blocks start.  Blocks that
+    carry only some of their slices give the same result if every slice
+    left out lies strictly below the max at every x.
     """
     x_pos = np.arange(len(x_idx))
     best = np.full(len(x_idx), -1.0)
     best_t = np.zeros(len(x_idx), dtype=np.int64)
     best_th = np.zeros(len(x_idx), dtype=np.int64)
-    for start, lo, vals, tmax in blocks:
+    for slices, lo, vals, tmax in blocks:
         arg_t = tmax.argmax(axis=0)
         cand = tmax[arg_t, x_pos]
         upd = np.flatnonzero(cand > best)
         if len(upd):
             tu = arg_t[upd]
-            prod = t_grid[start + tu, None] * theta_values[None, :]
+            prod = t_grid[slices[tu], None] * theta_values[None, :]
             idx = _cell_index(prod, x_snap[upd, None], half_width, h)
             w = idx - (x_idx[upd] + lo[tu])[:, None]
             best[upd] = cand[upd]
-            best_t[upd] = start + tu
+            best_t[upd] = slices[tu]
             best_th[upd] = vals[tu[:, None], w, upd[:, None]].argmax(axis=1)
     return best, best_t, best_th
 
@@ -445,8 +580,8 @@ def _level_max(blocks, t_grid, r_levels, x_count):
     """
     level_max = np.zeros((len(r_levels), x_count))
     held_all = np.count_nonzero(np.abs(t_grid)[:, None] <= r_levels * (1 + 1e-12), axis=1)
-    for start, _, _, tmax in blocks:
-        held = held_all[start : start + len(tmax)]
+    for slices, _, _, tmax in blocks:
+        held = held_all[slices]
         for count in set(held.tolist()) - {0}:
             top = tmax[held == count].max(axis=0)
             np.maximum(level_max[:count], top, out=level_max[:count])

@@ -78,9 +78,7 @@ class SampledSignal:
     def __post_init__(self):
         vals = np.ascontiguousarray(self.values, dtype=complex)
         object.__setattr__(self, "values", vals)
-        n = len(vals)
-        if n < 2 or n & (n - 1):
-            raise ConfigError(f"signal length must be a power of two >= 2, got {n}")
+        check_power_of_two(n=len(vals))
         check_half_width(self.half_width)
 
     @property

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dispmax import maximal
 from dispmax.directions import make_cantor, make_intervals, make_points
 from dispmax.errors import MAX_COUNT, ConfigError, RangeError
-from dispmax.filters import project, psi0
+from dispmax.filters import project, psi0, psi_k
 from dispmax.maximal import (
     _scan,
     convergence_scan,
@@ -524,6 +524,155 @@ def test_scan_buffers_are_bounded_in_bytes():
         tracemalloc.stop()
     assert round(2.0 * f.half_width / res.lattice_step) >= 2**16
     assert peak < 2 * maximal._BLOCK_BYTES + 2**21
+
+
+def shell_frequencies(k, half_width=32.0):
+    """The frequency grid estimate_operator_norm builds for band k."""
+    n = 2
+    while np.pi * n / (2.0 * half_width) < 2.0**k:
+        n *= 2
+    return (np.pi / half_width) * np.arange(-n // 2, n // 2)
+
+
+def shell_signal(k, seed, half_width=32.0):
+    """Random P_k shell data on the grid estimate_operator_norm builds, projected by P_k."""
+    xi = shell_frequencies(k, half_width)
+    live = psi_k(k, xi) > 0
+    rng = np.random.default_rng(seed)
+    c = np.zeros(len(xi), dtype=complex)
+    c[live] = rng.standard_normal(live.sum()) + 1j * rng.standard_normal(live.sum())
+    return project(inverse_transform(SpectralCoefficients(half_width, c)), k)
+
+
+def scaled(f, exponent):
+    """f times 2^exponent, exactly."""
+    return SampledSignal(f.half_width, f.values * 2.0**exponent)
+
+
+def criterion_4_grid(k):
+    """The scan grid of criterion 4's band k, on Omega = [0, 2^(-k/2)]."""
+    return grid_for_band(2.0**k, PROFILE, make_intervals([(0.0, 2.0 ** (-k / 2))]))
+
+
+def pass_tmax(f, theta_values, t_grid, dtype, x_count=65):
+    """(tmax over every slice, lattice step) of f's plain-mode pass in dtype."""
+    h = _scan(f, theta_values, t_grid, PROFILE, x_count).lattice_step
+    c = forward_transform(f)
+    phi = np.asarray(PROFILE.phi(c.frequencies), dtype=float)
+    x_idx, x_snap = snapped_x(f.half_width, h, x_count)
+    n_eval = round(2.0 * f.half_width / h)
+    blocks = maximal._blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, False,
+                             dtype=dtype)
+    slices, tmax = zip(*((s, tm) for s, _, _, tm in blocks))
+    assert np.array_equal(np.concatenate(slices), np.arange(len(t_grid)))
+    return np.concatenate(tmax), h
+
+
+def focusing_witness(k, x0, t0, half_width=32.0):
+    """P_k data whose evolution at time t0 focuses at x0: every phase
+    lines up there, so |u(x0, t0)| = sum(psi_k) dxi / (2 pi)."""
+    xi = shell_frequencies(k, half_width)
+    lined = psi_k(k, xi) * np.exp(-1j * (x0 * xi + t0 * PROFILE.phi(xi)))
+    return inverse_transform(SpectralCoefficients(half_width, lined))
+
+
+def ifft_rows_by_dtype(monkeypatch):
+    """A wrapped np.fft.ifft; the returned dict counts the rows it transforms, per dtype."""
+    rows = {np.dtype(np.complex64): 0, np.dtype(np.complex128): 0}
+    ifft = np.fft.ifft
+
+    def counted(a, *args, **kw):
+        a = np.asarray(a)
+        rows[a.dtype] += a.size // a.shape[-1]
+        return ifft(a, *args, **kw)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    return rows
+
+
+class TestScreen:
+    """Plain-mode scans screen every slice in complex64 and certify in
+    complex128 only the slices that can hold a max; the output keeps every
+    bit (TestScanMatchesReference), and these tests pin the mechanism."""
+
+    @pytest.mark.parametrize("case", ["shell", "spike", "focus", "shell*2^600", "shell*2^-600"])
+    def test_screened_maxima_lie_well_inside_the_error_bound(self, case):
+        # Stated inputs on criterion 4's k=4 grid: random shell data, a unit
+        # spike at x = 0 (there |u(0, 0)| = ||adj||_1, the pointwise bound's
+        # worst case), a witness focusing at (x, t) = (0.3, -0.4), and shell
+        # data scaled by 2^+-600.  The margin M is 2 (e(2^-24) + e(2^-53)),
+        # and e(2^-53) < 2^-28 e(2^-24); so |screened - complex128| <= M/33
+        # puts |screened - exact| under e(2^-24)/16.  Seen: at most 0.52
+        # units of 2^-24 sqrt(n_eval) ||adj||_2 / (2 half_width), against
+        # M/33 of about 10.
+        k = 4
+        t_grid, theta_values = criterion_4_grid(k)
+        f = {"shell": lambda: shell_signal(k, 3),
+             "spike": lambda: SampledSignal(32.0, np.eye(1, 512, 256)[0]),
+             "focus": lambda: focusing_witness(k, 0.3, -0.4),
+             "shell*2^600": lambda: scaled(shell_signal(k, 4), 600),
+             "shell*2^-600": lambda: scaled(shell_signal(k, 5), -600)}[case]()
+        screened, h = pass_tmax(f, theta_values, t_grid, np.complex64)
+        exact, _ = pass_tmax(f, theta_values, t_grid, complex)
+        n_eval = round(2.0 * f.half_width / h)
+        margin = maximal._screen_margin(forward_transform(f).coeffs, n_eval, f.half_width)
+        assert np.max(np.abs(screened - exact)) <= margin / 33
+
+    def test_few_slices_reach_the_complex128_fft(self, monkeypatch):
+        # criterion 4's k=4 grid: every slice is screened, at most 10% certified
+        t_grid, theta_values = criterion_4_grid(4)
+        f = shell_signal(4, 11)
+        want = reference_scan(f, theta_values, t_grid, PROFILE, 65)
+        rows = ifft_rows_by_dtype(monkeypatch)
+        res = _scan(f, theta_values, t_grid, PROFILE, 65)
+        assert rows[np.dtype(np.complex64)] == len(t_grid) == 2049
+        assert 0 < rows[np.dtype(np.complex128)] <= 0.1 * len(t_grid)
+        assert_matches_reference(res, want, None)
+
+    def test_mirror_slices_tie_and_both_are_kept(self):
+        # real data, theta = 0: |u(x, -t)| = |u(x, t)|, so every max is
+        # attained at t and -t up to rounding, far inside the margin; the
+        # certify pass must see both to pick the first (or the larger)
+        f = shell_signal(3, 6)
+        f = SampledSignal(f.half_width, f.values.real)
+        t_grid, theta_values = grid_for_band(8.0, PROFILE, make_points([0.0]))
+        want = reference_scan(f, theta_values, t_grid, PROFILE, 65)
+        exact, _ = pass_tmax(f, theta_values, t_grid, complex)
+        t_arg, x_pos = want[1], np.arange(65)
+        mirror = len(t_grid) - 1 - t_arg
+        assert np.allclose(exact[mirror, x_pos], exact[t_arg, x_pos], rtol=1e-12, atol=0.0)
+        assert_matches_reference(_scan(f, theta_values, t_grid, PROFILE, 65), want, None)
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf, 2.0**-1000, 2.0**1000])
+    def test_data_the_screen_cannot_bound_is_not_screened(self, fill):
+        # zero, non-finite or extreme data: no margin, every slice is certified
+        coeffs = np.zeros(64, dtype=complex)
+        coeffs[5] = fill
+        assert maximal._screen_margin(coeffs, 1024, 8.0) is None
+        coeffs[5] = 1.0
+        assert maximal._screen_margin(coeffs, 1024, 8.0) > 0.0
+
+    def test_zero_data_runs_only_the_complex128_pass(self, monkeypatch):
+        f = SampledSignal(8.0, np.zeros(64, dtype=complex))
+        theta_values, t_grid = np.linspace(0.0, 1.0, 30), np.linspace(-1.0, 1.0, 129)
+        rows = ifft_rows_by_dtype(monkeypatch)
+        res = _scan(f, theta_values, t_grid, PROFILE, 65)
+        assert rows[np.dtype(np.complex64)] == 0 and rows[np.dtype(np.complex128)] == 129
+        assert np.all(res.values == 0.0) and np.all(res.t_arg == 0)
+
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    @pytest.mark.parametrize("levels", [None, [0.75, 0.3]], ids=["plain", "levels"])
+    def test_data_far_from_unit_size_scans_exactly(self, exponent, levels):
+        # _blocks' exactness claim for data from 1e-200 to 1e200, through
+        # the whole scan; plain mode also runs the screen's float32 scaling
+        f = scaled(band_limited(14, half_width=12.0), exponent)
+        t_range = 1.0 if levels is None else levels[0]
+        t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), PROFILE,
+                                             make_intervals([(-0.5, 1.0)]), t_range=t_range)
+        n_eval = round(2.0 * f.half_width / _scan(f, theta_values, t_grid, PROFILE, 65).lattice_step)
+        assert maximal._screen_margin(forward_transform(f).coeffs, n_eval, f.half_width) is not None
+        TestScanMatchesReference().check(f, theta_values, t_grid,
+                                         r_levels=None if levels is None else np.array(levels))
 
 
 def snapped_x(half_width, h, x_count=65):

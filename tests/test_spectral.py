@@ -281,6 +281,19 @@ class TestSignalCsv:
         with pytest.raises(ConfigError, match="2\\*half_width must be positive and finite"):
             SampledSignal(half_width, np.ones(8))
 
+    @pytest.mark.parametrize("n", [0, 1, 3, 96])
+    def test_length_is_a_power_of_two(self, n):
+        # the one power-of-two rule, with make_sobolev_data's message
+        with pytest.raises(ConfigError, match=rf"^n={n} must be a power of two, at least 2$"):
+            SampledSignal(1.0, np.zeros(n))
+
+    def test_cli_input_of_three_rows_exits_2_with_the_shared_message(self, tmp_path, capsys):
+        path = tmp_path / "three.csv"
+        path.write_text("x,re,im\n-1,1,0\n0,1,0\n1,1,0\n")
+        assert main(["maximal", "--input", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: cannot read --input signal: n=3 must be a power of two, at least 2\n")
+
     def test_round_trip(self, tmp_path):
         # evolve at t = 0 writes its input, the seeded data, under a provenance header
         assert main(["evolve", "--t", "0", "--seed", "2", "--out", str(tmp_path)]) == 0
