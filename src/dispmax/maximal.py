@@ -10,41 +10,41 @@ resolution rule:
     theta-step <= (1/4) / band,
     lattice    <= (1/4) / band.
 
-The scan does only the work it reads, in a plan, one pass and a reduction,
-and its output bits are those of a cell-by-cell scan: every value goes
-through the elementwise steps a cell would.  A cell's lattice index splits
-into an x part and a direction part: x_idx + rint(t*theta/h), exactly,
-unless t*theta/h lies within a rounding-error margin of a half-integer
-(see _blocks for the bound).  So a time slice's directions reach only a
-few distinct offsets, the same for every x.
+The scan does only the work it reads, and its output bits are those of a
+cell-by-cell scan: every value goes through the elementwise steps a cell
+would.  One synthesis step (_synthesis) evolves the time slices by one
+e^{it Phi} recurrence and transforms their zero-padded rows with one
+inverse FFT per block of slices; both passes below call it.
 
-- The plan (_ScanPlan) depends on the grid alone: per time slice its
-  window of offsets and the offsets it reaches, the rare near-tie pairs,
-  and the blocks of slices with their lattice spans.  It holds nothing per
-  x, and a one-entry memo keeps it, so every scan of one band in
-  estimate_operator_norm, and back-to-back scans of one grid, build it
-  once.
-- The pass (_blocks) runs per signal and yields one block at a time.  It
-  synthesizes the block's time slices with one unnormalized inverse FFT,
-  reads the block's lattice span in place in the FFT rows (a copy only
-  where the span wraps around the periodic box), builds the values
-  |u/h - f(x)| in convergence mode and |u/h| otherwise over each slice's
-  window, and takes the max over the offsets the slice reaches.  The
-  near-tie pairs use the per-cell index.
-- One of two reductions folds the blocks.  Plain mode's (_argmax) keeps
-  the per-x (t, theta) argmax, whose theta re-reads the row of a new best
-  by the per-cell index.  Convergence mode's (_level_max) keeps only the
-  per-level maxima, which is all its caller reads.  Another per-x
-  quantity is another reduction over the same blocks.
-- Plain mode runs the pass twice over one plan.  A complex64 screen
-  transforms every slice, and its reduction (_near_max) keeps each slice
-  whose screened max at some x lies within a margin M of the screened max
-  there; the complex128 pass then transforms the kept slices only.  M is
-  twice the sum of the two passes' a-priori error bounds
-  (_screen_margin), so every slice left out lies strictly below the max
-  at every x, and the output keeps every bit.  Convergence mode keeps its
-  one complex128 pass: its small-r maxima of |u/h - f(x)| lie far below
-  any useful margin.
+- Plain mode is screen, pairs, certify.  The window pass (_blocks) screens
+  every slice in complex64, and its reduction (_near_max) marks each
+  (slice, x) pair whose screened max lies within a margin M of the
+  screened max at x.  M is twice the sum of the complex64 and complex128
+  a-priori error bounds (_screen_margin), so every pair left out lies
+  strictly below the max at its x.  _certify then synthesizes the kept
+  slices in complex128, reads each marked pair's cells by the per-cell
+  index, and keeps the per-x max and its first (t, theta): the output
+  keeps every bit.
+- Convergence mode runs the window pass once, in complex128, and its
+  reduction (_level_max) keeps only the per-level maxima of
+  |u/h - f(x)|, which is all its caller reads.  Its small-r maxima lie far
+  below any useful margin, so it is not screened.  Another per-x quantity
+  is another reduction over the same blocks.
+
+The window pass reads each slice through a few offsets, not cell by cell.
+A cell's lattice index splits into an x part and a direction part:
+x_idx + rint(t*theta/h), exactly, unless t*theta/h lies within a
+rounding-error margin of a half-integer (see _blocks for the bound).  So a
+time slice's directions reach only a few distinct offsets, the same for
+every x.  The plan (_ScanPlan) depends on the grid alone: per time slice
+its window of offsets and the offsets it reaches, the rare near-tie pairs,
+and the blocks of slices with their lattice spans.  It holds nothing per x,
+and a one-entry memo keeps it, so every scan of one band in
+estimate_operator_norm, and back-to-back scans of one grid, build it once.
+Per block the pass reads the lattice span in place in the FFT rows (a copy
+only where the span wraps around the periodic box), builds the values
+over each slice's window, and takes the max over the offsets the slice
+reaches; the near-tie pairs use the per-cell index.
 
 Operator-norm estimates are witnessed by a concrete f, produced either by
 random shell data or by an alternating maximization (fix the per-x argmax,
@@ -160,15 +160,13 @@ class _ScanPlan:
     the lattice span [s0, s1), the window width, where the block's
     (slices, width) mask of reached offsets starts in reached, and its
     near-tie pairs [tie_lo, tie_hi).  Per time slice, lo is the lowest
-    offset of its window and first the flat position of (slice, lo) in its
-    block's span.  Per near-tie pair, in slice order, tie_slice is its time
-    slice and tie_prod its t*theta.  No array has an x axis, so a plan stays
-    small next to the scan's FFT buffers.
+    offset of its window.  Per near-tie pair, in slice order, tie_slice is
+    its time slice and tie_prod its t*theta.  No array has an x axis, so a
+    plan stays small next to the scan's FFT buffers.
     """
 
     blocks: np.ndarray
     lo: np.ndarray
-    first: np.ndarray
     reached: np.ndarray
     tie_slice: np.ndarray
     tie_prod: np.ndarray
@@ -183,7 +181,6 @@ def _build_plan(t_grid, theta_values, h, x_idx, rows) -> _ScanPlan:
     """
     x_lo, x_hi = int(x_idx.min()), int(x_idx.max())
     lo_all = np.empty(len(t_grid), dtype=np.int64)
-    first_all = np.empty(len(t_grid), dtype=np.int64)
     blocks, reached, tie_slice, tie_prod = [], [], [], []
     start = n_reached = n_ties = 0
     cols = _BLOCK_BYTES // (32 * len(x_idx))  # a block's window values per x
@@ -198,7 +195,6 @@ def _build_plan(t_grid, theta_values, h, x_idx, rows) -> _ScanPlan:
         stop, rows_b = start + nb, np.arange(nb)
         lo_all[start:stop] = lo
         s0, s1 = x_lo + int(lo.min()), x_hi + int(lo.max()) + width
-        first_all[start:stop] = rows_b * (s1 - s0) + lo - s0
         # Near-tie pairs mark a spare column, which is dropped.
         mask = np.zeros((nb, width + 1), dtype=bool)
         mask[rows_b[:, None], np.where(tie, width, offset - lo[:, None])] = True
@@ -210,7 +206,7 @@ def _build_plan(t_grid, theta_values, h, x_idx, rows) -> _ScanPlan:
         n_reached += nb * width
         n_ties += len(ti)
         start = stop
-    return _ScanPlan(blocks=np.array(blocks, dtype=np.int64), lo=lo_all, first=first_all,
+    return _ScanPlan(blocks=np.array(blocks, dtype=np.int64), lo=lo_all,
                      reached=np.concatenate(reached), tie_slice=np.concatenate(tie_slice),
                      tie_prod=np.concatenate(tie_prod))
 
@@ -254,20 +250,19 @@ def _scan(
     _scan sets up the lattice: the coarsest step h = 2*half_width/n_eval,
     n_eval a power of two, meeting the resolution rule, and the x points
     snapped to it; it refuses one too fine for exact float index arithmetic
-    (see _blocks).  The pass, _blocks, yields the blocks of time slices, and
-    one reduction folds them: _argmax in plain mode, _level_max given
-    r_levels.  The result is bit for bit that of a scan that computes
+    (see _blocks).  The result is bit for bit that of a scan that computes
     |u/h - f(x)| at every cell: see each function for its step.
 
-    Plain mode runs the pass twice over one plan: the complex64 screen,
-    folded by _near_max into the mask of time slices within _screen_margin
-    of the screened max at some x, then the complex128 pass on the kept
-    slices only, folded by _argmax.  values, t_arg and theta_arg keep every
-    bit (see _screen_margin).  Data that is zero, non-finite, or beyond
-    2^+-960 in size gets no margin, and every slice is certified.
-    Convergence mode is not screened: its small-r maxima of |u/h - f(x)|
-    lie far below a margin of the size of |u/h|, so the screen would keep
-    nearly every slice.
+    Plain mode is screen, pairs, certify.  The window pass _blocks screens
+    every time slice in complex64; _near_max marks the (slice, x) pairs
+    whose screened max lies within _screen_margin of the screened max at
+    x; _certify synthesizes the kept slices in complex128 and reads the
+    marked pairs cell by cell.  values, t_arg and theta_arg keep every bit
+    (see _screen_margin).  Data that is zero, non-finite, or beyond 2^+-960
+    in size gets no margin, and every pair is certified.  Convergence mode
+    runs the window pass once, in complex128, folded by _level_max: its
+    small-r maxima of |u/h - f(x)| lie far below a margin of the size of
+    |u/h|, so a screen would mark nearly every pair.
     """
     c = forward_transform(f)
     band = c.band_limit()
@@ -289,41 +284,84 @@ def _scan(
                          "for exact float index arithmetic")
 
     grid = (c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap)
-    margin = None if r_levels is not None else _screen_margin(c.coeffs, n_eval, half_width)
-    keep = None
-    if margin is not None:
-        keep = _near_max(_blocks(*grid, False, dtype=np.complex64), len(t_grid), margin)
-    blocks = _blocks(*grid, r_levels is not None, keep=keep)
-    if r_levels is None:
-        values, t_arg, theta_arg = _argmax(blocks, t_grid, theta_values, half_width, h, x_idx, x_snap)
-        return MaximalResult(x=x_snap, values=values, t_arg=t_arg, theta_arg=theta_arg, lattice_step=h)
-    level_max = _level_max(blocks, t_grid, r_levels, x_count)
-    return MaximalResult(x=x_snap, values=level_max[0], t_arg=None, theta_arg=None,
-                         lattice_step=h, level_max=level_max)
+    if r_levels is not None:
+        level_max = _level_max(_blocks(*grid, True), t_grid, r_levels, x_count)
+        return MaximalResult(x=x_snap, values=level_max[0], t_arg=None, theta_arg=None,
+                             lattice_step=h, level_max=level_max)
+    margin = _screen_margin(c.coeffs, n_eval, half_width)
+    if margin is None:
+        kept, marked = np.arange(len(t_grid)), np.ones((len(t_grid), x_count), dtype=bool)
+    else:
+        kept, marked = _near_max(_blocks(*grid, False, dtype=np.complex64), margin)
+    values, t_arg, theta_arg = _certify(c, phi, t_grid, theta_values, h, n_eval, x_snap,
+                                        kept, marked)
+    return MaximalResult(x=x_snap, values=values, t_arg=t_arg, theta_arg=theta_arg, lattice_step=h)
 
 
-def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract,
-            dtype=complex, keep=None):
-    """Yield (slices, lo, vals, tmax) per block of the plan's time slices: _scan's pass.
+def _synthesis(adj, phi, t_grid, n_eval, bounds, dtype=complex, kept=None):
+    """Yield (slices, fields) per block [start, stop) of bounds: fields[i] is
+    the inverse FFT row of time slice slices[i] on the n_eval lattice.
 
-    c = forward_transform(f) and phi is Phi at its frequencies.  Per block,
-    slices holds the indices of the time slices it transforms (all of the
-    block's, or the kept ones), lo their plan.lo, vals[i, offset - lo[i], x]
-    the window values of slice slices[i] (|u/h - f(x)| if subtract, else
-    |u/h|) and tmax[i, x] their max over the cells of (slices[i], x).
+    adj = _alternating_sign(n) * c.coeffs, possibly scaled, and phi is Phi
+    at the frequencies.  A slice's row is the inverse FFT of e^{it Phi} *
+    adj, zero-padded to n_eval: unnormalized (norm="forward") in
+    complex128, with numpy's default norm in complex64 (see _blocks).  A
+    block transforms all of its slices, or, given kept (sorted), those in
+    kept; a block without one yields nothing.
 
-    A block holds at most max(1, _BLOCK_BYTES // (16 * n_eval)) slices, the
-    rows of its one inverse FFT, in two buffers allocated once per scan: a
+    No bit depends on where a block starts, nor on which of its slices are
+    transformed: the e^{it Phi} recurrence is one chain carried across
+    blocks, stepped through every slice, and the FFT transforms each row
+    alone.  The two buffers, allocated once for the longest block, are a
     zero-padded input whose live slices [0, n/2) and [n_eval - n/2, n_eval)
     are overwritten per block (the padding between them stays zero), and
-    the FFT output.  If subtract, f(x) is first synthesized from row 0 of
-    the padded input, with the unit multiplier of t = 0.  No bit depends on
-    where a block starts, nor on which of its slices are transformed: the
-    e^{it Phi} recurrence is one chain carried across blocks, stepped
-    through every slice, and the FFT transforms each row alone.  Given
-    keep, a mask over the time slices, the block transforms only the rows
-    of its kept slices, packed at the top of the buffers, and a block
-    without one yields nothing.
+    the FFT output, which the next block overwrites.
+    """
+    half = len(adj) // 2
+    rows = max(stop - start for start, stop in bounds)
+    cur = np.exp(1j * t_grid[0] * phi)
+    dt = t_grid[1] - t_grid[0] if len(t_grid) > 1 else 0.0
+    step_mult = np.exp(1j * dt * phi)
+    coeff = np.empty((rows, len(adj)), dtype=complex)
+    padded = np.zeros((rows, n_eval), dtype=dtype)
+    fields = np.empty((rows, n_eval), dtype=dtype)
+    norm = "forward" if np.dtype(dtype) == np.complex128 else None
+
+    coeff_rows = list(coeff)
+    for start, stop in bounds:
+        nb = stop - start
+        coeff[0] = cur
+        for i in range(1, nb):
+            np.multiply(coeff_rows[i - 1], step_mult, out=coeff_rows[i])
+        cur = coeff[nb - 1] * step_mult
+        if kept is None:
+            slices, sel = np.arange(start, stop), slice(nb)
+        else:
+            slices = kept[np.searchsorted(kept, start) : np.searchsorted(kept, stop)]
+            sel = slices - start
+        m = len(slices)
+        if not m:
+            continue
+        np.multiply(coeff[sel, :half], adj[:half], out=padded[:m, n_eval - half :])
+        np.multiply(coeff[sel, half:], adj[half:], out=padded[:m, :half])
+        np.fft.ifft(padded[:m], axis=1, norm=norm, out=fields[:m])
+        yield slices, fields[:m]
+
+
+def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract, dtype=complex):
+    """Yield (slices, tmax) per block of the plan's time slices: the window pass.
+
+    c = forward_transform(f) and phi is Phi at its frequencies.  Per block,
+    slices holds its time slices and tmax[i, x] the max over the cells of
+    (slices[i], x) of |u/h - f(x)| if subtract, else |u/h|.  The pass is
+    _scan's complex64 screen and its convergence mode; windows and near
+    ties exist for it alone.
+
+    A block holds at most max(1, _BLOCK_BYTES // (16 * n_eval)) slices, the
+    rows of its one inverse FFT (_synthesis).  If subtract, f(x) is first
+    synthesized on the one-slice grid t = 0, whose multiplier e^{i 0 Phi}
+    is exactly 1 + 0i: the row is adj's own, up to the sign of a zero,
+    which the abs of each value drops.
 
     The FFT runs unnormalized (norm="forward"), and the pass divides each
     value it reads by 2*half_width, where the normalized FFT scales the
@@ -343,9 +381,9 @@ def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract,
     float32 neither overflows nor loses more than 2^-149 to subnormals.
     The FFT takes numpy's default norm, which scales by the exact 1/n_eval:
     norm="forward" on complex64 runs about 6 times slower in numpy 2.4
-    (90 against 14 us a row at n_eval 4096).  vals stays in those float32
-    units; tmax is rescaled to u/h in float64, by n_eval / (gain *
-    2*half_width).  _screen_margin bounds its error.
+    (90 against 14 us a row at n_eval 4096).  The window values stay in
+    those float32 units; tmax is rescaled to u/h in float64, by n_eval /
+    (gain * 2*half_width).  _screen_margin bounds its error.
 
     Cell (t, x, theta) reads lattice index rint((x + t*theta + half_width) / h)
     modulo n_eval (_cell_index).  With x = x_idx*h - half_width that index is
@@ -382,102 +420,73 @@ def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract,
     same order (gather, divide by h, subtract f(x), abs), in place or in a
     copy, and each cell's value is the window value at its index.
     """
-    half_width, n = c.half_width, c.n
-    half = n // 2
+    half_width = c.half_width
     scale = 2.0 * half_width  # n_eval * h, see above
-    adj = _alternating_sign(n) * c.coeffs
+    adj = _alternating_sign(c.n) * c.coeffs
     screen = np.dtype(dtype) == np.complex64
     if screen:
         gain = 2.0 ** -np.frexp(np.max(np.abs(adj)))[1]
         adj = adj * gain
         unit = n_eval / gain / scale
 
-    cur = np.exp(1j * t_grid[0] * phi)
-    dt = t_grid[1] - t_grid[0] if len(t_grid) > 1 else 0.0
-    step_mult = np.exp(1j * dt * phi)
-
     rows = min(len(t_grid), max(1, _BLOCK_BYTES // (16 * n_eval)))
     plan = _scan_plan(t_grid, theta_values, h, half_width, x_idx, rows)
-    coeff = np.empty((rows, n), dtype=complex)
-    padded = np.zeros((rows, n_eval), dtype=dtype)
-    fields = np.empty((rows, n_eval), dtype=dtype)
-    if subtract:  # f(x), the field at t = 0, from row 0 of the padded input
-        padded[0, n_eval - half :], padded[0, :half] = adj[:half], adj[half:]
-        f0 = np.fft.ifft(padded[0], norm="forward")[x_idx % n_eval] / scale
+    if subtract:  # f(x), the field at t = 0
+        ((_, field0),) = _synthesis(adj, phi, np.zeros(1), n_eval, [(0, 1)])
+        f0 = field0[0, x_idx % n_eval] / scale
     x_pos = np.arange(len(x_idx))
     # The lattice column of (offset - lo, x) relative to lo, for the widest window.
     window_cols = np.arange(plan.blocks[:, 4].max())[:, None] + x_idx
 
-    coeff_rows = list(coeff)
-    for start, stop, s0, s1, width, r0, tie_lo, tie_hi in plan.blocks.tolist():
+    synthesized = _synthesis(adj, phi, t_grid, n_eval, plan.blocks[:, :2].tolist(), dtype)
+    for (start, stop, s0, s1, width, r0, tie_lo, tie_hi), (slices, fields) in zip(
+            plan.blocks.tolist(), synthesized):
         nb = stop - start
-        coeff[0] = cur
-        for i in range(1, nb):
-            np.multiply(coeff_rows[i - 1], step_mult, out=coeff_rows[i])
-        cur = coeff[nb - 1] * step_mult
-        # The block rows transformed: all of them (a view), or the kept ones.
-        if keep is None:
-            kept, sel = np.arange(nb), slice(nb)
-        else:
-            kept = sel = np.flatnonzero(keep[start:stop])
-            if not len(kept):
-                continue
-        m = len(kept)
-        np.multiply(coeff[sel, :half], adj[:half], out=padded[:m, n_eval - half :])
-        np.multiply(coeff[sel, half:], adj[half:], out=padded[:m, :half])
-        if screen:
-            np.fft.ifft(padded[:m], axis=1, out=fields[:m])
-        else:
-            np.fft.ifft(padded[:m], axis=1, norm="forward", out=fields[:m])
-        lo = plan.lo[start:stop][sel]
+        lo = plan.lo[start:stop]
 
         # The block's lattice span [s0, s1) as u/h (the screen keeps its FFT's
         # units): in place in the FFT rows, or a copy where it wraps around
         # the periodic box.
         in_place = 0 <= s0 and s1 <= n_eval
         if in_place:
-            span = fields[:m, s0:s1]
+            span = fields[:, s0:s1]
         else:
-            span = np.take(fields[:m], np.arange(s0, s1), axis=1, mode="wrap")
+            span = np.take(fields, np.arange(s0, s1), axis=1, mode="wrap")
         if not screen:
             span /= scale
 
         # The window values per (t, offset - lo, x): they depend on x
-        # through the lattice point, and through f(x) if subtract.  Row i
-        # of the span holds block row kept[i].
-        first = plan.first[start:stop][sel] - (kept - np.arange(m)) * (s1 - s0)
+        # through the lattice point, and through f(x) if subtract.  first
+        # is the flat position of (slice, lo) in the span.
+        first = np.arange(nb) * (s1 - s0) + lo - s0
         if subtract:
-            if in_place:  # the span's flat positions in the FFT rows
-                first = first + s0 + np.arange(m) * (n_eval - (s1 - s0))
-            g = (fields[:m] if in_place else span).take(first[:, None, None] + window_cols[:width])
+            if in_place:  # its flat position in the FFT rows
+                first = np.arange(nb) * n_eval + lo
+            g = (fields if in_place else span).take(first[:, None, None] + window_cols[:width])
             g -= f0
             vals = np.abs(g)
         else:
             vals = np.abs(span).take(first[:, None, None] + window_cols[:width])
 
-        reached = plan.reached[r0 : r0 + nb * width].reshape(nb, width, 1)[sel]
+        reached = plan.reached[r0 : r0 + nb * width].reshape(nb, width, 1)
         tmax = vals.max(axis=1, where=reached, initial=-1.0)
         if tie_hi > tie_lo:
             ti = plan.tie_slice[tie_lo:tie_hi] - start
-            prod = plan.tie_prod[tie_lo:tie_hi, None]
-            if keep is not None:  # the kept slices' pairs, by their rows in the span
-                on = keep[start + ti]
-                ti, prod = np.searchsorted(kept, ti[on]), prod[on]
-            idx = _cell_index(prod, x_snap, half_width, h)
+            idx = _cell_index(plan.tie_prod[tie_lo:tie_hi, None], x_snap, half_width, h)
             np.maximum.at(tmax, ti, vals[ti[:, None], idx - x_idx - lo[ti][:, None], x_pos])
         if screen:
             tmax = unit * tmax.astype(float)
-        yield start + kept, lo, vals, tmax
+        yield slices, tmax
 
 
 def _screen_margin(coeffs, n_eval, half_width):
     """The screen's margin M, in units of u/h, for a signal of coefficients coeffs; None
     for coefficients that are all zero, not finite, or beyond 2^+-960 in size.
 
-    Each slice's screened max and its complex128 max lie within the pointwise
-    error bound e(u) = rho(u) * sqrt(n_eval) * ||adj||_2 / (2*half_width) of
-    the exact max, with u the unit roundoff: 2^-24 for the screen, 2^-53
-    for the certify pass.  Here adj's rows P = e^{itPhi} * adj have the exact
+    Each (slice, x) pair's screened max and its complex128 max lie within the
+    pointwise error bound e(u) = rho(u) * sqrt(n_eval) * ||adj||_2 /
+    (2*half_width) of the exact max, with u the unit roundoff: 2^-24 for
+    the screen, 2^-53 for _certify.  Here adj's rows P = e^{itPhi} * adj have the exact
     inverse DFT y, so |y_j| <= sqrt(n_eval) * ||P||_2 and ||y||_2 =
     sqrt(n_eval) * ||P||_2, and the passes compute |y_j| / (2*half_width).
 
@@ -488,17 +497,17 @@ def _screen_margin(coeffs, n_eval, half_width):
     twiddle factors are off by at most u (Higham 2002, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., Thm 24.2), and a
     pointwise error is at most the normwise one.  2u is the rounding of
-    the input to float32 and of abs (for the certify pass, of the division
-    by 2*half_width and of abs).  The factor 2 covers pocketfft's radix-4
+    the input to float32 and of abs (for _certify, of the division by
+    2*half_width and of abs).  The factor 2 covers pocketfft's radix-4
     passes and, with room to spare, the rest: |e^{itPhi}| drifts by under
     2^-25 over MAX_COUNT recurrence steps, float32 subnormals lose at most
     2^-149 an entry of size up to 1, and the float64 rescaling of the
     screened maxima, the norm and the threshold each round once.  At
     n_eval = 4096, rho(2^-24) is 164 units of 2^-24.
 
-    M = 2 * (e(2^-24) + e(2^-53)).  If a slice's screened max at x lies
-    below the screened max there minus M, its complex128 max lies below
-    the complex128 max at x minus M - 2 (e(2^-24) + e(2^-53)) = 0: strictly
+    M = 2 * (e(2^-24) + e(2^-53)).  If a pair's screened max lies below
+    the screened max at its x minus M, its complex128 max lies below the
+    complex128 max at x minus M - 2 (e(2^-24) + e(2^-53)) = 0: strictly
     below.
     """
     top = np.max(np.abs(coeffs))
@@ -515,56 +524,74 @@ def _screen_margin(coeffs, n_eval, half_width):
     return 2.0 * (rho(2.0**-24) + rho(2.0**-53)) * np.sqrt(n_eval) * norm / (2.0 * half_width)
 
 
-def _near_max(blocks, n_slices, margin):
-    """Mask of the time slices whose tmax lies within margin of the per-x max at some x.
+def _near_max(blocks, margin):
+    """(kept, marked): the (slice, x) pairs whose tmax lies within margin of the per-x max.
 
-    The reduction of _scan's screen.  A slice within margin of the final max
-    is within margin of the running max, which is no larger; so each block
-    keeps, as candidates, only its slices within margin of the running max
-    at some x, and the final max then filters the candidates.  Ties of the
-    max are kept (>=).
+    The reduction of _scan's screen.  kept holds, in order, each time slice
+    with such a pair, and marked, of shape (len(kept), x_count), whether
+    (kept[i], x) is one; no array spans every slice and every x.  A pair
+    within margin of the final max is within margin of the running max,
+    which is no larger; so each block keeps, as candidates, only its slices
+    with a pair within margin of the running max, and the final max then
+    marks their pairs.  Ties of the max are marked (>=).
     """
     top = None
     cand_slices, cand_tmax = [], []
-    for slices, _, _, tmax in blocks:
+    for slices, tmax in blocks:
         top = tmax.max(axis=0) if top is None else np.maximum(top, tmax.max(axis=0))
         near = (tmax >= top - margin).any(axis=1)
         cand_slices.append(slices[near])
         cand_tmax.append(tmax[near])
-    keep = np.zeros(n_slices, dtype=bool)
-    slices, tmax = np.concatenate(cand_slices), np.concatenate(cand_tmax)
-    keep[slices[(tmax >= top - margin).any(axis=1)]] = True
-    return keep
+    marked = np.concatenate(cand_tmax) >= top - margin
+    near = marked.any(axis=1)
+    return np.concatenate(cand_slices)[near], marked[near]
 
 
-def _argmax(blocks, t_grid, theta_values, half_width, h, x_idx, x_snap):
-    """(values, t_arg, theta_arg): per x, the blocks' max and the first (t, theta) attaining it.
+def _certify(c, phi, t_grid, theta_values, h, n_eval, x_snap, kept, marked):
+    """(values, t_arg, theta_arg): per x, the max over the cells of its marked
+    pairs and the first (t, theta) attaining it.
 
-    Per block, the first t attaining the max of tmax is the candidate; where
-    it beats the best so far, the theta argmax re-reads that one row's cells
-    by _cell_index and takes the first theta attaining it.  A later block
-    replaces the best only where it is larger, so the first t, then the
-    first theta in that row, is the same first occurrence as an argmax over
-    the flattened (t, theta) pairs, wherever the blocks start.  Blocks that
-    carry only some of their slices give the same result if every slice
-    left out lies strictly below the max at every x.
+    The last step of _scan's plain mode.  kept holds time slices in order
+    and marked[i, x] whether the pair (kept[i], x) is read; a pair left
+    out must lie strictly below the max at its x (see _screen_margin).
+    _synthesis gives the kept slices' complex128 rows, in blocks of at
+    most max(1, _BLOCK_BYTES // (16 * n_eval)) slices; its recurrence
+    stops at the last kept slice.  Each marked pair reads its n_theta cells
+    at _cell_index modulo n_eval, divides them by 2*half_width and takes
+    abs, as _blocks does (see there for the bits); at most
+    _BLOCK_BYTES // 64 cells are read at once (one pair's, if a pair holds
+    more).  Per pair the max and its
+    first theta are kept.  Per x a block's candidate is its first slice
+    attaining its max, and a later block replaces the best only where it
+    is larger; so the first t, then the first theta, is the same first
+    occurrence as an argmax over the flattened (t, theta) pairs.
     """
-    x_pos = np.arange(len(x_idx))
-    best = np.full(len(x_idx), -1.0)
-    best_t = np.zeros(len(x_idx), dtype=np.int64)
-    best_th = np.zeros(len(x_idx), dtype=np.int64)
-    for slices, lo, vals, tmax in blocks:
-        arg_t = tmax.argmax(axis=0)
-        cand = tmax[arg_t, x_pos]
+    scale = 2.0 * c.half_width
+    x_count = marked.shape[1]
+    x_pos = np.arange(x_count)
+    best = np.full(x_count, -1.0)
+    best_t = np.zeros(x_count, dtype=np.int64)
+    best_th = np.zeros(x_count, dtype=np.int64)
+    rows, end = max(1, _BLOCK_BYTES // (16 * n_eval)), int(kept[-1]) + 1
+    bounds = [(start, min(start + rows, end)) for start in range(0, end, rows)]
+    batch = max(1, _BLOCK_BYTES // (64 * len(theta_values)))  # pairs read at once
+    adj = _alternating_sign(c.n) * c.coeffs
+    done = 0
+    for slices, fields in _synthesis(adj, phi, t_grid, n_eval, bounds, kept=kept):
+        m = len(slices)
+        pair_row, pair_x = np.nonzero(marked[done : done + m])
+        done += m
+        top = np.full((m, x_count), -1.0)
+        top_th = np.zeros((m, x_count), dtype=np.int64)
+        for p in range(0, len(pair_row), batch):
+            r, x = pair_row[p : p + batch], pair_x[p : p + batch]
+            idx = _cell_index(t_grid[slices[r], None] * theta_values, x_snap[x, None], c.half_width, h)
+            vals = np.abs(fields[r[:, None], idx % n_eval] / scale)
+            top[r, x], top_th[r, x] = vals.max(axis=1), vals.argmax(axis=1)
+        arg = top.argmax(axis=0)
+        cand = top[arg, x_pos]
         upd = np.flatnonzero(cand > best)
-        if len(upd):
-            tu = arg_t[upd]
-            prod = t_grid[slices[tu], None] * theta_values[None, :]
-            idx = _cell_index(prod, x_snap[upd, None], half_width, h)
-            w = idx - (x_idx[upd] + lo[tu])[:, None]
-            best[upd] = cand[upd]
-            best_t[upd] = slices[tu]
-            best_th[upd] = vals[tu[:, None], w, upd[:, None]].argmax(axis=1)
+        best[upd], best_t[upd], best_th[upd] = cand[upd], slices[arg[upd]], top_th[arg[upd], upd]
     return best, best_t, best_th
 
 
@@ -580,7 +607,7 @@ def _level_max(blocks, t_grid, r_levels, x_count):
     """
     level_max = np.zeros((len(r_levels), x_count))
     held_all = np.count_nonzero(np.abs(t_grid)[:, None] <= r_levels * (1 + 1e-12), axis=1)
-    for slices, _, _, tmax in blocks:
+    for slices, tmax in blocks:
         held = held_all[slices]
         for count in set(held.tolist()) - {0}:
             top = tmax[held == count].max(axis=0)

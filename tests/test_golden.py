@@ -42,6 +42,9 @@ COMMANDS = {
     "maximal-interval": ["maximal", "--theta", "interval:-1,1"],
     "converge-interval": ["converge", "--theta", "interval:-1,1"],
     "converge-point": ["converge", "--theta", "point:0.9"],
+    # plain mode with 128 directions on 64 components: the screen marks 207
+    # of the 5055 x 65 (slice, x) pairs, and only their cells are certified
+    "maximal-cantor": ["maximal", "--theta", f"cantor:{CANTOR},6"],
     # half_width 1.5 and 1.1 (CONFIG_EXTRA): x + t*theta leaves the periodic
     # box, so the scan's lattice windows wrap around it
     "maximal-wrap": ["maximal", "--theta", "interval:-1,1", "--band", "2"],
@@ -92,6 +95,7 @@ GOLDEN = {
         "converge.csv": "12fbf441f760b1c76148e4d431131e9ee00815e8b6a5f370b9bce47db21a1be7",
         "converge.gp": "f220ae8d27e889190ff28602a2d38c96b0617383c6eaebb12403eec1d6f27d1e",
     },
+    "maximal-cantor": {"maximal.csv": "01d8e2b71614a93593cd9dcff291419c7d257eb7c1d6ac21bccbe0e0c7cdb825"},
 }
 
 

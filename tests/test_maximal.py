@@ -274,7 +274,7 @@ def block_plan(half_width, t_grid, theta_values, h, x_count=65):
 
 
 def level_fold_of_plain_pass(f, theta_values, t_grid, h, x_count):
-    """_level_max at the one level r = max|t| over the blocks of f's plain-mode pass."""
+    """_level_max at the one level r = max|t| over f's complex128 window pass without f(x)."""
     c = forward_transform(f)
     phi = np.asarray(PROFILE.phi(c.frequencies), dtype=float)
     x_idx, x_snap = snapped_x(f.half_width, h, x_count)
@@ -287,8 +287,9 @@ class TestScanMatchesReference:
     """The blocked scan reproduces the reference bit for bit, with blocks of
     one slice, of three FFT rows, of one widest window and of the default
     byte budget, and whether it builds its plan or takes it from the memo.
-    In plain mode the level fold over the same pass gives the argmax's
-    values, bit for bit: both reductions read one pass."""
+    In plain mode the level fold over the complex128 window pass gives
+    _certify's values, bit for bit: the window read and the cell-by-cell
+    read agree."""
 
     def check(self, f, theta_values, t_grid, r_levels=None, x_count=65):
         want = reference_scan(f, theta_values, t_grid, PROFILE, x_count, r_levels)
@@ -439,7 +440,7 @@ class TestScanMatchesReference:
 
 def test_tie_free_convergence_scan_takes_no_cell_index(monkeypatch):
     # a convergence scan takes no argmax, so off near ties it never takes
-    # the per-cell index; a plain scan re-reads its argmax rows with it
+    # the per-cell index; a plain scan certifies its marked cells with it
     calls = []
     cell_index = maximal._cell_index
     monkeypatch.setattr(maximal, "_cell_index", lambda *a: calls.append(a) or cell_index(*a))
@@ -485,7 +486,7 @@ def test_plan_of_the_largest_criterion_4_grid_is_small():
     assert plan.blocks.shape == (len(plan.blocks), 8)
     assert start[0] == 0 and np.array_equal(start[1:], stop[:-1]) and stop[-1] == len(t_grid)
     assert np.all(stop - start <= rows)  # no block over the FFT row cap
-    assert plan.lo.shape == plan.first.shape == (len(t_grid),)
+    assert plan.lo.shape == (len(t_grid),)
     assert plan.reached.shape == (np.sum((stop - start) * width),)
     assert plan.tie_slice.shape == plan.tie_prod.shape == (plan.blocks[-1, 7],)
 
@@ -563,7 +564,7 @@ def pass_tmax(f, theta_values, t_grid, dtype, x_count=65):
     n_eval = round(2.0 * f.half_width / h)
     blocks = maximal._blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, False,
                              dtype=dtype)
-    slices, tmax = zip(*((s, tm) for s, _, _, tm in blocks))
+    slices, tmax = zip(*blocks)
     assert np.array_equal(np.concatenate(slices), np.arange(len(t_grid)))
     return np.concatenate(tmax), h
 
@@ -659,6 +660,35 @@ class TestScreen:
         res = _scan(f, theta_values, t_grid, PROFILE, 65)
         assert rows[np.dtype(np.complex64)] == 0 and rows[np.dtype(np.complex128)] == 129
         assert np.all(res.values == 0.0) and np.all(res.t_arg == 0)
+
+    @pytest.mark.parametrize("case", ["criterion-4-k4", "cantor-depth-8"])
+    def test_pairs_hold_every_argmax_and_only_their_cells_are_read(self, case, monkeypatch):
+        # the screen hands _certify (slice, x) pairs, not whole slices: each
+        # x's argmax slice is marked at that x, and _certify reads n_theta
+        # cells per marked pair, counted by _cell_index
+        if case == "criterion-4-k4":
+            (t_grid, theta_values), f, x_count = criterion_4_grid(4), shell_signal(4, 11), 65
+        else:  # 512 directions
+            f, x_count = band_limited(15, half_width=8.0, n=64, top=4.0), 17
+            t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), PROFILE,
+                                                 make_cantor(2, 1.0 / 3.0, 8))
+        want = reference_scan(f, theta_values, t_grid, PROFILE, x_count)
+        calls, certify = [], maximal._certify
+        monkeypatch.setattr(maximal, "_certify", lambda *a: calls.append(a) or certify(*a))
+        assert_matches_reference(_scan(f, theta_values, t_grid, PROFILE, x_count), want, None)
+        (args,) = calls
+        kept, marked = args[-2:]
+        assert marked.shape == (len(kept), x_count) and len(kept) < len(t_grid)
+        assert np.all(np.isin(want[1], kept))
+        assert marked[np.searchsorted(kept, want[1]), np.arange(x_count)].all()
+
+        cells, cell_index = [], maximal._cell_index
+        monkeypatch.setattr(maximal, "_cell_index",
+                            lambda prod, x, *a: cells.append(np.broadcast(prod, x).size)
+                            or cell_index(prod, x, *a))
+        got = certify(*args)
+        assert sum(cells) == np.count_nonzero(marked) * len(theta_values)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want[:3]))
 
     @pytest.mark.parametrize("exponent", [-600, 600])
     @pytest.mark.parametrize("levels", [None, [0.75, 0.3]], ids=["plain", "levels"])
