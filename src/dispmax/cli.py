@@ -155,8 +155,8 @@ def _cmd_maximal(cfg: ExperimentConfig, args) -> int:
     f, sha256 = _load_signal(cfg, args)
     if args.band is not None:
         f = project(f, args.band)
-    band = forward_transform(f).band_limit()
     res = maximal_function(f, cfg.directions, cfg.profile, x_count=cfg.x_count)
+    band = forward_transform(f).band_limit()
     table = ResultTable(
         names=("x", "maximal_value"),
         rows=zip(res.x, res.values),

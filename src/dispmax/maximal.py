@@ -12,19 +12,26 @@ resolution rule:
 
 The scan does only the work it reads, and its output bits are those of a
 cell-by-cell scan: every value goes through the elementwise steps a cell
-would.  One synthesis step (_synthesis) evolves the time slices by one
-e^{it Phi} recurrence and transforms their zero-padded rows with one
-inverse FFT per block of slices; both passes below call it.
+would.  One recurrence (_recurrence) evolves the time slices by
+e^{it Phi}, and one synthesis step (_synthesis) transforms their
+zero-padded rows with one inverse FFT per block of slices; both passes
+below call it.
 
 - Plain mode is screen, pairs, certify.  The window pass (_blocks) screens
   every slice in complex64, and its reduction (_near_max) marks each
   (slice, x) pair whose screened max lies within a margin M of the
-  screened max at x.  M is twice the sum of the complex64 and complex128
-  a-priori error bounds (_screen_margin), so every pair left out lies
-  strictly below the max at its x.  _certify then synthesizes the kept
-  slices in complex128, reads each marked pair's cells by the per-cell
-  index, and keeps the per-x max and its first (t, theta): the output
-  keeps every bit.
+  screened max at x.  The screen takes one of two paths, which _scan
+  picks from sizes it has: where n_live * W <= n_eval * log2(n_eval) and
+  the basis fits the block budget (n_live the coefficients left after
+  dropping round-off, W the widest block span), one complex64 matrix
+  product per block computes the field on the block's lattice span alone
+  (_span_products); otherwise the complex64 inverse FFT of full rows.  M
+  is twice the sum of the screen's and the complex128 FFT's a-priori
+  error bounds (_screen_margin), so every pair left out lies strictly
+  below the max at its x.  _certify then synthesizes the kept slices in
+  complex128, reads each marked pair's cells by the per-cell index, and
+  keeps the per-x max and its first (t, theta): the output keeps every
+  bit, on either path.
 - Convergence mode runs the window pass once, in complex128, and its
   reduction (_level_max) keeps only the per-level maxima of
   |u/h - f(x)|, which is all its caller reads.  Its small-r maxima lie far
@@ -72,7 +79,9 @@ from .spectral import (
 )
 
 _PHASE_BUDGET = 0.25  # max phase change (radians) per grid step in t, theta, x
-_BLOCK_BYTES = 1 << 21  # per block of time slices: its FFT rows (16 B a lattice point), its window values (32 B)
+# per block of time slices: its FFT rows (16 B a lattice point), its window values (32 B);
+# also the cap on the GEMM screen's basis (8 B an entry)
+_BLOCK_BYTES = 1 << 21
 _TIE_MARGIN = 1e-6  # t*theta/h this near a half-integer takes the per-cell index (see _blocks)
 _MAX_ROUNDS = 20  # alternating-maximization rounds per operator-norm estimate
 
@@ -171,6 +180,11 @@ class _ScanPlan:
     tie_slice: np.ndarray
     tie_prod: np.ndarray
 
+    @property
+    def widest_span(self) -> int:
+        """The widest lattice span s1 - s0 of a block."""
+        return int((self.blocks[:, 3] - self.blocks[:, 2]).max())
+
 
 def _build_plan(t_grid, theta_values, h, x_idx, rows) -> _ScanPlan:
     """The _ScanPlan of a grid, lattice step h, x lattice x_idx and row cap.
@@ -211,16 +225,22 @@ def _build_plan(t_grid, theta_values, h, x_idx, rows) -> _ScanPlan:
                      tie_prod=np.concatenate(tie_prod))
 
 
+def _fft_rows(n_eval):
+    """The most time slices one inverse FFT of n_eval-point rows takes."""
+    return max(1, _BLOCK_BYTES // (16 * n_eval))
+
+
 _plan_memo = {}  # one entry: the plan of the grid scanned last, under its key
 
 
-def _scan_plan(t_grid, theta_values, h, half_width, x_idx, rows) -> _ScanPlan:
+def _scan_plan(t_grid, theta_values, h, half_width, x_idx, n_eval) -> _ScanPlan:
     """The memoized _ScanPlan, keyed on the grid, the lattice, the block budget
-    and the near-tie margin.
+    and the near-tie margin; its blocks hold at most _fft_rows(n_eval) slices.
 
     Every scan of one band in estimate_operator_norm, and back-to-back scans
     of one grid, share one plan; a scan of another grid replaces it.
     """
+    rows = min(len(t_grid), _fft_rows(n_eval))
     key = (t_grid.tobytes(), theta_values.tobytes(), h, half_width, x_idx.tobytes(), rows,
            _BLOCK_BYTES, _TIE_MARGIN)
     plan = _plan_memo.get(key)
@@ -258,8 +278,12 @@ def _scan(
     whose screened max lies within _screen_margin of the screened max at
     x; _certify synthesizes the kept slices in complex128 and reads the
     marked pairs cell by cell.  values, t_arg and theta_arg keep every bit
-    (see _screen_margin).  Data that is zero, non-finite, or beyond 2^+-960
-    in size gets no margin, and every pair is certified.  Convergence mode
+    (see _screen_margin).  The screen is the GEMM over each block's lattice
+    span where _gemm_live finds it cheaper than the FFT of full rows (the
+    live coefficients against the plan's widest span: criterion 4's grids
+    at k <= 4), else the FFT; the margin is that of the path taken.  Data
+    that is zero, non-finite, or beyond 2^+-960 in size gets no margin, and
+    every pair is certified.  Convergence mode
     runs the window pass once, in complex128, folded by _level_max: its
     small-r maxima of |u/h - f(x)| lie far below a margin of the size of
     |u/h|, so a screen would mark nearly every pair.
@@ -288,14 +312,40 @@ def _scan(
         level_max = _level_max(_blocks(*grid, True), t_grid, r_levels, x_count)
         return MaximalResult(x=x_snap, values=level_max[0], t_arg=None, theta_arg=None,
                              lattice_step=h, level_max=level_max)
-    margin = _screen_margin(c.coeffs, n_eval, half_width)
+    plan = _scan_plan(t_grid, theta_values, h, half_width, x_idx, n_eval)
+    live = _gemm_live(c.coeffs, n_eval, plan.widest_span)
+    margin = _screen_margin(c.coeffs, n_eval, half_width, live)
     if margin is None:
         kept, marked = np.arange(len(t_grid)), np.ones((len(t_grid), x_count), dtype=bool)
     else:
-        kept, marked = _near_max(_blocks(*grid, False, dtype=np.complex64), margin)
+        kept, marked = _near_max(_blocks(*grid, False, dtype=np.complex64, live=live), margin)
     values, t_arg, theta_arg = _certify(c, phi, t_grid, theta_values, h, n_eval, x_snap,
                                         kept, marked)
     return MaximalResult(x=x_snap, values=values, t_arg=t_arg, theta_arg=theta_arg, lattice_step=h)
+
+
+def _recurrence(phi, t_grid, bounds):
+    """Yield, per block [start, stop) of bounds, the rows e^{it Phi} of its
+    time slices, phi being Phi at the frequencies.
+
+    One chain, carried across blocks and stepped through every slice, so no
+    bit depends on where a block starts; each entry's chain is its own, so
+    the rows of a subset of the frequencies are those columns of the rows of
+    all.  The rows share one buffer, which the next block overwrites.
+    """
+    rows = max(stop - start for start, stop in bounds)
+    cur = np.exp(1j * t_grid[0] * phi)
+    dt = t_grid[1] - t_grid[0] if len(t_grid) > 1 else 0.0
+    step_mult = np.exp(1j * dt * phi)
+    coeff = np.empty((rows, len(phi)), dtype=complex)
+    coeff_rows = list(coeff)
+    for start, stop in bounds:
+        nb = stop - start
+        coeff[0] = cur
+        for i in range(1, nb):
+            np.multiply(coeff_rows[i - 1], step_mult, out=coeff_rows[i])
+        cur = coeff[nb - 1] * step_mult
+        yield coeff[:nb]
 
 
 def _synthesis(adj, phi, t_grid, n_eval, bounds, dtype=complex, kept=None):
@@ -304,38 +354,25 @@ def _synthesis(adj, phi, t_grid, n_eval, bounds, dtype=complex, kept=None):
 
     adj = _alternating_sign(n) * c.coeffs, possibly scaled, and phi is Phi
     at the frequencies.  A slice's row is the inverse FFT of e^{it Phi} *
-    adj, zero-padded to n_eval: unnormalized (norm="forward") in
-    complex128, with numpy's default norm in complex64 (see _blocks).  A
+    adj (_recurrence), zero-padded to n_eval: unnormalized (norm="forward")
+    in complex128, with numpy's default norm in complex64 (see _blocks).  A
     block transforms all of its slices, or, given kept (sorted), those in
-    kept; a block without one yields nothing.
-
-    No bit depends on where a block starts, nor on which of its slices are
-    transformed: the e^{it Phi} recurrence is one chain carried across
-    blocks, stepped through every slice, and the FFT transforms each row
-    alone.  The two buffers, allocated once for the longest block, are a
-    zero-padded input whose live slices [0, n/2) and [n_eval - n/2, n_eval)
-    are overwritten per block (the padding between them stays zero), and
-    the FFT output, which the next block overwrites.
+    kept; a block without one yields nothing.  The FFT transforms each row
+    alone, so no bit depends on which of a block's slices are transformed.
+    The two buffers, allocated once for the longest block, are a zero-padded
+    input whose live slices [0, n/2) and [n_eval - n/2, n_eval) are
+    overwritten per block (the padding between them stays zero), and the
+    FFT output, which the next block overwrites.
     """
     half = len(adj) // 2
     rows = max(stop - start for start, stop in bounds)
-    cur = np.exp(1j * t_grid[0] * phi)
-    dt = t_grid[1] - t_grid[0] if len(t_grid) > 1 else 0.0
-    step_mult = np.exp(1j * dt * phi)
-    coeff = np.empty((rows, len(adj)), dtype=complex)
     padded = np.zeros((rows, n_eval), dtype=dtype)
     fields = np.empty((rows, n_eval), dtype=dtype)
     norm = "forward" if np.dtype(dtype) == np.complex128 else None
 
-    coeff_rows = list(coeff)
-    for start, stop in bounds:
-        nb = stop - start
-        coeff[0] = cur
-        for i in range(1, nb):
-            np.multiply(coeff_rows[i - 1], step_mult, out=coeff_rows[i])
-        cur = coeff[nb - 1] * step_mult
+    for (start, stop), coeff in zip(bounds, _recurrence(phi, t_grid, bounds)):
         if kept is None:
-            slices, sel = np.arange(start, stop), slice(nb)
+            slices, sel = np.arange(start, stop), slice(None)
         else:
             slices = kept[np.searchsorted(kept, start) : np.searchsorted(kept, stop)]
             sel = slices - start
@@ -348,7 +385,44 @@ def _synthesis(adj, phi, t_grid, n_eval, bounds, dtype=complex, kept=None):
         yield slices, fields[:m]
 
 
-def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract, dtype=complex):
+def _span_products(adj, phi, t_grid, n_eval, plan, live):
+    """Yield (slices, span) per block of plan, the GEMM screen: span[i, j] is
+    the field of time slice slices[i] at lattice column s0 + j of the
+    block's span [s0, s1), in complex64, summed over the live coefficients.
+
+    adj (scaled, see _blocks) sits at lattice position f_m mod n_eval of a
+    padded row, f_m = m - n/2 its signed frequency index, so the
+    unnormalized inverse DFT of the row e^{it Phi} * adj at column s0 + j is
+    sum_m (e^{it Phi_m} adj_m e^{2 pi i f_m s0 / n_eval}) e^{2 pi i f_m j / n_eval}.
+    Per block, the left factor holds those brackets over the live m,
+    computed in complex128 and rounded once to complex64; the basis, shared
+    by every block, holds e^{2 pi i ((f_m j) mod n_eval) / n_eval} over the
+    columns j of the widest span, each part computed in float64 and rounded
+    once to float32; one complex64 matrix product of the left factor and
+    the basis's first s1 - s0 columns is the span.  _recurrence steps the
+    live entries alone: their bits are those _synthesis gives them.
+    """
+    freq = live - len(adj) // 2
+    bounds = plan.blocks[:, :2].tolist()
+    # (f_m j) mod n_eval is exact in float64: |f_m j| stays far below 2^53.
+    angle = np.multiply.outer(freq.astype(float), np.arange(plan.widest_span, dtype=float))
+    angle %= n_eval
+    angle *= 2.0 * np.pi / n_eval
+    basis = np.empty(angle.shape, dtype=np.complex64)
+    np.cos(angle, out=basis.real)
+    np.sin(angle, out=basis.imag)
+    del angle
+    adj_live = adj[live]
+    left = np.empty((max(stop - start for start, stop in bounds), len(live)), dtype=np.complex64)
+    for (start, stop, s0, s1), coeff in zip(plan.blocks[:, :4].tolist(),
+                                            _recurrence(phi[live], t_grid, bounds)):
+        shift = np.exp((2j * np.pi / n_eval) * ((freq * s0) % n_eval))
+        np.multiply(coeff, adj_live * shift, out=left[: stop - start])
+        yield np.arange(start, stop), np.matmul(left[: stop - start], basis[:, : s1 - s0])
+
+
+def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract, dtype=complex,
+            live=None):
     """Yield (slices, tmax) per block of the plan's time slices: the window pass.
 
     c = forward_transform(f) and phi is Phi at its frequencies.  Per block,
@@ -357,8 +431,8 @@ def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract, dt
     _scan's complex64 screen and its convergence mode; windows and near
     ties exist for it alone.
 
-    A block holds at most max(1, _BLOCK_BYTES // (16 * n_eval)) slices, the
-    rows of its one inverse FFT (_synthesis).  If subtract, f(x) is first
+    A block holds at most _fft_rows(n_eval) slices, the rows of its one
+    inverse FFT (_synthesis).  If subtract, f(x) is first
     synthesized on the one-slice grid t = 0, whose multiplier e^{i 0 Phi}
     is exactly 1 + 0i: the row is adj's own, up to the sign of a zero,
     which the abs of each value drops.
@@ -375,15 +449,20 @@ def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract, dt
     2^1024); data from 1e-200 to 1e200 stays far inside.
 
     With dtype=np.complex64 the pass is _scan's screen, in plain mode only.
-    The padded rows, computed in complex128 as above, are multiplied by
-    gain = 2^-e, max|adj| = m * 2^e with m in [1/2, 1), an exact power of
-    two, and rounded once to complex64; so every entry lies below 1 and
+    adj is multiplied by gain = 2^-e, max|adj| = m * 2^e with m in
+    [1/2, 1), an exact power of two, so every entry lies below 1 and
     float32 neither overflows nor loses more than 2^-149 to subnormals.
-    The FFT takes numpy's default norm, which scales by the exact 1/n_eval:
-    norm="forward" on complex64 runs about 6 times slower in numpy 2.4
-    (90 against 14 us a row at n_eval 4096).  The window values stay in
-    those float32 units; tmax is rescaled to u/h in float64, by n_eval /
-    (gain * 2*half_width).  _screen_margin bounds its error.
+    Without live, the padded rows, computed in complex128 as above, are
+    rounded once to complex64, and the FFT takes numpy's default norm,
+    which scales by the exact 1/n_eval: norm="forward" on complex64 runs
+    about 6 times slower in numpy 2.4 (90 against 14 us a row at n_eval
+    4096).  Given live, the indices of the coefficients it keeps, no row
+    is padded or transformed: _span_products computes each block's span
+    by one complex64 matrix product over the live coefficients, without
+    the 1/n_eval.  The window values stay in those float32 units; tmax is
+    rescaled to u/h in float64, by n_eval / (gain * 2*half_width) after
+    the FFT, 1 / (gain * 2*half_width) after the product.  _screen_margin
+    bounds the error of either.
 
     Cell (t, x, theta) reads lattice index rint((x + t*theta + half_width) / h)
     modulo n_eval (_cell_index).  With x = x_idx*h - half_width that index is
@@ -410,7 +489,8 @@ def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract, dt
     of the FFT rows, divided by 2*half_width in place, whose window values
     are gathered from the rows by flat position.  Only a span that wraps
     around the periodic box is copied, once, with its column indices taken
-    modulo n_eval; either way no cell takes an index modulo n_eval.  Without
+    modulo n_eval; the GEMM screen's product is the span itself, columns
+    s0 to s1 - 1 by periodicity.  No cell takes an index modulo n_eval.  Without
     subtract the pass takes |u/h| once per lattice column of the span and
     gathers the window values from those.  tmax is the max of the window
     values at the offsets in D(t), off near-tie pairs (a masked max), raised
@@ -427,10 +507,9 @@ def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract, dt
     if screen:
         gain = 2.0 ** -np.frexp(np.max(np.abs(adj)))[1]
         adj = adj * gain
-        unit = n_eval / gain / scale
+        unit = (n_eval if live is None else 1) / gain / scale
 
-    rows = min(len(t_grid), max(1, _BLOCK_BYTES // (16 * n_eval)))
-    plan = _scan_plan(t_grid, theta_values, h, half_width, x_idx, rows)
+    plan = _scan_plan(t_grid, theta_values, h, half_width, x_idx, n_eval)
     if subtract:  # f(x), the field at t = 0
         ((_, field0),) = _synthesis(adj, phi, np.zeros(1), n_eval, [(0, 1)])
         f0 = field0[0, x_idx % n_eval] / scale
@@ -438,20 +517,25 @@ def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract, dt
     # The lattice column of (offset - lo, x) relative to lo, for the widest window.
     window_cols = np.arange(plan.blocks[:, 4].max())[:, None] + x_idx
 
-    synthesized = _synthesis(adj, phi, t_grid, n_eval, plan.blocks[:, :2].tolist(), dtype)
+    if live is None:
+        synthesized = _synthesis(adj, phi, t_grid, n_eval, plan.blocks[:, :2].tolist(), dtype)
+    else:
+        synthesized = _span_products(adj, phi, t_grid, n_eval, plan, live)
     for (start, stop, s0, s1, width, r0, tie_lo, tie_hi), (slices, fields) in zip(
             plan.blocks.tolist(), synthesized):
         nb = stop - start
         lo = plan.lo[start:stop]
 
-        # The block's lattice span [s0, s1) as u/h (the screen keeps its FFT's
-        # units): in place in the FFT rows, or a copy where it wraps around
-        # the periodic box.
-        in_place = 0 <= s0 and s1 <= n_eval
+        # The block's lattice span [s0, s1) as u/h (the screen keeps its
+        # FFT's or GEMM's units): in place in the FFT rows, or a copy where
+        # it wraps around the periodic box; the GEMM yields the span alone.
+        in_place = live is None and 0 <= s0 and s1 <= n_eval
         if in_place:
             span = fields[:, s0:s1]
-        else:
+        elif live is None:
             span = np.take(fields, np.arange(s0, s1), axis=1, mode="wrap")
+        else:
+            span = fields
         if not screen:
             span /= scale
 
@@ -479,19 +563,50 @@ def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract, dt
         yield slices, tmax
 
 
-def _screen_margin(coeffs, n_eval, half_width):
-    """The screen's margin M, in units of u/h, for a signal of coefficients coeffs; None
-    for coefficients that are all zero, not finite, or beyond 2^+-960 in size.
+def _gemm_live(coeffs, n_eval, widest):
+    """The indices, in order, of the coefficients the GEMM screen sums over;
+    None where _scan takes the FFT screen, or runs no screen.
 
-    Each (slice, x) pair's screened max and its complex128 max lie within the
-    pointwise error bound e(u) = rho(u) * sqrt(n_eval) * ||adj||_2 /
-    (2*half_width) of the exact max, with u the unit roundoff: 2^-24 for
-    the screen, 2^-53 for _certify.  Here adj's rows P = e^{itPhi} * adj have the exact
-    inverse DFT y, so |y_j| <= sqrt(n_eval) * ||P||_2 and ||y||_2 =
-    sqrt(n_eval) * ||P||_2, and the passes compute |y_j| / (2*half_width).
+    The live coefficients are those left after dropping the smallest while
+    the l1 norm of the dropped stays <= 2^-24 ||coeffs||_1: projected data
+    keeps round-off where its filter vanishes (509 of 512 coefficients
+    nonzero on criterion 4's k=4 shell, about 240 live).  The GEMM runs
+    where it is cheaper and small: n_live * widest <= n_eval * log2(n_eval),
+    a row's multiply-adds over the widest block span against an FFT row's
+    work, and its basis of n_live * widest complex64 values fits
+    _BLOCK_BYTES.  Data _screen_margin cannot bound gets None.
+    """
+    mag = np.abs(coeffs)
+    top = np.max(mag)
+    if not 2.0**-960 <= top <= 2.0**960:  # NaN fails too
+        return None
+    order = np.argsort(mag, kind="stable")
+    n_drop = np.count_nonzero(np.cumsum(mag[order]) <= 2.0**-24 * np.sum(mag))
+    n_live = len(mag) - n_drop
+    if n_live * widest > n_eval * np.log2(n_eval) or 8 * n_live * widest > _BLOCK_BYTES:
+        return None
+    return np.sort(order[n_drop:])
+
+
+def _screen_margin(coeffs, n_eval, half_width, live=None):
+    """The screen's margin M, in units of u/h, for a signal of coefficients
+    coeffs, screened by the FFT or, given live, by the GEMM over the live
+    coefficients; None for coefficients that are all zero, not finite, or
+    beyond 2^+-960 in size.
+
+    Each (slice, x) pair's screened max and its complex128 max lie within a
+    pointwise error bound of the exact max: e_fft(u) for an FFT in unit
+    roundoff u (2^-24 for the FFT screen, 2^-53 for _certify), e_gemm for
+    the GEMM screen.  The exact values are those of the rows P = e^{itPhi} *
+    adj both passes compute in complex128 (one recurrence, see
+    _recurrence), through the exact unnormalized inverse DFT y, divided by
+    2*half_width.
+
+    FFT: e_fft(u) = rho(u) * sqrt(n_eval) * ||adj||_2 / (2*half_width), as
+    |y_j| <= sqrt(n_eval) * ||P||_2 and ||y||_2 = sqrt(n_eval) * ||P||_2,
 
         rho(u) = 2 * (L eta / (1 - L eta) + 2u),  eta = u + gamma_4 (sqrt 2 + u),
-        gamma_4 = 4u / (1 - 4u),  L = log2(n_eval).
+        gamma_k = k u / (1 - k u),  L = log2(n_eval).
 
     L eta / (1 - L eta) is the normwise bound of a radix-2 FFT whose
     twiddle factors are off by at most u (Higham 2002, Accuracy and
@@ -505,23 +620,52 @@ def _screen_margin(coeffs, n_eval, half_width):
     screened maxima, the norm and the threshold each round once.  At
     n_eval = 4096, rho(2^-24) is 164 units of 2^-24.
 
-    M = 2 * (e(2^-24) + e(2^-53)).  If a pair's screened max lies below
+    GEMM (_span_products), u = 2^-24 and n = len(live):
+
+        e_gemm = 2 * (gamma_{n+2} + 4u + 2^-52) * ||adj_live||_1 / (2*half_width)
+                 + ||adj_dropped||_1 / (2*half_width).
+
+    A complex inner product of length n, summed in any order, with or
+    without FMA, over any split of the sum between BLAS threads, is off by
+    at most sqrt(2) gamma_{n+1} sum_m |a_m| |b_m| (Higham 2002, Sec. 3.6:
+    each product is off by gamma_2 of |Re|+|Im| parts, each sum passes at
+    most n - 1 additions).  Every |b_m| = 1 and sum_m |a_m| = gain *
+    ||P_live||_1.  The 4u are the rounding of the left factor to complex64
+    (u), of the basis (u, its float64 angle and cos/sin far below that),
+    and of abs (2u); 2^-52 the float64 rescaling by n_eval / (gain *
+    2*half_width), two roundings.  The dropped coefficients move |y_j| by
+    at most ||P_dropped||_1.  The factor 2 covers sqrt(2), the products of
+    the (1 + u) factors, the recurrence's drift (||P||_1 <= (1 + 2^-25) *
+    ||adj||_1), float32 subnormals (at most 2^-149 an entry, where the
+    largest |a_m| is at least 1/2), and the float64 sums of the norms.
+
+    M = 2 * (e_screen + e_fft(2^-53)).  If a pair's screened max lies below
     the screened max at its x minus M, its complex128 max lies below the
-    complex128 max at x minus M - 2 (e(2^-24) + e(2^-53)) = 0: strictly
+    complex128 max at x minus M - 2 (e_screen + e_fft(2^-53)) = 0: strictly
     below.
     """
     top = np.max(np.abs(coeffs))
     if not 2.0**-960 <= top <= 2.0**960:  # NaN fails too
         return None
     unit_scale = 2.0 ** -np.frexp(top)[1]
-    norm = np.linalg.norm(coeffs * unit_scale) / unit_scale
+    scaled = coeffs * unit_scale
     steps = np.log2(n_eval)
 
     def rho(u):
         eta = u + 4.0 * u / (1.0 - 4.0 * u) * (np.sqrt(2.0) + u)
         return 2.0 * (steps * eta / (1.0 - steps * eta) + 2.0 * u)
 
-    return 2.0 * (rho(2.0**-24) + rho(2.0**-53)) * np.sqrt(n_eval) * norm / (2.0 * half_width)
+    l2 = np.linalg.norm(scaled) * np.sqrt(n_eval)
+    if live is None:
+        screen = rho(2.0**-24) * l2
+    else:
+        u, n = 2.0**-24, len(live)
+        mag = np.abs(scaled)
+        dropped = np.ones(len(mag), dtype=bool)
+        dropped[live] = False
+        gamma = (n + 2) * u / (1.0 - (n + 2) * u)
+        screen = 2.0 * (gamma + 4.0 * u + 2.0**-52) * np.sum(mag[live]) + np.sum(mag[dropped])
+    return 2.0 * (screen + rho(2.0**-53) * l2) / unit_scale / (2.0 * half_width)
 
 
 def _near_max(blocks, margin):
@@ -572,7 +716,7 @@ def _certify(c, phi, t_grid, theta_values, h, n_eval, x_snap, kept, marked):
     best = np.full(x_count, -1.0)
     best_t = np.zeros(x_count, dtype=np.int64)
     best_th = np.zeros(x_count, dtype=np.int64)
-    rows, end = max(1, _BLOCK_BYTES // (16 * n_eval)), int(kept[-1]) + 1
+    rows, end = _fft_rows(n_eval), int(kept[-1]) + 1
     bounds = [(start, min(start + rows, end)) for start in range(0, end, rows)]
     batch = max(1, _BLOCK_BYTES // (64 * len(theta_values)))  # pairs read at once
     adj = _alternating_sign(c.n) * c.coeffs
@@ -622,15 +766,33 @@ def _check_x_count(x_count) -> None:
         raise ConfigError(f"x_count={x_count} must be at least 1")
 
 
+def _scan_transform(f: SampledSignal) -> SpectralCoefficients:
+    """forward_transform(f), refusing, before the grid is built, a signal with a
+    NaN or infinite sample (ConfigError) and a transform that overflows
+    (RangeError): every cell of its scan would be NaN, and no per-x max
+    would replace the fold's initial -1.0."""
+    if not np.all(np.isfinite(f.values)):
+        raise ConfigError("the signal has a NaN or infinite sample")
+    with np.errstate(over="ignore", invalid="ignore"):  # the error says it
+        c = forward_transform(f)
+    if not np.all(np.isfinite(c.coeffs)):
+        raise RangeError("the signal's transform overflows float64")
+    return c
+
+
 def maximal_function(
     f: SampledSignal,
     theta: DirectionSet,
     profile: DispersionProfile,
     x_count: int = 65,
 ) -> MaximalResult:
-    """Per-x supremum of |S_t f(x + t*theta)| over the grid for f's band limit."""
+    """Per-x supremum of |S_t f(x + t*theta)| over the grid for f's band limit.
+
+    Raises ConfigError for a signal with a NaN or infinite sample, and
+    RangeError where its transform overflows, before the grid is built.
+    """
     _check_x_count(x_count)
-    t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), profile, theta)
+    t_grid, theta_values = grid_for_band(_scan_transform(f).band_limit(), profile, theta)
     return _scan(f, theta_values, t_grid, profile, x_count)
 
 
@@ -645,13 +807,14 @@ def convergence_scan(
 
     Levels are sorted descending and share one nested t-grid, so the per-x
     suprema are monotone in r by construction.  Returns (levels, sup_matrix)
-    with sup_matrix of shape (n_levels, x_count).
+    with sup_matrix of shape (n_levels, x_count).  Refuses a non-finite
+    signal as maximal_function does.
     """
     _check_x_count(x_count)
     r_levels = np.sort(np.asarray(r_levels, dtype=float))[::-1]
     if not (r_levels.size and r_levels[0] <= 1.0 and r_levels[-1] > 0.0):  # NaN lands first
         raise ConfigError("scales must lie in (0, 1] and be nonempty")
-    band = forward_transform(f).band_limit()
+    band = _scan_transform(f).band_limit()
     t_grid, theta_values = grid_for_band(band, profile, theta, t_range=float(r_levels[0]))
     return r_levels, _scan(f, theta_values, t_grid, profile, x_count, r_levels=r_levels).level_max
 

@@ -33,6 +33,7 @@ import time
 import numpy as np
 import pytest
 
+from dispmax.cli import main
 from dispmax.config import ExperimentConfig
 from dispmax.directions import box_count, make_cantor, make_intervals, make_points
 from dispmax.experiments import (
@@ -176,15 +177,25 @@ def test_criterion_7_convergence():
                   f"E(2^-6)={med[-1]:.4f}, monotone={monotone}, {elapsed:.0f} s")
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, monkeypatch):
     runner = "from dispmax.cli import main; import sys; sys.exit(main(sys.argv[1:]))"
+    maximal_args = ["maximal", "--theta", "interval:0,0.5", "--band", "2", "--seed", "3"]
+    # the maximal case screens by the complex64 GEMM, the one step BLAS runs;
+    # its bits must not depend on the thread count either
+    gemm_rows, matmul = [], np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b, *rest, **kw: (
+        gemm_rows.append(len(a)) if np.asarray(a).dtype == np.complex64 else None)
+        or matmul(a, b, *rest, **kw))
+    assert main(maximal_args + ["--out", str(tmp_path / "in-process")]) == 0
+    assert gemm_rows
     outputs = {}
     for tag, threads in (("r1", "1"), ("r2", "1"), ("r3", "4")):
         out = tmp_path / tag
-        env = dict(os.environ, OMP_NUM_THREADS=threads)
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
         for args in (
             ["dim", "--theta", "cantor:2,0.3333333333333333,8", "--seed", "3"],
-            ["maximal", "--theta", "interval:0,0.5", "--band", "2", "--seed", "3"],
+            maximal_args,
         ):
             proc = subprocess.run(
                 [sys.executable, "-c", runner, *args, "--out", str(out)],

@@ -296,6 +296,7 @@ class TestCli:
         (["evolve"], {"--input": "x,re,im\n0,1,0\n1,1,0\n2,1,0\n3,1,0\n"}),
         (["maximal"], {"--input": "x,re,im\n-2,1,0\n-1,nan,0\n0,1,0\n1,1,0\n"}),
         (["evolve"], {"--input": "x,re,im\n-2,1,0\n-1,1,inf\n0,1,0\n1,1,0\n"}),
+        (["maximal"], {"--input": "x,re,im\n-2,1,0\n-1,-inf,0\n0,1,0\n1,1,0\n"}),
         (["maximal", "--a", "inf"], None),
         (["evolve", "--a", "inf"], None),
         (["converge"], {"--config": "a = nan"}),
@@ -323,7 +324,7 @@ class TestCli:
             "lambda-leaves-v2-empty", "lambda-range-reversed", "missing-input-file",
             "input-wrong-header", "input-single-row", "input-length-not-power-of-two",
             "input-nonuniform-x", "input-x-not-centred",
-            "input-non-finite", "input-non-finite-imag", "a-inf-maximal", "a-inf-evolve",
+            "input-non-finite", "input-non-finite-imag", "input-inf-maximal", "a-inf-maximal", "a-inf-evolve",
             "a-nan", "s-inf-evolve", "s-inf-converge", "lambda-max-exp-overflows",
             "lambda-min-exp-overflows", "scale-max-exp-overflows", "lam-inf", "sigma-nan-cover",
             "sigma-nan-kernel-scan", "theta-points-nan", "theta-interval-nan",
@@ -545,6 +546,17 @@ class TestCli:
         assert err.startswith(f"numerical failure: {message}")
         assert err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+    def test_input_whose_transform_overflows_exit_code(self, tmp_path, capsys):
+        # finite samples of size 1e308 sum past float64 in the transform; a
+        # scan of it would fold NaN cells and report the fold's -1.0
+        x = -8.0 + 0.25 * np.arange(64)
+        path = tmp_path / "huge.csv"
+        path.write_text("x,re,im\n" + "".join(f"{v!r},1e308,0\n" for v in x.tolist()))
+        assert main(["maximal", "--input", str(path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: the signal's transform overflows float64\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("s", ["1", "9"])
     def test_evolve_norm_above_noise_floor(self, s, tmp_path, capsys):

@@ -97,6 +97,22 @@ class TestMaximalFunction:
         res = maximal_function(f, make_intervals([(-0.5, 0.5)]), PROFILE)
         assert np.max(np.abs(res.values - 1.0)) < 1e-13
 
+    @pytest.mark.parametrize("fill", [np.nan, np.inf, -1j * np.inf])
+    def test_refuses_non_finite_samples_before_the_grid(self, fill, monkeypatch):
+        # every cell of its scan would be NaN, and the per-x fold would
+        # return its initial -1.0 as the max
+        monkeypatch.setattr(maximal, "grid_for_band", lambda *a, **kw: pytest.fail("grid built"))
+        values = np.ones(64, dtype=complex)
+        values[5] = fill
+        with pytest.raises(ConfigError, match="NaN or infinite sample"):
+            maximal_function(SampledSignal(8.0, values), make_points([0.3]), PROFILE)
+
+    def test_refuses_a_transform_that_overflows(self, monkeypatch):
+        monkeypatch.setattr(maximal, "grid_for_band", lambda *a, **kw: pytest.fail("grid built"))
+        f = SampledSignal(8.0, np.full(64, 1e308, dtype=complex))
+        with np.errstate(all="ignore"), pytest.raises(RangeError, match="transform overflows"):
+            maximal_function(f, make_points([0.3]), PROFILE)
+
     def test_dominates_time_zero_slice(self):
         f = band_limited(0)
         res = maximal_function(f, make_points([0.3]), PROFILE)
@@ -555,15 +571,16 @@ def criterion_4_grid(k):
     return grid_for_band(2.0**k, PROFILE, make_intervals([(0.0, 2.0 ** (-k / 2))]))
 
 
-def pass_tmax(f, theta_values, t_grid, dtype, x_count=65):
-    """(tmax over every slice, lattice step) of f's plain-mode pass in dtype."""
+def pass_tmax(f, theta_values, t_grid, dtype, x_count=65, live=None):
+    """(tmax over every slice, lattice step) of f's plain-mode pass in dtype,
+    through the GEMM screen over the coefficients live, if given."""
     h = _scan(f, theta_values, t_grid, PROFILE, x_count).lattice_step
     c = forward_transform(f)
     phi = np.asarray(PROFILE.phi(c.frequencies), dtype=float)
     x_idx, x_snap = snapped_x(f.half_width, h, x_count)
     n_eval = round(2.0 * f.half_width / h)
     blocks = maximal._blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, False,
-                             dtype=dtype)
+                             dtype=dtype, live=live)
     slices, tmax = zip(*blocks)
     assert np.array_equal(np.concatenate(slices), np.arange(len(t_grid)))
     return np.concatenate(tmax), h
@@ -578,17 +595,31 @@ def focusing_witness(k, x0, t0, half_width=32.0):
 
 
 def ifft_rows_by_dtype(monkeypatch):
-    """A wrapped np.fft.ifft; the returned dict counts the rows it transforms, per dtype."""
-    rows = {np.dtype(np.complex64): 0, np.dtype(np.complex128): 0}
-    ifft = np.fft.ifft
+    """A wrapped np.fft.ifft; the returned dict counts the rows it transforms,
+    per dtype, and, under "gemm", the complex64 rows a wrapped np.matmul
+    multiplies (the GEMM screen)."""
+    rows = {np.dtype(np.complex64): 0, np.dtype(np.complex128): 0, "gemm": 0}
+    ifft, matmul = np.fft.ifft, np.matmul
 
     def counted(a, *args, **kw):
         a = np.asarray(a)
         rows[a.dtype] += a.size // a.shape[-1]
         return ifft(a, *args, **kw)
 
+    def multiplied(a, b, *args, **kw):
+        if np.asarray(a).dtype == np.complex64:
+            rows["gemm"] += np.asarray(a).shape[0]
+        return matmul(a, b, *args, **kw)
+
     monkeypatch.setattr(np.fft, "ifft", counted)
+    monkeypatch.setattr(np, "matmul", multiplied)
     return rows
+
+
+def live_alone(f, n_eval):
+    """The GEMM screen's live coefficients of f, whatever the cost rule says:
+    a one-column span passes it."""
+    return maximal._gemm_live(forward_transform(f).coeffs, n_eval, 1)
 
 
 class TestScreen:
@@ -598,14 +629,15 @@ class TestScreen:
 
     @pytest.mark.parametrize("case", ["shell", "spike", "focus", "shell*2^600", "shell*2^-600"])
     def test_screened_maxima_lie_well_inside_the_error_bound(self, case):
-        # Stated inputs on criterion 4's k=4 grid: random shell data, a unit
-        # spike at x = 0 (there |u(0, 0)| = ||adj||_1, the pointwise bound's
-        # worst case), a witness focusing at (x, t) = (0.3, -0.4), and shell
-        # data scaled by 2^+-600.  The margin M is 2 (e(2^-24) + e(2^-53)),
-        # and e(2^-53) < 2^-28 e(2^-24); so |screened - complex128| <= M/33
-        # puts |screened - exact| under e(2^-24)/16.  Seen: at most 0.52
-        # units of 2^-24 sqrt(n_eval) ||adj||_2 / (2 half_width), against
-        # M/33 of about 10.
+        # Stated inputs on criterion 4's k=4 grid, through each screen: random
+        # shell data, a unit spike at x = 0 (there |u(0, 0)| = ||adj||_1, the
+        # pointwise bound's worst case), a witness focusing at (x, t) =
+        # (0.3, -0.4), and shell data scaled by 2^+-600.  The margin M of the
+        # path is 2 (e_screen + e_fft(2^-53)), and e_fft(2^-53) < 2^-15
+        # e_screen on either path; so |screened - complex128| <= M/33 puts
+        # |screened - exact| under e_screen/16.  Seen: at most 0.52 units of
+        # 2^-24 sqrt(n_eval) ||adj||_2 / (2 half_width) through the FFT,
+        # against M/33 of about 10; at most M/200 through the GEMM.
         k = 4
         t_grid, theta_values = criterion_4_grid(k)
         f = {"shell": lambda: shell_signal(k, 3),
@@ -613,22 +645,58 @@ class TestScreen:
              "focus": lambda: focusing_witness(k, 0.3, -0.4),
              "shell*2^600": lambda: scaled(shell_signal(k, 4), 600),
              "shell*2^-600": lambda: scaled(shell_signal(k, 5), -600)}[case]()
-        screened, h = pass_tmax(f, theta_values, t_grid, np.complex64)
-        exact, _ = pass_tmax(f, theta_values, t_grid, complex)
+        exact, h = pass_tmax(f, theta_values, t_grid, complex)
         n_eval = round(2.0 * f.half_width / h)
-        margin = maximal._screen_margin(forward_transform(f).coeffs, n_eval, f.half_width)
-        assert np.max(np.abs(screened - exact)) <= margin / 33
+        for live in (None, live_alone(f, n_eval)):  # the FFT screen, then the GEMM
+            screened, _ = pass_tmax(f, theta_values, t_grid, np.complex64, live=live)
+            margin = maximal._screen_margin(forward_transform(f).coeffs, n_eval, f.half_width,
+                                            live)
+            assert np.max(np.abs(screened - exact)) <= margin / 33
 
     def test_few_slices_reach_the_complex128_fft(self, monkeypatch):
-        # criterion 4's k=4 grid: every slice is screened, at most 10% certified
+        # criterion 4's k=4 grid: every slice is screened by the GEMM, none by
+        # a complex64 FFT, and at most 10% certified
         t_grid, theta_values = criterion_4_grid(4)
         f = shell_signal(4, 11)
         want = reference_scan(f, theta_values, t_grid, PROFILE, 65)
         rows = ifft_rows_by_dtype(monkeypatch)
         res = _scan(f, theta_values, t_grid, PROFILE, 65)
-        assert rows[np.dtype(np.complex64)] == len(t_grid) == 2049
+        assert rows["gemm"] == len(t_grid) == 2049
+        assert rows[np.dtype(np.complex64)] == 0
         assert 0 < rows[np.dtype(np.complex128)] <= 0.1 * len(t_grid)
         assert_matches_reference(res, want, None)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_criterion_4_grids_up_to_k4_take_the_gemm(self, k, monkeypatch):
+        t_grid, theta_values = criterion_4_grid(k)
+        rows = ifft_rows_by_dtype(monkeypatch)
+        _scan(shell_signal(k, 1), theta_values, t_grid, PROFILE, 65)
+        assert rows["gemm"] == len(t_grid) and rows[np.dtype(np.complex64)] == 0
+
+    def test_criterion_4_k6_sizes_take_the_fft(self):
+        # the k=6 shell's live coefficients against the k=6 plan's widest
+        # span: the product would cost more than the FFT, and its basis would
+        # exceed the block budget; the plan is built without any FFT
+        k, n_eval = 6, 1 << 14
+        t_grid, theta_values = criterion_4_grid(k)
+        h = 2.0 * 32.0 / n_eval
+        rows = maximal._BLOCK_BYTES // (16 * n_eval)
+        plan = maximal._build_plan(t_grid, theta_values, h, snapped_x(32.0, h)[0], rows)
+        coeffs = forward_transform(shell_signal(k, 1)).coeffs
+        n_live = len(maximal._gemm_live(coeffs, n_eval, 1))
+        assert n_live * plan.widest_span > n_eval * np.log2(n_eval)
+        assert 8 * n_live * plan.widest_span > maximal._BLOCK_BYTES
+        assert maximal._gemm_live(coeffs, n_eval, plan.widest_span) is None
+
+    def test_full_band_scan_of_a_large_lattice_takes_the_fft(self, monkeypatch):
+        # test_scan_buffers_are_bounded_in_bytes' scan: 4096 live
+        # coefficients on a 2^16-point lattice
+        f = band_limited(13, n=4096, top=np.inf)
+        t_grid = np.linspace(-1.0, 1.0, 65)
+        rows = ifft_rows_by_dtype(monkeypatch)
+        res = _scan(f, np.array([0.3]), t_grid, PROFILE, 65)
+        assert round(2.0 * f.half_width / res.lattice_step) == 2**16
+        assert rows["gemm"] == 0 and rows[np.dtype(np.complex64)] == len(t_grid)
 
     def test_mirror_slices_tie_and_both_are_kept(self):
         # real data, theta = 0: |u(x, -t)| = |u(x, t)|, so every max is
@@ -795,6 +863,14 @@ class TestConvergenceScan:
         f = band_limited(6)
         with pytest.raises(ValueError):
             convergence_scan(f, make_points([0.0]), PROFILE, [0.5, 1.5])
+
+    @pytest.mark.parametrize("fill", [np.nan, np.inf])
+    def test_refuses_non_finite_samples_before_the_grid(self, fill, monkeypatch):
+        monkeypatch.setattr(maximal, "grid_for_band", lambda *a, **kw: pytest.fail("grid built"))
+        values = np.ones(64, dtype=complex)
+        values[60] = fill
+        with pytest.raises(ConfigError, match="NaN or infinite sample"):
+            convergence_scan(SampledSignal(8.0, values), make_points([0.0]), PROFILE, [0.5])
 
 
 class TestLqNorm:
