@@ -21,8 +21,8 @@ below call it.
   every slice in complex64, and its reduction (_near_max) marks each
   (slice, x) pair whose screened max lies within a margin M of the
   screened max at x.  The screen takes one of two paths, which _scan
-  picks from sizes it has: where n_live * W <= n_eval * log2(n_eval) and
-  the basis fits the block budget (n_live the coefficients left after
+  picks from sizes it has: where n_live * W <= 3 * n_eval * log2(n_eval)
+  and the basis fits the block budget (n_live the coefficients left after
   dropping round-off, W the widest block span), one complex64 matrix
   product per block computes the field on the block's lattice span alone
   (_span_products); otherwise the complex64 inverse FFT of full rows.  M
@@ -82,6 +82,10 @@ _PHASE_BUDGET = 0.25  # max phase change (radians) per grid step in t, theta, x
 # per block of time slices: its FFT rows (16 B a lattice point), its window values (32 B);
 # also the cap on the GEMM screen's basis (8 B an entry)
 _BLOCK_BYTES = 1 << 21
+# complex64 multiply-adds a GEMM screen row may spend per unit of an FFT row's
+# n_eval*log2(n_eval): scans timed with each screen forced (one BLAS thread) break even
+# near 3.3 at n_eval 512 to 8192 (BENCH_34.json, "screen_crossover")
+_GEMM_PER_FFT_STEP = 3
 _TIE_MARGIN = 1e-6  # t*theta/h this near a half-integer takes the per-cell index (see _blocks)
 _MAX_ROUNDS = 20  # alternating-maximization rounds per operator-norm estimate
 
@@ -278,15 +282,15 @@ def _scan(
     whose screened max lies within _screen_margin of the screened max at
     x; _certify synthesizes the kept slices in complex128 and reads the
     marked pairs cell by cell.  values, t_arg and theta_arg keep every bit
-    (see _screen_margin).  The screen is the GEMM over each block's lattice
-    span where _gemm_live finds it cheaper than the FFT of full rows (the
+    (see _screen_margin).  Data that is zero, non-finite, or beyond
+    2^+-960 in size gets no margin, and every pair is certified.  Other
+    data is screened by the GEMM over each block's lattice span where
+    _gemm_live finds it cheaper than the FFT of full rows and small (the
     live coefficients against the plan's widest span: criterion 4's grids
-    at k <= 4), else the FFT; the margin is that of the path taken.  Data
-    that is zero, non-finite, or beyond 2^+-960 in size gets no margin, and
-    every pair is certified.  Convergence mode
-    runs the window pass once, in complex128, folded by _level_max: its
-    small-r maxima of |u/h - f(x)| lie far below a margin of the size of
-    |u/h|, so a screen would mark nearly every pair.
+    at k <= 5), else by the FFT; the margin is that of the path taken.
+    Convergence mode runs the window pass once, in complex128, folded by
+    _level_max: its small-r maxima of |u/h - f(x)| lie far below a margin
+    of the size of |u/h|, so a screen would mark nearly every pair.
     """
     c = forward_transform(f)
     band = c.band_limit()
@@ -313,8 +317,10 @@ def _scan(
         return MaximalResult(x=x_snap, values=level_max[0], t_arg=None, theta_arg=None,
                              lattice_step=h, level_max=level_max)
     plan = _scan_plan(t_grid, theta_values, h, half_width, x_idx, n_eval)
-    live = _gemm_live(c.coeffs, n_eval, plan.widest_span)
-    margin = _screen_margin(c.coeffs, n_eval, half_width, live)
+    margin = _screen_margin(c.coeffs, n_eval, half_width)
+    live = None if margin is None else _gemm_live(c.coeffs, n_eval, plan.widest_span)
+    if live is not None:
+        margin = _screen_margin(c.coeffs, n_eval, half_width, live)
     if margin is None:
         kept, marked = np.arange(len(t_grid)), np.ones((len(t_grid), x_count), dtype=bool)
     else:
@@ -565,25 +571,24 @@ def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract, dt
 
 def _gemm_live(coeffs, n_eval, widest):
     """The indices, in order, of the coefficients the GEMM screen sums over;
-    None where _scan takes the FFT screen, or runs no screen.
+    None where _scan takes the FFT screen.  coeffs are data _screen_margin
+    bounds.
 
     The live coefficients are those left after dropping the smallest while
     the l1 norm of the dropped stays <= 2^-24 ||coeffs||_1: projected data
     keeps round-off where its filter vanishes (509 of 512 coefficients
     nonzero on criterion 4's k=4 shell, about 240 live).  The GEMM runs
-    where it is cheaper and small: n_live * widest <= n_eval * log2(n_eval),
-    a row's multiply-adds over the widest block span against an FFT row's
-    work, and its basis of n_live * widest complex64 values fits
-    _BLOCK_BYTES.  Data _screen_margin cannot bound gets None.
+    where its basis of n_live * widest complex64 values fits _BLOCK_BYTES
+    and a row's n_live * widest multiply-adds, over the widest block span,
+    cost less than an FFT row: n_live * widest <= _GEMM_PER_FFT_STEP *
+    n_eval * log2(n_eval).
     """
     mag = np.abs(coeffs)
-    top = np.max(mag)
-    if not 2.0**-960 <= top <= 2.0**960:  # NaN fails too
-        return None
     order = np.argsort(mag, kind="stable")
     n_drop = np.count_nonzero(np.cumsum(mag[order]) <= 2.0**-24 * np.sum(mag))
     n_live = len(mag) - n_drop
-    if n_live * widest > n_eval * np.log2(n_eval) or 8 * n_live * widest > _BLOCK_BYTES:
+    work = n_live * widest
+    if work > _GEMM_PER_FFT_STEP * n_eval * np.log2(n_eval) or 8 * work > _BLOCK_BYTES:
         return None
     return np.sort(order[n_drop:])
 

@@ -666,26 +666,22 @@ class TestScreen:
         assert 0 < rows[np.dtype(np.complex128)] <= 0.1 * len(t_grid)
         assert_matches_reference(res, want, None)
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_criterion_4_grids_up_to_k4_take_the_gemm(self, k, monkeypatch):
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_criterion_4_grids_up_to_k5_take_the_gemm(self, k, monkeypatch):
         t_grid, theta_values = criterion_4_grid(k)
         rows = ifft_rows_by_dtype(monkeypatch)
         _scan(shell_signal(k, 1), theta_values, t_grid, PROFILE, 65)
         assert rows["gemm"] == len(t_grid) and rows[np.dtype(np.complex64)] == 0
 
     def test_criterion_4_k6_sizes_take_the_fft(self):
-        # the k=6 shell's live coefficients against the k=6 plan's widest
-        # span: the product would cost more than the FFT, and its basis would
-        # exceed the block budget; the plan is built without any FFT
+        # the k=6 shell against the k=6 plan's widest span; the plan is built
+        # without any FFT
         k, n_eval = 6, 1 << 14
         t_grid, theta_values = criterion_4_grid(k)
         h = 2.0 * 32.0 / n_eval
-        rows = maximal._BLOCK_BYTES // (16 * n_eval)
-        plan = maximal._build_plan(t_grid, theta_values, h, snapped_x(32.0, h)[0], rows)
+        plan = maximal._build_plan(t_grid, theta_values, h, snapped_x(32.0, h)[0],
+                                   maximal._fft_rows(n_eval))
         coeffs = forward_transform(shell_signal(k, 1)).coeffs
-        n_live = len(maximal._gemm_live(coeffs, n_eval, 1))
-        assert n_live * plan.widest_span > n_eval * np.log2(n_eval)
-        assert 8 * n_live * plan.widest_span > maximal._BLOCK_BYTES
         assert maximal._gemm_live(coeffs, n_eval, plan.widest_span) is None
 
     def test_full_band_scan_of_a_large_lattice_takes_the_fft(self, monkeypatch):
