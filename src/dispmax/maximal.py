@@ -579,9 +579,9 @@ def _gemm_live(coeffs, n_eval, widest):
     keeps round-off where its filter vanishes (509 of 512 coefficients
     nonzero on criterion 4's k=4 shell, about 240 live).  The GEMM runs
     where its basis of n_live * widest complex64 values fits _BLOCK_BYTES
-    and a row's n_live * widest multiply-adds, over the widest block span,
-    cost less than an FFT row: n_live * widest <= _GEMM_PER_FFT_STEP *
-    n_eval * log2(n_eval).
+    and it scans faster than the FFT screen: where a row's n_live * widest
+    multiply-adds, over the widest block span, stay within
+    _GEMM_PER_FFT_STEP times an FFT row's n_eval * log2(n_eval).
     """
     mag = np.abs(coeffs)
     order = np.argsort(mag, kind="stable")
