@@ -18,20 +18,13 @@ zero-padded rows with one inverse FFT per block of slices; both passes
 below call it.
 
 - Plain mode is screen, pairs, certify.  The window pass (_blocks) screens
-  every slice in complex64, and its reduction (_near_max) marks each
-  (slice, x) pair whose screened max lies within a margin M of the
-  screened max at x.  The screen takes one of two paths, which _scan
-  picks from sizes it has: where n_live * W <= 3 * n_eval * log2(n_eval)
-  and the basis fits the block budget (n_live the coefficients left after
-  dropping round-off, W the widest block span), one complex64 matrix
-  product per block computes the field on the block's lattice span alone
-  (_span_products); otherwise the complex64 inverse FFT of full rows.  M
-  is twice the sum of the screen's and the complex128 FFT's a-priori
-  error bounds (_screen_margin), so every pair left out lies strictly
-  below the max at its x.  _certify then synthesizes the kept slices in
-  complex128, reads each marked pair's cells by the per-cell index, and
-  keeps the per-x max and its first (t, theta): the output keeps every
-  bit, on either path.
+  every slice in complex64, by the path and within the margin M that
+  _screen decides, and its reduction (_near_max) marks each (slice, x)
+  pair whose screened max lies within M of the screened max at x, so every
+  pair left out lies strictly below the max at its x.  _certify then
+  synthesizes the kept slices in complex128, reads each marked pair's
+  cells by the per-cell index, and keeps the per-x max and its first
+  (t, theta): the output keeps every bit.
 - Convergence mode runs the window pass once, in complex128, and its
   reduction (_level_max) keeps only the per-level maxima of
   |u/h - f(x)|, which is all its caller reads.  Its small-r maxima lie far
@@ -277,17 +270,14 @@ def _scan(
     (see _blocks).  The result is bit for bit that of a scan that computes
     |u/h - f(x)| at every cell: see each function for its step.
 
-    Plain mode is screen, pairs, certify.  The window pass _blocks screens
-    every time slice in complex64; _near_max marks the (slice, x) pairs
-    whose screened max lies within _screen_margin of the screened max at
-    x; _certify synthesizes the kept slices in complex128 and reads the
-    marked pairs cell by cell.  values, t_arg and theta_arg keep every bit
-    (see _screen_margin).  Data that is zero, non-finite, or beyond
-    2^+-960 in size gets no margin, and every pair is certified.  Other
-    data is screened by the GEMM over each block's lattice span where
-    _gemm_live finds it cheaper than the FFT of full rows and small (the
-    live coefficients against the plan's widest span: criterion 4's grids
-    at k <= 5), else by the FFT; the margin is that of the path taken.
+    Plain mode is screen, pairs, certify.  _scan looks up the plan and
+    forms adj once, and _screen decides the screen once (see there):
+    data it cannot bound is not screened, and every pair is certified.
+    Otherwise the window pass _blocks screens every time slice in
+    complex64; _near_max marks the (slice, x) pairs whose screened max
+    lies within the margin of the screened max at x; _certify synthesizes
+    the kept slices in complex128 and reads the marked pairs cell by cell.
+    values, t_arg and theta_arg keep every bit.
     Convergence mode runs the window pass once, in complex128, folded by
     _level_max: its small-r maxima of |u/h - f(x)| lie far below a margin
     of the size of |u/h|, so a screen would mark nearly every pair.
@@ -311,22 +301,21 @@ def _scan(
         raise RangeError(f"a scan lattice of step {h:g} over |x| <= {half_width:g} is too fine "
                          "for exact float index arithmetic")
 
-    grid = (c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap)
+    adj = _alternating_sign(c.n) * c.coeffs
+    plan = _scan_plan(t_grid, theta_values, h, half_width, x_idx, n_eval)
+    grid = (adj, phi, t_grid, plan, h, n_eval, half_width, x_idx, x_snap)
     if r_levels is not None:
         level_max = _level_max(_blocks(*grid, True), t_grid, r_levels, x_count)
         return MaximalResult(x=x_snap, values=level_max[0], t_arg=None, theta_arg=None,
                              lattice_step=h, level_max=level_max)
-    plan = _scan_plan(t_grid, theta_values, h, half_width, x_idx, n_eval)
-    margin = _screen_margin(c.coeffs, n_eval, half_width)
-    live = None if margin is None else _gemm_live(c.coeffs, n_eval, plan.widest_span)
-    if live is not None:
-        margin = _screen_margin(c.coeffs, n_eval, half_width, live)
-    if margin is None:
+    screen = _screen(c.coeffs, n_eval, half_width, plan.widest_span)
+    if screen is None:
         kept, marked = np.arange(len(t_grid)), np.ones((len(t_grid), x_count), dtype=bool)
     else:
-        kept, marked = _near_max(_blocks(*grid, False, dtype=np.complex64, live=live), margin)
-    values, t_arg, theta_arg = _certify(c, phi, t_grid, theta_values, h, n_eval, x_snap,
-                                        kept, marked)
+        gain, live, margin = screen
+        kept, marked = _near_max(_blocks(*grid, False, gain, live), margin)
+    values, t_arg, theta_arg = _certify(adj, phi, t_grid, theta_values, h, n_eval, half_width,
+                                        x_snap, kept, marked)
     return MaximalResult(x=x_snap, values=values, t_arg=t_arg, theta_arg=theta_arg, lattice_step=h)
 
 
@@ -427,15 +416,16 @@ def _span_products(adj, phi, t_grid, n_eval, plan, live):
         yield np.arange(start, stop), np.matmul(left[: stop - start], basis[:, : s1 - s0])
 
 
-def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract, dtype=complex,
+def _blocks(adj, phi, t_grid, plan, h, n_eval, half_width, x_idx, x_snap, subtract, gain=None,
             live=None):
-    """Yield (slices, tmax) per block of the plan's time slices: the window pass.
+    """Yield (slices, tmax) per block of plan's time slices: the window pass.
 
-    c = forward_transform(f) and phi is Phi at its frequencies.  Per block,
-    slices holds its time slices and tmax[i, x] the max over the cells of
-    (slices[i], x) of |u/h - f(x)| if subtract, else |u/h|.  The pass is
-    _scan's complex64 screen and its convergence mode; windows and near
-    ties exist for it alone.
+    adj = _alternating_sign(n) * c.coeffs, c = forward_transform(f), and
+    phi is Phi at its frequencies.  Per block, slices holds its time slices
+    and tmax[i, x] the max over the cells of (slices[i], x) of |u/h - f(x)|
+    if subtract, else |u/h|.  Given gain, the pass is _scan's complex64
+    screen (see _screen); without, it runs in complex128, as convergence
+    mode does.  Windows and near ties exist for this pass alone.
 
     A block holds at most _fft_rows(n_eval) slices, the rows of its one
     inverse FFT (_synthesis).  If subtract, f(x) is first
@@ -454,21 +444,17 @@ def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract, dt
     every value over n_eval, to stay a normal float (above 2^-1022, below
     2^1024); data from 1e-200 to 1e200 stays far inside.
 
-    With dtype=np.complex64 the pass is _scan's screen, in plain mode only.
-    adj is multiplied by gain = 2^-e, max|adj| = m * 2^e with m in
-    [1/2, 1), an exact power of two, so every entry lies below 1 and
-    float32 neither overflows nor loses more than 2^-149 to subnormals.
-    Without live, the padded rows, computed in complex128 as above, are
-    rounded once to complex64, and the FFT takes numpy's default norm,
-    which scales by the exact 1/n_eval: norm="forward" on complex64 runs
-    about 6 times slower in numpy 2.4 (90 against 14 us a row at n_eval
-    4096).  Given live, the indices of the coefficients it keeps, no row
-    is padded or transformed: _span_products computes each block's span
-    by one complex64 matrix product over the live coefficients, without
-    the 1/n_eval.  The window values stay in those float32 units; tmax is
-    rescaled to u/h in float64, by n_eval / (gain * 2*half_width) after
-    the FFT, 1 / (gain * 2*half_width) after the product.  _screen_margin
-    bounds the error of either.
+    Given gain, from _screen, adj is multiplied by it, so every entry lies
+    below 1.  Without live, the padded rows, computed in complex128 as
+    above, are rounded once to complex64, and the FFT takes numpy's default
+    norm, which scales by the exact 1/n_eval: norm="forward" on complex64
+    runs about 6 times slower in numpy 2.4 (90 against 14 us a row at
+    n_eval 4096).  Given live, no row is padded or transformed:
+    _span_products computes each block's span by one complex64 matrix
+    product over the live coefficients, without the 1/n_eval.  The window
+    values stay in those float32 units; tmax is rescaled to u/h in
+    float64, by n_eval / (gain * 2*half_width) after the FFT,
+    1 / (gain * 2*half_width) after the product.
 
     Cell (t, x, theta) reads lattice index rint((x + t*theta + half_width) / h)
     modulo n_eval (_cell_index).  With x = x_idx*h - half_width that index is
@@ -506,16 +492,11 @@ def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract, dt
     same order (gather, divide by h, subtract f(x), abs), in place or in a
     copy, and each cell's value is the window value at its index.
     """
-    half_width = c.half_width
     scale = 2.0 * half_width  # n_eval * h, see above
-    adj = _alternating_sign(c.n) * c.coeffs
-    screen = np.dtype(dtype) == np.complex64
+    screen = gain is not None
     if screen:
-        gain = 2.0 ** -np.frexp(np.max(np.abs(adj)))[1]
         adj = adj * gain
         unit = (n_eval if live is None else 1) / gain / scale
-
-    plan = _scan_plan(t_grid, theta_values, h, half_width, x_idx, n_eval)
     if subtract:  # f(x), the field at t = 0
         ((_, field0),) = _synthesis(adj, phi, np.zeros(1), n_eval, [(0, 1)])
         f0 = field0[0, x_idx % n_eval] / scale
@@ -524,7 +505,8 @@ def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract, dt
     window_cols = np.arange(plan.blocks[:, 4].max())[:, None] + x_idx
 
     if live is None:
-        synthesized = _synthesis(adj, phi, t_grid, n_eval, plan.blocks[:, :2].tolist(), dtype)
+        synthesized = _synthesis(adj, phi, t_grid, n_eval, plan.blocks[:, :2].tolist(),
+                                 np.complex64 if screen else complex)
     else:
         synthesized = _span_products(adj, phi, t_grid, n_eval, plan, live)
     for (start, stop, s0, s1, width, r0, tie_lo, tie_hi), (slices, fields) in zip(
@@ -569,43 +551,35 @@ def _blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, subtract, dt
         yield slices, tmax
 
 
-def _gemm_live(coeffs, n_eval, widest):
-    """The indices, in order, of the coefficients the GEMM screen sums over;
-    None where _scan takes the FFT screen.  coeffs are data _screen_margin
-    bounds.
+def _screen(coeffs, n_eval, half_width, widest):
+    """(gain, live, margin): the complex64 screen of a plain-mode scan of a
+    signal of coefficients coeffs on the n_eval lattice, widest being its
+    plan's widest block span; None for coefficients that are all zero, not
+    finite, or beyond 2^+-960 in size, which get no screen.
 
-    The live coefficients are those left after dropping the smallest while
-    the l1 norm of the dropped stays <= 2^-24 ||coeffs||_1: projected data
-    keeps round-off where its filter vanishes (509 of 512 coefficients
-    nonzero on criterion 4's k=4 shell, about 240 live).  The GEMM runs
-    where its basis of n_live * widest complex64 values fits _BLOCK_BYTES
-    and it scans faster than the FFT screen: where a row's n_live * widest
-    multiply-adds, over the widest block span, stay within
-    _GEMM_PER_FFT_STEP times an FFT row's n_eval * log2(n_eval).
-    """
-    mag = np.abs(coeffs)
-    order = np.argsort(mag, kind="stable")
-    n_drop = np.count_nonzero(np.cumsum(mag[order]) <= 2.0**-24 * np.sum(mag))
-    n_live = len(mag) - n_drop
-    work = n_live * widest
-    if work > _GEMM_PER_FFT_STEP * n_eval * np.log2(n_eval) or 8 * work > _BLOCK_BYTES:
-        return None
-    return np.sort(order[n_drop:])
+    gain = 2^-e, max|coeffs| = m * 2^e with m in [1/2, 1), an exact power
+    of two: scaled by it, every entry of adj lies below 1, and float32
+    neither overflows nor loses more than 2^-149 to subnormals.
 
+    live selects the path.  The live coefficients are those left after
+    dropping the smallest while the l1 norm of the dropped stays <= 2^-24
+    ||coeffs||_1: projected data keeps round-off where its filter vanishes
+    (509 of 512 coefficients nonzero on criterion 4's k=4 shell, about 240
+    live).  Where the GEMM's basis of n_live * widest complex64 values fits
+    _BLOCK_BYTES and its n_live * widest multiply-adds a row stay within
+    _GEMM_PER_FFT_STEP times an FFT row's n_eval * log2(n_eval), live holds
+    their indices, in order, and _blocks computes each block's lattice span
+    alone by one complex64 matrix product over them (_span_products):
+    criterion 4's grids at k <= 5.  Elsewhere live is None and _blocks
+    takes the complex64 inverse FFT of full rows.
 
-def _screen_margin(coeffs, n_eval, half_width, live=None):
-    """The screen's margin M, in units of u/h, for a signal of coefficients
-    coeffs, screened by the FFT or, given live, by the GEMM over the live
-    coefficients; None for coefficients that are all zero, not finite, or
-    beyond 2^+-960 in size.
-
-    Each (slice, x) pair's screened max and its complex128 max lie within a
-    pointwise error bound of the exact max: e_fft(u) for an FFT in unit
-    roundoff u (2^-24 for the FFT screen, 2^-53 for _certify), e_gemm for
-    the GEMM screen.  The exact values are those of the rows P = e^{itPhi} *
-    adj both passes compute in complex128 (one recurrence, see
-    _recurrence), through the exact unnormalized inverse DFT y, divided by
-    2*half_width.
+    margin is M, in units of u/h, for the path taken.  Each (slice, x)
+    pair's screened max and its complex128 max lie within a pointwise error
+    bound of the exact max: e_fft(u) for an FFT in unit roundoff u (2^-24
+    for the FFT screen, 2^-53 for _certify), e_gemm for the GEMM screen.
+    The exact values are those of the rows P = e^{itPhi} * adj both passes
+    compute in complex128 (one recurrence, see _recurrence), through the
+    exact unnormalized inverse DFT y, divided by 2*half_width.
 
     FFT: e_fft(u) = rho(u) * sqrt(n_eval) * ||adj||_2 / (2*half_width), as
     |y_j| <= sqrt(n_eval) * ||P||_2 and ||y||_2 = sqrt(n_eval) * ||P||_2,
@@ -649,28 +623,31 @@ def _screen_margin(coeffs, n_eval, half_width, live=None):
     complex128 max at x minus M - 2 (e_screen + e_fft(2^-53)) = 0: strictly
     below.
     """
-    top = np.max(np.abs(coeffs))
+    mag = np.abs(coeffs)
+    top = mag.max()
     if not 2.0**-960 <= top <= 2.0**960:  # NaN fails too
         return None
-    unit_scale = 2.0 ** -np.frexp(top)[1]
-    scaled = coeffs * unit_scale
+    gain = 2.0 ** -np.frexp(top)[1]
+    mag *= gain
     steps = np.log2(n_eval)
 
     def rho(u):
         eta = u + 4.0 * u / (1.0 - 4.0 * u) * (np.sqrt(2.0) + u)
         return 2.0 * (steps * eta / (1.0 - steps * eta) + 2.0 * u)
 
-    l2 = np.linalg.norm(scaled) * np.sqrt(n_eval)
-    if live is None:
-        screen = rho(2.0**-24) * l2
+    l2 = np.linalg.norm(mag) * np.sqrt(n_eval)
+    order = np.argsort(mag, kind="stable")
+    smallest = np.cumsum(np.concatenate(([0.0], mag[order])))  # l1 of the j smallest, j >= 0
+    n_drop = np.count_nonzero(smallest <= 2.0**-24 * np.sum(mag)) - 1
+    n_live = len(mag) - n_drop
+    work = n_live * widest
+    if work <= _GEMM_PER_FFT_STEP * n_eval * steps and 8 * work <= _BLOCK_BYTES:
+        live, u = np.sort(order[n_drop:]), 2.0**-24
+        gamma = (n_live + 2) * u / (1.0 - (n_live + 2) * u)
+        error = 2.0 * (gamma + 4.0 * u + 2.0**-52) * np.sum(mag[live]) + smallest[n_drop]
     else:
-        u, n = 2.0**-24, len(live)
-        mag = np.abs(scaled)
-        dropped = np.ones(len(mag), dtype=bool)
-        dropped[live] = False
-        gamma = (n + 2) * u / (1.0 - (n + 2) * u)
-        screen = 2.0 * (gamma + 4.0 * u + 2.0**-52) * np.sum(mag[live]) + np.sum(mag[dropped])
-    return 2.0 * (screen + rho(2.0**-53) * l2) / unit_scale / (2.0 * half_width)
+        live, error = None, rho(2.0**-24) * l2
+    return gain, live, 2.0 * (error + rho(2.0**-53) * l2) / gain / (2.0 * half_width)
 
 
 def _near_max(blocks, margin):
@@ -696,26 +673,25 @@ def _near_max(blocks, margin):
     return np.concatenate(cand_slices)[near], marked[near]
 
 
-def _certify(c, phi, t_grid, theta_values, h, n_eval, x_snap, kept, marked):
+def _certify(adj, phi, t_grid, theta_values, h, n_eval, half_width, x_snap, kept, marked):
     """(values, t_arg, theta_arg): per x, the max over the cells of its marked
     pairs and the first (t, theta) attaining it.
 
-    The last step of _scan's plain mode.  kept holds time slices in order
-    and marked[i, x] whether the pair (kept[i], x) is read; a pair left
-    out must lie strictly below the max at its x (see _screen_margin).
-    _synthesis gives the kept slices' complex128 rows, in blocks of at
-    most max(1, _BLOCK_BYTES // (16 * n_eval)) slices; its recurrence
-    stops at the last kept slice.  Each marked pair reads its n_theta cells
-    at _cell_index modulo n_eval, divides them by 2*half_width and takes
-    abs, as _blocks does (see there for the bits); at most
-    _BLOCK_BYTES // 64 cells are read at once (one pair's, if a pair holds
-    more).  Per pair the max and its
-    first theta are kept.  Per x a block's candidate is its first slice
-    attaining its max, and a later block replaces the best only where it
-    is larger; so the first t, then the first theta, is the same first
-    occurrence as an argmax over the flattened (t, theta) pairs.
+    The last step of _scan's plain mode, given adj as _blocks is.  kept
+    holds time slices in order and marked[i, x] whether the pair (kept[i],
+    x) is read; a pair left out must lie strictly below the max at its x
+    (see _screen).  _synthesis gives the kept slices' complex128 rows, in
+    blocks of at most _fft_rows(n_eval) slices; its recurrence stops at the
+    last kept slice.  Each marked pair reads its n_theta cells at
+    _cell_index modulo n_eval, divides them by 2*half_width and takes abs,
+    as _blocks does (see there for the bits); at most _BLOCK_BYTES // 64
+    cells are read at once (one pair's, if a pair holds more).  Per pair
+    the max and its first theta are kept.  Per x a block's candidate is its
+    first slice attaining its max, and a later block replaces the best only
+    where it is larger; so the first t, then the first theta, is the same
+    first occurrence as an argmax over the flattened (t, theta) pairs.
     """
-    scale = 2.0 * c.half_width
+    scale = 2.0 * half_width
     x_count = marked.shape[1]
     x_pos = np.arange(x_count)
     best = np.full(x_count, -1.0)
@@ -724,7 +700,6 @@ def _certify(c, phi, t_grid, theta_values, h, n_eval, x_snap, kept, marked):
     rows, end = _fft_rows(n_eval), int(kept[-1]) + 1
     bounds = [(start, min(start + rows, end)) for start in range(0, end, rows)]
     batch = max(1, _BLOCK_BYTES // (64 * len(theta_values)))  # pairs read at once
-    adj = _alternating_sign(c.n) * c.coeffs
     done = 0
     for slices, fields in _synthesis(adj, phi, t_grid, n_eval, bounds, kept=kept):
         m = len(slices)
@@ -734,7 +709,7 @@ def _certify(c, phi, t_grid, theta_values, h, n_eval, x_snap, kept, marked):
         top_th = np.zeros((m, x_count), dtype=np.int64)
         for p in range(0, len(pair_row), batch):
             r, x = pair_row[p : p + batch], pair_x[p : p + batch]
-            idx = _cell_index(t_grid[slices[r], None] * theta_values, x_snap[x, None], c.half_width, h)
+            idx = _cell_index(t_grid[slices[r], None] * theta_values, x_snap[x, None], half_width, h)
             vals = np.abs(fields[r[:, None], idx % n_eval] / scale)
             top[r, x], top_th[r, x] = vals.max(axis=1), vals.argmax(axis=1)
         arg = top.argmax(axis=0)
@@ -773,16 +748,12 @@ def _check_x_count(x_count) -> None:
 
 def _scan_transform(f: SampledSignal) -> SpectralCoefficients:
     """forward_transform(f), refusing, before the grid is built, a signal with a
-    NaN or infinite sample (ConfigError) and a transform that overflows
-    (RangeError): every cell of its scan would be NaN, and no per-x max
-    would replace the fold's initial -1.0."""
+    NaN or infinite sample (ConfigError) and, as forward_transform does, one
+    whose transform overflows (RangeError): every cell of its scan would be
+    NaN, and no per-x max would replace the fold's initial -1.0."""
     if not np.all(np.isfinite(f.values)):
         raise ConfigError("the signal has a NaN or infinite sample")
-    with np.errstate(over="ignore", invalid="ignore"):  # the error says it
-        c = forward_transform(f)
-    if not np.all(np.isfinite(c.coeffs)):
-        raise RangeError("the signal's transform overflows float64")
-    return c
+    return forward_transform(f)
 
 
 def maximal_function(

@@ -141,8 +141,17 @@ def _alternating_sign(n: int) -> np.ndarray:
 
 
 def forward_transform(f: SampledSignal) -> SpectralCoefficients:
-    """Trapezoidal discretization of f_hat(xi) = int exp(-i*x*xi) f(x) dx."""
-    c = f.grid_step * _alternating_sign(f.n) * np.fft.fftshift(np.fft.fft(f.values))
+    """Trapezoidal discretization of f_hat(xi) = int exp(-i*x*xi) f(x) dx.
+
+    Raises RangeError, without a numpy warning, where the transform of a
+    finite signal overflows float64: every caller (project, evolve,
+    sobolev_norm, the scans) refuses it alike.  A signal with a NaN or
+    infinite sample passes, with a transform to match.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # the error says it
+        c = f.grid_step * _alternating_sign(f.n) * np.fft.fftshift(np.fft.fft(f.values))
+    if not np.all(np.isfinite(c)) and np.all(np.isfinite(f.values)):
+        raise RangeError("the signal's transform overflows float64")
     return SpectralCoefficients(f.half_width, c)
 
 
@@ -156,7 +165,7 @@ def inverse_transform(c: SpectralCoefficients) -> SampledSignal:
 def evolve(f: SampledSignal, t: float, profile: DispersionProfile) -> SampledSignal:
     """Apply the propagator: multiply the spectrum by exp(i*t*Phi(xi)).
 
-    Raises RangeError where t*Phi(xi) overflows on the grid.
+    Raises RangeError where f's transform or t*Phi(xi) overflows on the grid.
     """
     if not np.isfinite(t):
         raise ConfigError(f"evolution time must be finite, got {t}")
@@ -175,10 +184,10 @@ def evolve(f: SampledSignal, t: float, profile: DispersionProfile) -> SampledSig
 def sobolev_norm(f: SampledSignal, s: float) -> float:
     """Discrete H^s norm: ((1/2pi) sum (1+xi^2)^s |c_j|^2 dxi)^(1/2).
 
-    Raises RangeError where the sum is not finite: (1+xi^2)^s overflows.
-    Raises RangeError where the weights lift the transform's rounding noise,
-    eps * max|c| per coefficient, above 1e-6 of the sum: the norm then
-    measures that noise, not f.
+    Raises RangeError where f's transform overflows, and where the sum is
+    not finite: (1+xi^2)^s overflows.  Raises RangeError where the weights
+    lift the transform's rounding noise, eps * max|c| per coefficient,
+    above 1e-6 of the sum: the norm then measures that noise, not f.
     """
     if not -np.inf < s < np.inf:
         raise ConfigError(f"s={s} must be finite")

@@ -29,10 +29,12 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dispmax
 from dispmax.cli import main
 from dispmax.config import ExperimentConfig
 from dispmax.directions import box_count, make_cantor, make_intervals, make_points
@@ -189,10 +191,13 @@ def test_criterion_8_determinism(tmp_path, monkeypatch):
     assert main(maximal_args + ["--out", str(tmp_path / "in-process")]) == 0
     assert gemm_rows
     outputs = {}
+    # the children import the dispmax under test, not an installed one
+    src = str(Path(dispmax.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for tag, threads in (("r1", "1"), ("r2", "1"), ("r3", "4")):
         out = tmp_path / tag
-        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads)
+        env = dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         for args in (
             ["dim", "--theta", "cantor:2,0.3333333333333333,8", "--seed", "3"],
             maximal_args,

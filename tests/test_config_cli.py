@@ -547,13 +547,17 @@ class TestCli:
         assert err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
-    def test_input_whose_transform_overflows_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [["maximal"], ["maximal", "--band", "2"], ["evolve"]],
+                             ids=["maximal", "maximal-band", "evolve"])
+    def test_input_whose_transform_overflows_exit_code(self, argv, tmp_path, capsys):
         # finite samples of size 1e308 sum past float64 in the transform; a
-        # scan of it would fold NaN cells and report the fold's -1.0
+        # scan of it would fold NaN cells and report the fold's -1.0, a
+        # projection would hand on NaN samples; forward_transform refuses it
+        # for the scan, project and evolve alike, without a numpy warning
         x = -8.0 + 0.25 * np.arange(64)
         path = tmp_path / "huge.csv"
         path.write_text("x,re,im\n" + "".join(f"{v!r},1e308,0\n" for v in x.tolist()))
-        assert main(["maximal", "--input", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert main(argv + ["--input", str(path), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err == "numerical failure: the signal's transform overflows float64\n"
         assert not (tmp_path / "out").exists()

@@ -289,13 +289,23 @@ def block_plan(half_width, t_grid, theta_values, h, x_count=65):
     return rows, maximal._build_plan(t_grid, theta_values, h, x_idx, rows)
 
 
-def level_fold_of_plain_pass(f, theta_values, t_grid, h, x_count):
-    """_level_max at the one level r = max|t| over f's complex128 window pass without f(x)."""
+def plain_pass(f, theta_values, t_grid, h, x_count=65, gain=None, live=None):
+    """f's plain-mode window pass (_blocks without f(x)) on lattice step h, set
+    up as _scan sets it up: in complex128, or given gain the complex64 screen,
+    through the GEMM over the coefficients live, if given."""
     c = forward_transform(f)
     phi = np.asarray(PROFILE.phi(c.frequencies), dtype=float)
     x_idx, x_snap = snapped_x(f.half_width, h, x_count)
     n_eval = round(2.0 * f.half_width / h)
-    blocks = maximal._blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, False)
+    plan = maximal._scan_plan(t_grid, theta_values, h, f.half_width, x_idx, n_eval)
+    adj = _alternating_sign(c.n) * c.coeffs
+    return maximal._blocks(adj, phi, t_grid, plan, h, n_eval, f.half_width, x_idx, x_snap, False,
+                           gain, live)
+
+
+def level_fold_of_plain_pass(f, theta_values, t_grid, h, x_count):
+    """_level_max at the one level r = max|t| over f's complex128 window pass without f(x)."""
+    blocks = plain_pass(f, theta_values, t_grid, h, x_count)
     return maximal._level_max(blocks, t_grid, np.array([np.abs(t_grid).max()]), x_count)[0]
 
 
@@ -571,17 +581,11 @@ def criterion_4_grid(k):
     return grid_for_band(2.0**k, PROFILE, make_intervals([(0.0, 2.0 ** (-k / 2))]))
 
 
-def pass_tmax(f, theta_values, t_grid, dtype, x_count=65, live=None):
-    """(tmax over every slice, lattice step) of f's plain-mode pass in dtype,
-    through the GEMM screen over the coefficients live, if given."""
-    h = _scan(f, theta_values, t_grid, PROFILE, x_count).lattice_step
-    c = forward_transform(f)
-    phi = np.asarray(PROFILE.phi(c.frequencies), dtype=float)
-    x_idx, x_snap = snapped_x(f.half_width, h, x_count)
-    n_eval = round(2.0 * f.half_width / h)
-    blocks = maximal._blocks(c, phi, t_grid, theta_values, h, n_eval, x_idx, x_snap, False,
-                             dtype=dtype, live=live)
-    slices, tmax = zip(*blocks)
+def pass_tmax(f, theta_values, t_grid, gain=None, live=None):
+    """(tmax over every slice, lattice step) of f's plain-mode pass: in
+    complex128, or given gain the screen, by the GEMM given live."""
+    h = _scan(f, theta_values, t_grid, PROFILE, 65).lattice_step
+    slices, tmax = zip(*plain_pass(f, theta_values, t_grid, h, 65, gain, live))
     assert np.array_equal(np.concatenate(slices), np.arange(len(t_grid)))
     return np.concatenate(tmax), h
 
@@ -616,12 +620,6 @@ def ifft_rows_by_dtype(monkeypatch):
     return rows
 
 
-def live_alone(f, n_eval):
-    """The GEMM screen's live coefficients of f, whatever the cost rule says:
-    a one-column span passes it."""
-    return maximal._gemm_live(forward_transform(f).coeffs, n_eval, 1)
-
-
 class TestScreen:
     """Plain-mode scans screen every slice in complex64 and certify in
     complex128 only the slices that can hold a max; the output keeps every
@@ -645,12 +643,15 @@ class TestScreen:
              "focus": lambda: focusing_witness(k, 0.3, -0.4),
              "shell*2^600": lambda: scaled(shell_signal(k, 4), 600),
              "shell*2^-600": lambda: scaled(shell_signal(k, 5), -600)}[case]()
-        exact, h = pass_tmax(f, theta_values, t_grid, complex)
+        exact, h = pass_tmax(f, theta_values, t_grid)
         n_eval = round(2.0 * f.half_width / h)
-        for live in (None, live_alone(f, n_eval)):  # the FFT screen, then the GEMM
-            screened, _ = pass_tmax(f, theta_values, t_grid, np.complex64, live=live)
-            margin = maximal._screen_margin(forward_transform(f).coeffs, n_eval, f.half_width,
-                                            live)
+        # the FFT screen, then the GEMM: no basis fits an unbounded span, and
+        # the cost rule passes a one-column span
+        for widest in (np.inf, 1):
+            gain, live, margin = maximal._screen(forward_transform(f).coeffs, n_eval,
+                                                 f.half_width, widest)
+            assert (live is None) == (widest == np.inf)
+            screened, _ = pass_tmax(f, theta_values, t_grid, gain, live)
             assert np.max(np.abs(screened - exact)) <= margin / 33
 
     def test_few_slices_reach_the_complex128_fft(self, monkeypatch):
@@ -682,7 +683,7 @@ class TestScreen:
         plan = maximal._build_plan(t_grid, theta_values, h, snapped_x(32.0, h)[0],
                                    maximal._fft_rows(n_eval))
         coeffs = forward_transform(shell_signal(k, 1)).coeffs
-        assert maximal._gemm_live(coeffs, n_eval, plan.widest_span) is None
+        assert maximal._screen(coeffs, n_eval, 32.0, plan.widest_span)[1] is None
 
     def test_full_band_scan_of_a_large_lattice_takes_the_fft(self, monkeypatch):
         # test_scan_buffers_are_bounded_in_bytes' scan: 4096 live
@@ -694,6 +695,28 @@ class TestScreen:
         assert round(2.0 * f.half_width / res.lattice_step) == 2**16
         assert rows["gemm"] == 0 and rows[np.dtype(np.complex64)] == len(t_grid)
 
+    @pytest.mark.parametrize("levels", [None, [0.75, 0.3]], ids=["plain", "levels"])
+    def test_a_scan_looks_up_its_plan_once_and_decides_its_screen_once(self, levels,
+                                                                      monkeypatch):
+        # _scan hands its one plan to the window pass; a plain scan takes
+        # its path, gain and margin from one _screen call, against that
+        # plan's widest span, and a convergence scan is not screened
+        plans, screens = [], []
+        scan_plan, screen = maximal._scan_plan, maximal._screen
+        monkeypatch.setattr(maximal, "_scan_plan", lambda *a: plans.append(a) or scan_plan(*a))
+        monkeypatch.setattr(maximal, "_screen", lambda *a: screens.append(a) or screen(*a))
+        f = band_limited(20, half_width=12.0)
+        r_levels = None if levels is None else np.array(levels)
+        t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), PROFILE,
+                                             make_intervals([(-0.5, 1.0)]),
+                                             t_range=1.0 if levels is None else levels[0])
+        want = reference_scan(f, theta_values, t_grid, PROFILE, 65, r_levels)
+        res = _scan(f, theta_values, t_grid, PROFILE, 65, r_levels=r_levels)
+        assert_matches_reference(res, want, r_levels)
+        assert len(plans) == 1 and len(screens) == (levels is None)
+        if levels is None:
+            assert screens[0][3] == scan_plan(*plans[0]).widest_span
+
     def test_mirror_slices_tie_and_both_are_kept(self):
         # real data, theta = 0: |u(x, -t)| = |u(x, t)|, so every max is
         # attained at t and -t up to rounding, far inside the margin; the
@@ -702,7 +725,7 @@ class TestScreen:
         f = SampledSignal(f.half_width, f.values.real)
         t_grid, theta_values = grid_for_band(8.0, PROFILE, make_points([0.0]))
         want = reference_scan(f, theta_values, t_grid, PROFILE, 65)
-        exact, _ = pass_tmax(f, theta_values, t_grid, complex)
+        exact, _ = pass_tmax(f, theta_values, t_grid)
         t_arg, x_pos = want[1], np.arange(65)
         mirror = len(t_grid) - 1 - t_arg
         assert np.allclose(exact[mirror, x_pos], exact[t_arg, x_pos], rtol=1e-12, atol=0.0)
@@ -713,9 +736,9 @@ class TestScreen:
         # zero, non-finite or extreme data: no margin, every slice is certified
         coeffs = np.zeros(64, dtype=complex)
         coeffs[5] = fill
-        assert maximal._screen_margin(coeffs, 1024, 8.0) is None
+        assert maximal._screen(coeffs, 1024, 8.0, 1) is None
         coeffs[5] = 1.0
-        assert maximal._screen_margin(coeffs, 1024, 8.0) > 0.0
+        assert maximal._screen(coeffs, 1024, 8.0, 1)[2] > 0.0
 
     def test_zero_data_runs_only_the_complex128_pass(self, monkeypatch):
         f = SampledSignal(8.0, np.zeros(64, dtype=complex))
@@ -764,7 +787,7 @@ class TestScreen:
         t_grid, theta_values = grid_for_band(forward_transform(f).band_limit(), PROFILE,
                                              make_intervals([(-0.5, 1.0)]), t_range=t_range)
         n_eval = round(2.0 * f.half_width / _scan(f, theta_values, t_grid, PROFILE, 65).lattice_step)
-        assert maximal._screen_margin(forward_transform(f).coeffs, n_eval, f.half_width) is not None
+        assert maximal._screen(forward_transform(f).coeffs, n_eval, f.half_width, 1) is not None
         TestScanMatchesReference().check(f, theta_values, t_grid,
                                          r_levels=None if levels is None else np.array(levels))
 
